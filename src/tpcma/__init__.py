@@ -2,39 +2,29 @@
 
 The public surface:
 
-* :func:`tpcma.params.default_params` derives all strategy constants.
-* :class:`tpcma.engine.CmaEs` is the ask/tell optimizer.
-* :func:`tpcma.engine.run` / :func:`tpcma.engine.run_with_restarts` drive
-  full runs against the built-in benchmark objectives.
+* :func:`default_params` derives all strategy constants.
+* :class:`CmaEs` is the ask/tell optimizer.
+* :func:`run` / :func:`run_with_restarts` drive full runs against the
+  built-in benchmark objectives.
 * ``python -m tpcma.cli`` (or the ``tpcma`` script) runs benchmark grids.
+
+The building blocks (sampling, recombination, covariance and step-size
+updates) stay importable from their modules.
 """
 
-from .covariance import CovarianceState, initial_covariance_state, stall_indicator
 from .engine import (
     CONTROLLERS,
     CmaEs,
-    EvolutionState,
     RestartPolicy,
     RunAborted,
     RunConfig,
-    RunRecord,
     RunResult,
     TerminationCriteria,
     run,
     run_with_restarts,
 )
 from .objectives import OBJECTIVE_KINDS, ObjectiveSpec, evaluate, evaluate_population
-from .params import StrategyParams, compute_weights, default_params, variance_effective_mass
-from .recombine import RankedPopulation, rank, update_mean, weighted_mean_step
-from .sampler import CovarianceFactor, Offspring, decompose, sample_population
-from .stepsize import (
-    CsaState,
-    TpaState,
-    csa_update,
-    salomon_legacy_params,
-    tpa_test_points,
-    tpa_update,
-)
+from .params import StrategyParams, default_params
 
 __version__ = "0.1.0"
 
@@ -42,37 +32,16 @@ __all__ = [
     "CONTROLLERS",
     "OBJECTIVE_KINDS",
     "CmaEs",
-    "CovarianceFactor",
-    "CovarianceState",
-    "CsaState",
-    "EvolutionState",
     "ObjectiveSpec",
-    "Offspring",
-    "RankedPopulation",
     "RestartPolicy",
     "RunAborted",
     "RunConfig",
-    "RunRecord",
     "RunResult",
     "StrategyParams",
     "TerminationCriteria",
-    "TpaState",
-    "compute_weights",
-    "csa_update",
-    "decompose",
     "default_params",
     "evaluate",
     "evaluate_population",
-    "initial_covariance_state",
-    "rank",
     "run",
     "run_with_restarts",
-    "salomon_legacy_params",
-    "sample_population",
-    "stall_indicator",
-    "tpa_test_points",
-    "tpa_update",
-    "update_mean",
-    "variance_effective_mass",
-    "weighted_mean_step",
 ]

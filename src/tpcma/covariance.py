@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import StrategyParams
-from .recombine import RankedPopulation
 
 __all__ = [
     "CovarianceState",
@@ -61,18 +60,18 @@ def update_path(
 
 def update_covariance(
     state: CovarianceState,
-    ranked: RankedPopulation,
+    Y_sel: np.ndarray,
     weights: np.ndarray,
     params: StrategyParams,
 ) -> CovarianceState:
     """Rank-one plus rank-mu covariance update, re-symmetrized.
 
-    C' = (1 - c_1 - c_mu) C + c_1 p_c p_c^T + c_mu sum_i w_i y_(i) y_(i)^T.
+    C' = (1 - c_1 - c_mu) C + c_1 p_c p_c^T + c_mu Y_sel^T diag(w) Y_sel,
+    where ``Y_sel`` holds the mu best sampled steps as rows, best first.
     The path update must already have been applied for this generation.
     """
     w = np.asarray(weights, dtype=float)
-    y = ranked.selected_steps(len(w))
-    rank_mu = (y * w[:, None]).T @ y
+    rank_mu = (Y_sel * w[:, None]).T @ Y_sel
     C = (
         (1.0 - params.c_1 - params.c_mu) * state.C
         + params.c_1 * np.outer(state.p_c, state.p_c)

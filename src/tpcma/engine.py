@@ -3,9 +3,10 @@
 The core object is :class:`CmaEs`, an ask/tell optimizer.  In two-point
 mode each generation has two ask/tell rounds: first the lam offspring, then
 (after the mean update) the two step-size test points.  In cumulative
-(baseline) mode a single round completes the generation.  :func:`run`
-drives an optimizer against a benchmark objective; :func:`run_with_restarts`
-adds the restart policy with increasing population size.
+(baseline) mode a single round completes the generation.
+:func:`run_with_restarts` drives optimizers against a benchmark objective,
+restarting with increasing population size; :func:`run` is its case
+without restarts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,6 +129,17 @@ class RestartSegment:
     best_f: float
 
 
+class _TestRound(NamedTuple):
+    """What a two-point generation carries from its population round to its
+    test-point round: the selected steps, their weighted mean, the mean
+    before the update and the two test points as a (2, n) matrix."""
+
+    Y_sel: np.ndarray
+    mean_step: np.ndarray
+    m_old: np.ndarray
+    test_points: np.ndarray
+
+
 @dataclass
 class RunResult:
     """Outcome of a run: best solution, termination reason, full trace."""
@@ -148,11 +160,11 @@ class RunResult:
 class CmaEs:
     """Ask/tell CMA-ES with a two-point or cumulative step-size controller.
 
-    The caller owns evaluation: ``ask()`` yields candidate points,
-    ``tell(fitnesses)`` feeds back their objective values (minimization;
-    failures mapped to +inf, never NaN).  In two-point mode a generation is
-    two rounds: the lam offspring, then the two test points returned by
-    the following ``ask()``.
+    The caller owns evaluation: ``ask()`` yields candidate points as the
+    rows of a (k, n) matrix, ``tell(fitnesses)`` feeds back their objective
+    values (minimization; failures mapped to +inf, never NaN).  In
+    two-point mode a generation is two rounds: the lam offspring, then the
+    two test points returned by the following ``ask()``.
     """
 
     def __init__(
@@ -194,15 +206,10 @@ class CmaEs:
         self.best_f = math.inf
         self.trace: list[RunRecord] = []
 
-        self._phase = "sample"  # -> "test" (tpa only) -> "sample"
-        self._asked = False
+        self._pending: np.ndarray | None = None  # the points of an untold ask()
         self._factor: sampler.CovarianceFactor | None = None
-        self._offspring: list[sampler.Offspring] | None = None
-        self._ranked: recombine.RankedPopulation | None = None
-        self._mean_step: np.ndarray | None = None
-        self._m_old: np.ndarray | None = None
-        self._m_new: np.ndarray | None = None
-        self._test_points: tuple[np.ndarray, np.ndarray] | None = None
+        self._Y: np.ndarray | None = None  # the steps of the last sampled population
+        self._test_round: _TestRound | None = None  # set between the two tpa rounds
         window = 10 + int(math.ceil(30.0 * params.n / params.lam))
         self._gen_best: deque[float] = deque(maxlen=window)
         self._stop_reason: str | None = None
@@ -233,7 +240,7 @@ class CmaEs:
         """Reason to stop, or None.  Only fires between generations."""
         if self._stop_reason is not None:
             return self._stop_reason
-        if self._phase != "sample":
+        if self._test_round is not None:
             return None
         c = self.criteria
         reason = None
@@ -260,100 +267,106 @@ class CmaEs:
 
     # -- ask/tell ------------------------------------------------------------
 
-    def ask(self) -> list[np.ndarray]:
-        """Points to evaluate next: the lam offspring, or the two test points."""
-        if self._asked:
+    def ask(self) -> np.ndarray:
+        """Points to evaluate next, one per row: the lam offspring, or the
+        two test points."""
+        if self._pending is not None:
             raise RuntimeError("ask() called twice without tell()")
-        self._asked = True
-        if self._phase == "sample":
+        if self._test_round is None:
             self._factor = sampler.decompose(self.cov.C, want_inv_sqrt=(self.mode == "csa"))
-            self._offspring = sampler.sample_population(
+            self._pending, self._Y = sampler.sample_population(
                 self.m, self.sigma, self._factor, self.params.lam, self.rng
             )
-            return [off.x for off in self._offspring]
-        return list(self._test_points)
+        else:
+            self._pending = self._test_round.test_points
+        return self._pending
 
     def tell(self, fitnesses: Sequence[float]) -> None:
-        """Feed back objective values for the points of the last ask()."""
-        if not self._asked:
+        """Feed back objective values for the points of the last ask().
+
+        The values are validated before anything changes: a tell that
+        raises ValueError leaves the ask pending, to be told again.
+        """
+        if self._pending is None:
             raise RuntimeError("tell() called without a pending ask()")
-        self._asked = False
-        if self._phase == "sample":
+        if self._test_round is None:
             self._tell_population(fitnesses)
         else:
             self._tell_test_points(fitnesses)
 
     def _tell_population(self, fitnesses: Sequence[float]) -> None:
         p = self.params
-        if len(fitnesses) != p.lam:
-            raise ValueError(f"expected {p.lam} fitness values, got {len(fitnesses)}")
-        ranked = recombine.rank(list(zip(self._offspring, fitnesses)))
-        if ranked.n_infeasible > p.lam - p.mu:
+        fitness = np.asarray(fitnesses, dtype=float)
+        if fitness.shape != (p.lam,):
+            raise ValueError(f"expected {p.lam} fitness values, got {fitness.size}")
+        order = recombine.rank(fitness)
+        n_infeasible = int(np.isinf(fitness).sum())
+        if n_infeasible > p.lam - p.mu:
             raise RunAborted(
-                f"{ranked.n_infeasible} of {p.lam} evaluations infeasible; "
+                f"{n_infeasible} of {p.lam} evaluations infeasible; "
                 f"selection needs at least {p.mu} finite values",
                 self.state,
             )
+        X, self._pending = self._pending, None
         self.evals += p.lam
-        self._gen_best.append(float(ranked.fitness[ranked.order[0]]))
-        best_off, best_fit = ranked.best()
-        self._note_best(best_off.x, best_fit)
+        best = order[0]
+        self._gen_best.append(float(fitness[best]))
+        self._note_best(X[best], fitness[best])
 
-        self._ranked = ranked
-        self._mean_step = recombine.weighted_mean_step(ranked, p.weights)
-        self._m_old = self.m
-        self._m_new = recombine.update_mean(self.m, self.sigma, self._mean_step)
+        Y_sel = self._Y[order[: p.mu]]
+        mean_step = recombine.weighted_mean_step(Y_sel, p.weights)
+        m_new = recombine.update_mean(self.m, self.sigma, mean_step)
 
         if self.mode == "csa":
-            self.m = self._m_new
+            self.m = m_new
             self.csa, multiplier = stepsize.csa_update(
-                self.csa, self._mean_step, self._factor.inv_sqrt, p
+                self.csa, mean_step, self._factor.inv_sqrt, p
             )
             self.sigma *= multiplier
             g_next = self.generation + 1
             h_sigma = stepsize.csa_stall_indicator(self.csa.p_sigma, g_next, p)
-            self._finish_generation(h_sigma)
+            self._finish_generation(Y_sel, mean_step, h_sigma)
         else:
-            if not p.mean_uses_new_sigma:
-                self.m = self._m_new
             minus_width = (
                 p.alpha_test / (1.0 + p.alpha_test) if p.asymmetric_minus_point else None
             )
-            self._test_points = stepsize.tpa_test_points(
-                self._m_new, self.sigma, self._mean_step, p.alpha_test, minus_width=minus_width
+            test_points = stepsize.tpa_test_points(
+                m_new, self.sigma, mean_step, p.alpha_test, minus_width=minus_width
             )
-            self._phase = "test"
+            self._test_round = _TestRound(Y_sel, mean_step, self.m, np.stack(test_points))
+            if not p.mean_uses_new_sigma:
+                self.m = m_new
 
     def _tell_test_points(self, fitnesses: Sequence[float]) -> None:
         p = self.params
         if len(fitnesses) != 2:
             raise ValueError(f"expected 2 test-point fitness values, got {len(fitnesses)}")
         f_plus, f_minus = float(fitnesses[0]), float(fitnesses[1])
+        if math.isnan(f_plus) or math.isnan(f_minus):
+            raise ValueError("NaN fitness; map failed evaluations to +inf instead")
+        self._pending = None
+        test_round, self._test_round = self._test_round, None
         self.evals += 2
-        x_plus, x_minus = self._test_points
-        self._note_best(x_plus, f_plus)
-        self._note_best(x_minus, f_minus)
+        self._note_best(test_round.test_points[0], f_plus)
+        self._note_best(test_round.test_points[1], f_minus)
 
         self.tpa, multiplier = stepsize.tpa_update(self.tpa, f_plus, f_minus, p)
         self.sigma *= multiplier
         if p.mean_uses_new_sigma:
-            self.m = recombine.update_mean(self._m_old, self.sigma, self._mean_step)
+            self.m = recombine.update_mean(test_round.m_old, self.sigma, test_round.mean_step)
         g_next = self.generation + 1
         h_sigma = cov_mod.stall_indicator(self.tpa.alpha_s, g_next, p)
-        self._phase = "sample"
-        self._finish_generation(h_sigma)
+        self._finish_generation(test_round.Y_sel, test_round.mean_step, h_sigma)
 
     def _note_best(self, x: np.ndarray, fitness: float) -> None:
-        if math.isnan(fitness):
-            raise ValueError("NaN fitness; map failed evaluations to +inf instead")
         if fitness < self.best_f:
-            self.best_f = fitness
+            self.best_f = float(fitness)
             self.best_x = x.copy()
 
-    def _finish_generation(self, h_sigma: int) -> None:
+    def _finish_generation(self, Y_sel: np.ndarray, mean_step: np.ndarray, h_sigma: int) -> None:
         p = self.params
-        self.cov = cov_mod.update_path(self.cov, self._mean_step, h_sigma, p)
-        self.cov = cov_mod.update_covariance(self.cov, self._ranked, p.weights, p)
+        self.cov = cov_mod.update_path(self.cov, mean_step, h_sigma, p)
+        self.cov = cov_mod.update_covariance(self.cov, Y_sel, p.weights, p)
         self.generation += 1
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise RunAborted(f"step-size became {self.sigma}", self.state)
@@ -372,26 +385,6 @@ class CmaEs:
                 )
             )
 
-    def result(self) -> RunResult:
-        termination = self.should_stop() or "running"
-        segment = RestartSegment(
-            lam=self.params.lam,
-            evals=self.evals,
-            generations=self.generation,
-            termination=termination,
-            best_f=self.best_f,
-        )
-        best_x = None if self.best_x is None else self.best_x.copy()
-        return RunResult(
-            best_x=best_x,
-            best_f=self.best_f,
-            termination=termination,
-            evals=self.evals,
-            generations=self.generation,
-            trace=list(self.trace),
-            segments=[segment],
-        )
-
 
 # -- configured runs ---------------------------------------------------------
 
@@ -408,7 +401,6 @@ class RunConfig:
     lam: int | None = None
     beta_bias: float | None = None
     c_alpha: float | None = None
-    mu_prime_rule: str = "half"
     criteria: TerminationCriteria = field(default_factory=TerminationCriteria)
     record_trace: bool = True
 
@@ -431,7 +423,6 @@ class RunConfig:
         params = default_params(
             n,
             lam=lam if lam is not None else self.lam,
-            mu_prime_rule=self.mu_prime_rule,
             beta_bias=beta,
             c_alpha=self.c_alpha,
         )
@@ -464,37 +455,9 @@ class RestartPolicy:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
 
 
-def _drive(opt: CmaEs, spec: obj_mod.ObjectiveSpec, rng: np.random.Generator) -> None:
-    while opt.should_stop() is None:
-        xs = opt.ask()
-        opt.tell(obj_mod.evaluate_population(spec, np.asarray(xs), rng))
-
-
-def _run_segment(
-    config: RunConfig,
-    rng: np.random.Generator,
-    lam: int | None,
-    m0: np.ndarray,
-    criteria: TerminationCriteria,
-) -> RunResult:
-    params, mode = config.build_params(lam)
-    opt = CmaEs(
-        params,
-        m0,
-        config.sigma0,
-        mode=mode,
-        criteria=criteria,
-        rng=rng,
-        record_trace=config.record_trace,
-    )
-    _drive(opt, config.objective, rng)
-    return opt.result()
-
-
 def run(config: RunConfig) -> RunResult:
     """One optimization run, deterministic for a given (config, seed)."""
-    rng = np.random.default_rng(config.seed)
-    return _run_segment(config, rng, None, config.initial_mean(), config.criteria)
+    return run_with_restarts(config, RestartPolicy())
 
 
 def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
@@ -503,12 +466,13 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
     Each non-target termination restarts from a fresh state (mean per
     policy, unit covariance, zeroed paths and signals) with lam scaled by
     the policy multiplier; the evaluation budget is global across
-    restarts.  The random stream continues across segments.
+    restarts.  The random stream continues across segments.  The result's
+    termination is that of the last segment.
     """
     rng = np.random.default_rng(config.seed)
+    spec = config.objective
     budget = config.criteria.max_evals
-    params0, _ = config.build_params()
-    lam = params0.lam
+    lam = config.lam
 
     trace: list[RunRecord] = []
     segments: list[RestartSegment] = []
@@ -516,7 +480,6 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
     best_f = math.inf
     evals = 0
     generations = 0
-    termination = "max_restarts"
 
     for attempt in range(policy.max_restarts + 1):
         if attempt == 0 or policy.bounds is None:
@@ -524,27 +487,44 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
         else:
             lower = np.asarray(policy.bounds[0], dtype=float)
             upper = np.asarray(policy.bounds[1], dtype=float)
-            m0 = rng.uniform(lower, upper, size=config.objective.n)
-        seg_criteria = replace(config.criteria, max_evals=budget - evals)
-        seg = _run_segment(config, rng, lam, m0, seg_criteria)
+            m0 = rng.uniform(lower, upper, size=spec.n)
+        params, mode = config.build_params(lam)
+        opt = CmaEs(
+            params,
+            m0,
+            config.sigma0,
+            mode=mode,
+            criteria=replace(config.criteria, max_evals=budget - evals),
+            rng=rng,
+            record_trace=config.record_trace,
+        )
+        while (termination := opt.should_stop()) is None:
+            opt.tell(obj_mod.evaluate_population(spec, opt.ask(), rng))
 
-        for row in seg.trace:
-            trace.append(
+        if attempt == 0:
+            trace += opt.trace
+        else:
+            trace += [
                 replace(row, generation=row.generation + generations, evals=row.evals + evals)
+                for row in opt.trace
+            ]
+        segments.append(
+            RestartSegment(
+                lam=params.lam,
+                evals=opt.evals,
+                generations=opt.generation,
+                termination=termination,
+                best_f=opt.best_f,
             )
-        segments.append(seg.segments[0])
-        evals += seg.evals
-        generations += seg.generations
-        if seg.best_f < best_f:
-            best_f = seg.best_f
-            best_x = seg.best_x
-        if seg.termination == "target_f":
-            termination = "target_f"
+        )
+        evals += opt.evals
+        generations += opt.generation
+        if opt.best_f < best_f:
+            best_f = opt.best_f
+            best_x = opt.best_x
+        if termination == "target_f" or evals >= budget:
             break
-        if evals >= budget:
-            termination = "max_evals"
-            break
-        lam = int(round(lam * policy.lam_multiplier))
+        lam = int(round(params.lam * policy.lam_multiplier))
 
     return RunResult(
         best_x=best_x,

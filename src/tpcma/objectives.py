@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ObjectiveSpec", "OBJECTIVE_KINDS", "evaluate", "evaluate_population", "optimum"]
+__all__ = ["ObjectiveSpec", "OBJECTIVE_KINDS", "evaluate", "evaluate_population"]
 
 OBJECTIVE_KINDS = (
     "sphere",
@@ -94,11 +94,3 @@ def evaluate(spec: ObjectiveSpec, x: np.ndarray, rng: np.random.Generator | None
     """Evaluate a single point."""
     return float(evaluate_population(spec, np.asarray(x, dtype=float)[None, :], rng)[0])
 
-
-def optimum(spec: ObjectiveSpec) -> np.ndarray | None:
-    """Known minimizer of the noiseless kinds (value 0 there); None otherwise."""
-    if spec.kind in ("sphere", "ellipsoid", "rastrigin"):
-        return np.zeros(spec.n)
-    if spec.kind == "rosenbrock":
-        return np.ones(spec.n)
-    return None

@@ -1,7 +1,9 @@
 """Strategy constants: population size, recombination weights, learning rates.
 
-Everything here is derived once from the problem dimension (plus optional
-user overrides) and is immutable afterwards.
+Everything here is derived once from the problem dimension (plus the
+population size and the step-size signal knobs) and is immutable
+afterwards.  Other settings are made with ``dataclasses.replace``, which
+re-runs the validation.
 """
 
 from __future__ import annotations
@@ -17,12 +19,7 @@ __all__ = [
     "compute_weights",
     "variance_effective_mass",
     "nearest_int_half_down",
-    "MU_PRIME_RULES",
 ]
-
-# How mu' is derived from lambda: "half" -> lambda/2, "half_minus" -> (lambda-1)/2.
-# The selected parent count mu coincides for odd lambda; the weights never do.
-MU_PRIME_RULES = ("half", "half_minus")
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -70,8 +67,8 @@ def variance_effective_mass(weights: np.ndarray) -> float:
 class StrategyParams:
     """Immutable bundle of all strategy constants for one run.
 
-    Instances are usually built by :func:`default_params`; direct
-    construction is for tests and for deliberately non-default settings.
+    Instances are usually built by :func:`default_params`; deliberately
+    non-default settings replace fields of such an instance.
     All invariants are checked on construction, violations raise ValueError
     (overrides are validated, never silently clamped).
 
@@ -181,27 +178,18 @@ def default_params(
     n: int,
     lam: int | None = None,
     *,
-    mu_prime_rule: str = "half",
-    alpha_test: float | None = None,
-    alpha_change: float | None = None,
     beta_bias: float | None = None,
     c_alpha: float | None = None,
-    c_c: float | None = None,
-    mu_cov: float | None = None,
-    c_1: float | None = None,
-    c_mu: float | None = None,
-    c_sigma: float | None = None,
-    d_sigma: float | None = None,
 ) -> StrategyParams:
     """Derive the full strategy-constant set for dimension ``n``.
 
-    ``lam`` overrides the default population size 4 + floor(3 ln n).  The
-    remaining keyword arguments override individual derived constants; they
-    are validated against the parameter invariants, not clamped.
+    ``lam`` overrides the default population size 4 + floor(3 ln n);
+    ``beta_bias`` and ``c_alpha`` override the step-size signal's bias and
+    smoothing rate.  Overrides are validated against the parameter
+    invariants, not clamped.
 
-    mu is the integer closest to mu' (ties to the smaller integer, so that
-    the last weight stays positive); mu is decremented further in the
-    degenerate case where the last weight would still be non-positive.
+    mu' is lam/2 and mu is the integer closest to it, with ties going to
+    the smaller integer so that the last weight stays positive.
     """
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
@@ -210,32 +198,18 @@ def default_params(
     elif lam < 2:
         raise ValueError(f"population size lam must be >= 2, got {lam}")
 
-    if mu_prime_rule not in MU_PRIME_RULES:
-        raise ValueError(f"mu_prime_rule must be one of {MU_PRIME_RULES}, got {mu_prime_rule!r}")
-    mu_prime = lam / 2.0 if mu_prime_rule == "half" else (lam - 1) / 2.0
-
+    mu_prime = lam / 2.0
     mu = nearest_int_half_down(mu_prime)
-    while mu > 1 and math.log(mu_prime + 0.5) - math.log(mu) <= 0.0:
-        mu -= 1
-    if mu < 1:
-        raise ValueError(f"lam={lam} with rule {mu_prime_rule!r} yields mu < 1")
-
     weights = compute_weights(mu_prime, mu)
     mu_w = variance_effective_mass(weights)
 
-    if c_c is None:
-        c_c = 4.0 / (n + 4.0)
-    if mu_cov is None:
-        mu_cov = mu_w
-    if c_1 is None:
-        c_1 = 2.0 / ((n + 1.3) ** 2 + mu_cov)
-    if c_mu is None:
-        # mu_cov - 2 + 1/mu_cov = (mu_cov - 1)^2 / mu_cov >= 0, so c_mu >= 0
-        c_mu = min(2.0 * (mu_cov - 2.0 + 1.0 / mu_cov) / ((n + 2.0) ** 2 + mu_cov), 1.0 - c_1)
-    if c_sigma is None:
-        c_sigma = (mu_w + 2.0) / (n + mu_w + 3.0)
-    if d_sigma is None:
-        d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_w - 1.0) / (n + 1.0)) - 1.0) + c_sigma
+    c_c = 4.0 / (n + 4.0)
+    mu_cov = mu_w
+    c_1 = 2.0 / ((n + 1.3) ** 2 + mu_cov)
+    # mu_cov - 2 + 1/mu_cov = (mu_cov - 1)^2 / mu_cov >= 0, so c_mu >= 0
+    c_mu = min(2.0 * (mu_cov - 2.0 + 1.0 / mu_cov) / ((n + 2.0) ** 2 + mu_cov), 1.0 - c_1)
+    c_sigma = (mu_w + 2.0) / (n + mu_w + 3.0)
+    d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_w - 1.0) / (n + 1.0)) - 1.0) + c_sigma
 
     return StrategyParams(
         n=n,
@@ -248,8 +222,6 @@ def default_params(
         mu_cov=mu_cov,
         c_1=c_1,
         c_mu=c_mu,
-        alpha_test=0.5 if alpha_test is None else alpha_test,
-        alpha_change=0.5 if alpha_change is None else alpha_change,
         beta_bias=0.0 if beta_bias is None else beta_bias,
         c_alpha=0.3 if c_alpha is None else c_alpha,
         c_sigma=c_sigma,

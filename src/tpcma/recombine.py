@@ -3,65 +3,34 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .sampler import Offspring
-
-__all__ = ["RankedPopulation", "rank", "weighted_mean_step", "update_mean"]
+__all__ = ["rank", "weighted_mean_step", "update_mean"]
 
 
-@dataclass(frozen=True)
-class RankedPopulation:
-    """Evaluated offspring with their selection order (best first, 0-based).
+def rank(fitness: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Selection order of a population, best first (0-based indices).
 
     The sort is stable and ascending in fitness (minimization); ties keep
-    sampling order.  Failed evaluations must be mapped to +inf by the
-    caller so they rank last.
+    sampling order.  NaN fitness is rejected: evaluation failures must be
+    represented as +inf explicitly, so that they rank last.
     """
-
-    members: tuple[tuple[Offspring, float], ...]
-    fitness: np.ndarray
-    order: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def n_infeasible(self) -> int:
-        return int(np.sum(np.isinf(self.fitness)))
-
-    def best(self) -> tuple[Offspring, float]:
-        i = int(self.order[0])
-        return self.members[i]
-
-    def selected_steps(self, mu: int) -> np.ndarray:
-        """The y vectors of the mu best offspring, as a (mu, n) matrix."""
-        return np.stack([self.members[int(i)][0].y for i in self.order[:mu]])
-
-
-def rank(members: Sequence[tuple[Offspring, float]]) -> RankedPopulation:
-    """Stable ascending sort of (offspring, fitness) pairs.
-
-    NaN fitness is rejected: evaluation failures must be represented as
-    +inf explicitly.
-    """
-    fitness = np.array([float(f) for _, f in members])
+    fitness = np.asarray(fitness, dtype=float)
     if np.isnan(fitness).any():
         raise ValueError("NaN fitness; map failed evaluations to +inf instead")
-    order = np.argsort(fitness, kind="stable")
-    return RankedPopulation(members=tuple(members), fitness=fitness, order=order)
+    return np.argsort(fitness, kind="stable")
 
 
-def weighted_mean_step(ranked: RankedPopulation, weights: np.ndarray) -> np.ndarray:
-    """Weighted mean of the mu best sampled steps, sum_i w_i y_(i)."""
-    mu = len(weights)
-    if mu > ranked.size:
-        raise ValueError(f"need {mu} selected offspring but population has {ranked.size}")
-    return np.asarray(weights, dtype=float) @ ranked.selected_steps(mu)
+def weighted_mean_step(Y_sel: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted mean of the selected steps, sum_i w_i y_(i).
+
+    ``Y_sel`` holds the mu best sampled steps as rows, best first.
+    """
+    if len(weights) > len(Y_sel):
+        raise ValueError(f"need {len(weights)} selected offspring but got {len(Y_sel)}")
+    return np.asarray(weights, dtype=float) @ Y_sel
 
 
 def update_mean(m: np.ndarray, sigma: float, mean_step: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CovarianceFactor", "Offspring", "decompose", "sample_population"]
+__all__ = ["CovarianceFactor", "decompose", "sample_population"]
 
 # Eigenvalues below this fraction of the largest one are raised to the floor
 # before taking square roots, keeping the sampling distribution proper.
@@ -35,18 +35,6 @@ class CovarianceFactor:
     def axis_ratio(self) -> float:
         """Longest over shortest principal axis of the distribution."""
         return float(self.scales[-1] / self.scales[0])
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the (floored) covariance matrix from the factors."""
-        return (self.basis * self.scales**2) @ self.basis.T
-
-
-@dataclass(frozen=True, slots=True)
-class Offspring:
-    """One sampled candidate: x = m + sigma * y with y ~ N(0, C)."""
-
-    x: np.ndarray
-    y: np.ndarray
 
 
 def decompose(C: np.ndarray, *, want_inv_sqrt: bool = False) -> CovarianceFactor:
@@ -87,10 +75,11 @@ def sample_population(
     factor: CovarianceFactor,
     lam: int,
     rng: np.random.Generator,
-) -> list[Offspring]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw lam offspring x_k = m + sigma * y_k with y_k ~ N(0, C).
 
-    The underlying standard-normal variates are drawn offspring-major,
+    Returns the (lam, n) matrices X and Y, one offspring per row.  The
+    underlying standard-normal variates are drawn offspring-major,
     coordinate-minor, so trajectories are reproducible for a given seed
     and draw order.
     """
@@ -101,6 +90,5 @@ def sample_population(
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     z = rng.standard_normal((lam, n))
-    y = (z * factor.scales) @ factor.basis.T
-    x = m + sigma * y
-    return [Offspring(x=x[k], y=y[k]) for k in range(lam)]
+    Y = (z * factor.scales) @ factor.basis.T
+    return m + sigma * Y, Y

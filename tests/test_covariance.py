@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,15 +12,13 @@ from tpcma.covariance import (
 )
 from tpcma.params import default_params
 from tpcma.recombine import rank
-from tpcma.sampler import Offspring
 
 DEFAULTS = default_params(10)
 
 
-def ranked_from(ys, fitnesses):
-    members = [(Offspring(x=np.asarray(y, float), y=np.asarray(y, float)), f)
-               for y, f in zip(ys, fitnesses)]
-    return rank(members)
+def selected_from(ys, fitnesses, mu):
+    """The mu best steps, best first, as the engine selects them."""
+    return np.asarray(ys, float)[rank(fitnesses)[:mu]]
 
 
 class TestStallIndicator:
@@ -73,24 +72,25 @@ class TestUpdatePath:
 
 class TestUpdateCovariance:
     def test_no_learning_keeps_covariance(self):
-        p = default_params(4, c_1=0.0, c_mu=0.0)
+        p = replace(default_params(4), c_1=0.0, c_mu=0.0)
         state = initial_covariance_state(4)
-        ranked = ranked_from(np.eye(4), [1.0, 2.0, 3.0, 4.0])
-        new = update_covariance(state, ranked, p.weights, p)
+        Y_sel = selected_from(np.eye(4), [1.0, 2.0, 3.0, 4.0], p.mu)
+        new = update_covariance(state, Y_sel, p.weights, p)
         np.testing.assert_array_equal(new.C, state.C)
 
     def test_single_dyad(self):
         p = default_params(2, lam=2)  # mu = 1, weights [1]
         state = initial_covariance_state(2)
-        ranked = ranked_from([[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0])
-        new = update_covariance(state, ranked, p.weights, p)
+        Y_sel = selected_from([[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0], p.mu)
+        new = update_covariance(state, Y_sel, p.weights, p)
         expected = (1.0 - p.c_1 - p.c_mu) * np.eye(2)
         expected[0, 0] += p.c_mu
         np.testing.assert_allclose(new.C, expected, rtol=1e-14)
 
     def test_rank_one_rate_example(self):
         mu_cov = 1.4597898888525862
-        p = default_params(10, mu_cov=mu_cov)
+        p = default_params(10, lam=4)  # mu = 2, so mu_cov = mu_w = 1.4597...
+        assert p.mu_cov == pytest.approx(mu_cov, rel=1e-14)
         assert p.c_1 == pytest.approx(2.0 / ((10 + 1.3) ** 2 + mu_cov), rel=1e-14)
         assert p.c_1 == pytest.approx(0.015485894338048995, rel=1e-12)
 
@@ -103,8 +103,7 @@ class TestUpdateCovariance:
         state = type(state)(C=a @ a.T + np.eye(6), p_c=rng.standard_normal(6))
         ys = rng.standard_normal((p.lam, 6))
         f = rng.standard_normal(p.lam)
-        ranked = ranked_from(ys, f)
-        new = update_covariance(state, ranked, p.weights, p)
+        new = update_covariance(state, selected_from(ys, f, p.mu), p.weights, p)
         selected = ys[np.argsort(f, kind="stable")[: p.mu]]
         oracle = (
             (1.0 - p.c_1 - p.c_mu) * np.trace(state.C)
@@ -118,9 +117,9 @@ class TestUpdateCovariance:
         p = default_params(5)
         state = initial_covariance_state(5)
         for _ in range(50):
-            ranked = ranked_from(rng.standard_normal((p.lam, 5)), rng.standard_normal(p.lam))
+            Y_sel = selected_from(rng.standard_normal((p.lam, 5)), rng.standard_normal(p.lam), p.mu)
             state = update_path(state, rng.standard_normal(5), 1, p)
-            state = update_covariance(state, ranked, p.weights, p)
+            state = update_covariance(state, Y_sel, p.weights, p)
             np.testing.assert_array_equal(state.C, state.C.T)
 
     def test_random_selection_keeps_identity_shape(self):
@@ -133,10 +132,10 @@ class TestUpdateCovariance:
         for _ in range(generations):
             ys = rng.standard_normal((p.lam, 5))
             f = rng.permutation(p.lam).astype(float)
-            ranked = ranked_from(ys, f)
+            Y_sel = selected_from(ys, f, p.mu)
             step = p.weights @ ys[np.argsort(f, kind="stable")[: p.mu]]
             state = update_path(state, step, 1, p)
-            state = update_covariance(state, ranked, p.weights, p)
+            state = update_covariance(state, Y_sel, p.weights, p)
             c_sum += state.C
         c_mean = c_sum / generations
         mask = ~np.eye(5, dtype=bool)
@@ -145,16 +144,16 @@ class TestUpdateCovariance:
 
     def test_path_sign_destroyed_without_cumulation(self):
         # with c_c = 1 and p_c = 0 the update cannot distinguish +step from -step
-        p = default_params(4, c_c=1.0)
+        p = replace(default_params(4), c_c=1.0)
         state = initial_covariance_state(4)
         ys = np.random.default_rng(9).standard_normal((p.lam, 4))
         f = np.arange(p.lam, dtype=float)
         step = p.weights @ ys[: p.mu]
 
-        def final_C(step_vec, ranked):
+        def final_C(step_vec, Y_sel):
             st = update_path(state, step_vec, 1, p)
-            return update_covariance(st, ranked, p.weights, p).C
+            return update_covariance(st, Y_sel, p.weights, p).C
 
-        positive = final_C(step, ranked_from(ys, f))
-        negative = final_C(-step, ranked_from(-ys, f))
+        positive = final_C(step, selected_from(ys, f, p.mu))
+        negative = final_C(-step, selected_from(-ys, f, p.mu))
         np.testing.assert_allclose(negative, positive, rtol=1e-14)

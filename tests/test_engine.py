@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ class TestStepAccounting:
         assert result.evals == result.generations * lam
 
     def test_all_adaptation_disabled_freezes_sigma_and_covariance(self):
-        params = default_params(3, c_1=0.0, c_mu=0.0, alpha_change=0.0)
+        params = replace(default_params(3), c_1=0.0, c_mu=0.0, alpha_change=0.0)
         opt = CmaEs(params, np.zeros(3), 1.0, rng=np.random.default_rng(5))
         spec = ObjectiveSpec("sphere", 3)
         m_before = opt.m.copy()
@@ -111,6 +112,43 @@ class TestAskTellProtocol:
         assert exc_info.value.state is not None
         assert exc_info.value.state.g == 0
 
+    def test_rejected_test_point_tell_changes_nothing(self):
+        # n=3: lam = 7, so one generation costs 9 evaluations
+        spec = ObjectiveSpec("sphere", 3)
+        opt = CmaEs(default_params(3), np.zeros(3), 1.0, rng=np.random.default_rng(4))
+        opt.tell(evaluate_population(spec, opt.ask()))
+        points = opt.ask()
+        with pytest.raises(ValueError, match="NaN"):
+            opt.tell([math.nan, 1.0])
+        assert opt.evals == 7
+        with pytest.raises(RuntimeError):
+            opt.ask()  # the ask is still pending
+        opt.tell(evaluate_population(spec, points))
+        assert opt.generation == 1
+        assert opt.evals == 9
+
+    @pytest.mark.parametrize(
+        "bad", [[1.0] * 6, [1.0] * 6 + [math.nan]], ids=["wrong_length", "nan"]
+    )
+    def test_rejected_population_tell_keeps_the_sample(self, bad):
+        # a rejected tell must not discard the population: resampling would
+        # consume random state and silently fork the seeded trajectory
+        spec = ObjectiveSpec("sphere", 3)
+        opt, ref = (
+            CmaEs(default_params(3), np.zeros(3), 1.0, rng=np.random.default_rng(4))
+            for _ in range(2)
+        )
+        X = opt.ask()
+        np.testing.assert_array_equal(X, ref.ask())
+        with pytest.raises(ValueError):
+            opt.tell(bad)
+        assert opt.evals == 0
+        f = evaluate_population(spec, X)
+        opt.tell(f)
+        ref.tell(f)
+        np.testing.assert_array_equal(opt.ask(), ref.ask())
+        assert opt.evals == ref.evals == 7
+
     def test_tpa_mode_never_whitens(self):
         opt = CmaEs(default_params(3), np.zeros(3), 1.0, rng=np.random.default_rng(2))
         spec = ObjectiveSpec("sphere", 3)
@@ -125,6 +163,21 @@ class TestAskTellProtocol:
         xs = opt.ask()
         opt.tell(evaluate_population(spec, np.asarray(xs)))
         assert opt._factor.inv_sqrt is not None
+
+
+@pytest.mark.parametrize("controller", ["tpa", "csa"])
+def test_best_f_is_a_python_float(controller):
+    config = RunConfig(
+        objective=ObjectiveSpec("sphere", 4),
+        controller=controller,
+        m0=3.0,
+        sigma0=2.0,
+        criteria=TerminationCriteria(max_evals=500),
+    )
+    result = run(config)
+    assert type(result.best_f) is float
+    assert all(type(row.best_f) is float for row in result.trace)
+    assert all(type(seg.best_f) is float for seg in result.segments)
 
 
 class TestTermination:
@@ -198,7 +251,7 @@ class TestTermination:
 
     def test_nonfinite_sigma_aborts_with_snapshot(self):
         # an absurd change factor overflows sigma after a few forced increases
-        params = default_params(2, alpha_change=1000.0)
+        params = replace(default_params(2), alpha_change=1000.0)
         opt = CmaEs(params, np.zeros(2), 1.0, rng=np.random.default_rng(0))
         with pytest.raises(RunAborted, match="step-size") as exc_info:
             for _ in range(4):
@@ -278,7 +331,7 @@ class TestRestarts:
         )
         result = run_with_restarts(config, RestartPolicy(lam_multiplier=2.0, max_restarts=2))
         assert [seg.lam for seg in result.segments] == [10, 20, 40]
-        assert result.termination == "max_restarts"
+        assert result.termination == result.segments[-1].termination == "tol_fun"
         assert result.evals == sum(seg.evals for seg in result.segments)
 
     def test_zero_restarts_identical_to_plain_run(self):
@@ -365,30 +418,34 @@ class TestRunConfig:
 
 
 class TestLegacyGeometry:
+    @staticmethod
+    def first_generation():
+        """A legacy optimizer after its population round, the mean it was
+        sampled around, and sigma times the realized mean step, computed
+        from the asked points and their fitness."""
+        config = RunConfig(objective=ObjectiveSpec("sphere", 3), controller="tpa_legacy")
+        params, mode = config.build_params()
+        opt = CmaEs(params, np.full(3, 2.0), 1.5, mode=mode, rng=np.random.default_rng(8))
+        m_old = opt.m.copy()
+        X = opt.ask()
+        f = evaluate_population(ObjectiveSpec("sphere", 3), X)
+        opt.tell(f)
+        shift = params.weights @ X[np.argsort(f, kind="stable")[: params.mu]] - m_old
+        return opt, m_old, shift
+
     def test_legacy_test_points_about_the_old_mean(self):
         # both legacy test points are plain multiples of the mean shift from
         # the old mean: (1 + a') and 1/(1 + a') times sigma * <y>
-        config = RunConfig(objective=ObjectiveSpec("sphere", 3), controller="tpa_legacy")
-        params, mode = config.build_params()
-        opt = CmaEs(params, np.full(3, 2.0), 1.5, mode=mode, rng=np.random.default_rng(8))
-        spec = ObjectiveSpec("sphere", 3)
-        xs = opt.ask()
-        opt.tell(evaluate_population(spec, np.asarray(xs)))
-        plus, minus = opt._test_points
-        shift = opt.sigma * opt._mean_step  # sigma not updated yet in phase "test"
-        np.testing.assert_allclose(plus, opt._m_old + 1.8 * shift, rtol=1e-12)
-        np.testing.assert_allclose(minus, opt._m_old + shift / 1.8, rtol=1e-12)
+        opt, m_old, shift = self.first_generation()
+        plus, minus = opt.ask()
+        np.testing.assert_allclose(plus, m_old + 1.8 * shift, rtol=1e-12)
+        np.testing.assert_allclose(minus, m_old + shift / 1.8, rtol=1e-12)
 
     def test_legacy_commits_mean_with_new_sigma(self):
-        config = RunConfig(objective=ObjectiveSpec("sphere", 3), controller="tpa_legacy")
-        params, mode = config.build_params()
-        opt = CmaEs(params, np.full(3, 2.0), 1.5, mode=mode, rng=np.random.default_rng(8))
-        spec = ObjectiveSpec("sphere", 3)
-        xs = opt.ask()
-        opt.tell(evaluate_population(spec, np.asarray(xs)))
-        m_old = opt._m_old.copy()
-        step = opt._mean_step.copy()
+        opt, m_old, shift = self.first_generation()
+        sigma_old = opt.sigma
         assert np.array_equal(opt.m, m_old)  # not committed yet
         xs = opt.ask()
-        opt.tell(evaluate_population(spec, np.asarray(xs)))
-        np.testing.assert_array_equal(opt.m, m_old + opt.sigma * step)
+        opt.tell(evaluate_population(ObjectiveSpec("sphere", 3), xs))
+        assert opt.sigma != sigma_old
+        np.testing.assert_allclose(opt.m, m_old + (opt.sigma / sigma_old) * shift, rtol=1e-12)

@@ -2,68 +2,61 @@ import numpy as np
 import pytest
 
 from tpcma.recombine import rank, update_mean, weighted_mean_step
-from tpcma.sampler import Offspring
 
 
-def make_members(ys, fitnesses):
-    return [
-        (Offspring(x=np.asarray(y, float), y=np.asarray(y, float)), f)
-        for y, f in zip(ys, fitnesses)
-    ]
+def selected(ys, fitnesses, mu):
+    """The mu best steps, best first, as the engine selects them."""
+    return np.asarray(ys, float)[rank(fitnesses)[:mu]]
 
 
 class TestRank:
     def test_basic_order(self):
-        ranked = rank(make_members([[0], [1], [2]], [3.0, 1.0, 2.0]))
-        assert ranked.order.tolist() == [1, 2, 0]
+        assert rank([3.0, 1.0, 2.0]).tolist() == [1, 2, 0]
 
     def test_ties_keep_sampling_order(self):
-        ranked = rank(make_members([[0], [1], [2]], [5.0, 5.0, 5.0]))
-        assert ranked.order.tolist() == [0, 1, 2]
+        assert rank([5.0, 5.0, 5.0]).tolist() == [0, 1, 2]
 
     def test_infeasible_ranks_last(self):
-        ranked = rank(make_members([[0], [1], [2]], [1.0, np.inf, 0.0]))
-        assert ranked.order.tolist() == [2, 0, 1]
-        assert ranked.n_infeasible == 1
+        order = rank([1.0, np.inf, 0.0])
+        assert order.tolist() == [2, 0, 1]
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="map failed evaluations"):
-            rank(make_members([[0], [1]], [1.0, np.nan]))
+            rank([1.0, np.nan])
 
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(2)
         f = rng.standard_normal(12)
-        base = rank(make_members([[i] for i in range(12)], f))
+        base = rank(f)
         for transform in (np.exp, lambda v: 3.0 * v + 7.0, lambda v: v**3):
-            other = rank(make_members([[i] for i in range(12)], transform(f)))
-            assert other.order.tolist() == base.order.tolist()
+            other = rank(transform(f))
+            assert other.tolist() == base.tolist()
 
 
 class TestWeightedMeanStep:
     def test_single_parent(self):
-        ranked = rank(make_members([[1.0, 0.0], [0.0, 2.0]], [4.0, 1.0]))
-        step = weighted_mean_step(ranked, np.array([1.0]))
+        Y_sel = selected([[1.0, 0.0], [0.0, 2.0]], [4.0, 1.0], 1)
+        step = weighted_mean_step(Y_sel, np.array([1.0]))
         np.testing.assert_array_equal(step, [0.0, 2.0])
 
     def test_two_parent_combination(self):
-        ranked = rank(make_members([[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0]))
-        step = weighted_mean_step(ranked, np.array([0.8, 0.2]))
+        Y_sel = selected([[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0], 2)
+        step = weighted_mean_step(Y_sel, np.array([0.8, 0.2]))
         np.testing.assert_allclose(step, [0.8, 0.2], rtol=1e-15)
 
     def test_equal_weights_match_plain_average(self):
         rng = np.random.default_rng(8)
         ys = rng.standard_normal((10, 4))
         f = rng.standard_normal(10)
-        ranked = rank(make_members(ys, f))
         mu = 4
-        step = weighted_mean_step(ranked, np.full(mu, 1.0 / mu))
+        step = weighted_mean_step(selected(ys, f, mu), np.full(mu, 1.0 / mu))
         best = ys[np.argsort(f, kind="stable")[:mu]]
         np.testing.assert_allclose(step, best.mean(axis=0), rtol=1e-12)
 
     def test_mu_larger_than_population_rejected(self):
-        ranked = rank(make_members([[0.0], [1.0]], [0.0, 1.0]))
+        Y_sel = selected([[0.0], [1.0]], [0.0, 1.0], 3)
         with pytest.raises(ValueError):
-            weighted_mean_step(ranked, np.full(3, 1 / 3))
+            weighted_mean_step(Y_sel, np.full(3, 1 / 3))
 
 
 class TestUpdateMean:
@@ -85,9 +78,7 @@ class TestUpdateMean:
             ys = rng.standard_normal((lam, n))
             xs = m0 + sigma * ys
             f = rng.standard_normal(lam)
-            members = [(Offspring(x=x, y=y), fi) for x, y, fi in zip(xs, ys, f)]
-            ranked = rank(members)
             w = np.array([0.4, 0.3, 0.2, 0.1])
-            m_new = update_mean(m0, sigma, weighted_mean_step(ranked, w))
+            m_new = update_mean(m0, sigma, weighted_mean_step(selected(ys, f, mu), w))
             oracle = w @ xs[np.argsort(f, kind="stable")[:mu]]
             np.testing.assert_allclose(m_new, oracle, rtol=1e-12, atol=1e-14)
