@@ -79,6 +79,8 @@ class ExperimentConfig:
     timestamp: bool = True
 
     def validate(self) -> None:
+        """Raise ConfigError listing every problem, including the run
+        settings that the library itself rejects."""
         problems = []
         if not self.objectives:
             problems.append("objective grid is empty")
@@ -94,7 +96,18 @@ class ExperimentConfig:
             problems.append("controller grid is empty")
         for c in self.controllers:
             if c not in CONTROLLERS:
-                problems.append(f"unknown controller {c!r}; choose from {CONTROLLERS}")
+                problems.append(f"unknown controller {c!r}; choose from {tuple(CONTROLLERS)}")
+        if not problems:
+            # build one run per (objective, n, controller) group with the
+            # library's own validators; they differ only in the seed
+            for kind in self.objectives:
+                for n in self.dimensions:
+                    for controller in self.controllers:
+                        try:
+                            _run_config_for(_Cell(kind, n, controller, 0, self)).build_params()
+                        except ValueError as exc:
+                            if str(exc) not in problems:
+                                problems.append(str(exc))
         if not self.seeds:
             problems.append("seed list is empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -310,58 +323,45 @@ def _str_list(text: str) -> tuple[str, ...]:
 
 
 _OPTIONS: dict[str, tuple] = {
-    # name -> (converter, help)
-    "objective": (_str_list, f"comma list of objectives; choose from {', '.join(OBJECTIVE_KINDS)}"),
-    "n": (_int_list, "comma list of dimensions"),
-    "controller": (_str_list, f"comma list of controllers; choose from {', '.join(CONTROLLERS)}"),
-    "seeds": (_int_list, "comma list of distinct RNG seeds"),
-    "lambda": (int, "population size override (default 4 + floor(3 ln n))"),
-    "beta": (float, "step-size increase bias (two-point controllers only)"),
-    "c-alpha": (float, "step-size signal smoothing rate in (0, 1]"),
-    "budget": (int, "max function evaluations per run"),
-    "target-f": (float, "stop when a fitness below this is found"),
-    "tol-fun": (float, "stop on a flat best-fitness window (0 disables)"),
-    "tol-x": (float, "stop when sigma * max axis std falls below this (0 disables)"),
-    "sigma0": (float, "initial step-size"),
-    "m0": (float, "initial mean, broadcast to all coordinates"),
-    "noise-level": (float, "multiplicative noise strength of noisy_sphere"),
-    "condition": (float, "ellipsoid condition number"),
-    "restarts": (int, "max restarts with doubled population size"),
-    "out": (str, "output directory for per-run CSVs and summary.csv"),
-    "workers": (int, "parallel worker processes"),
+    # flag -> (ExperimentConfig field, converter, help)
+    "objective": ("objectives", _str_list,
+                  f"comma list of objectives; choose from {', '.join(OBJECTIVE_KINDS)}"),
+    "n": ("dimensions", _int_list, "comma list of dimensions"),
+    "controller": ("controllers", _str_list,
+                   f"comma list of controllers; choose from {', '.join(CONTROLLERS)}"),
+    "seeds": ("seeds", _int_list, "comma list of distinct RNG seeds"),
+    "lambda": ("lam", int, "population size override (default 4 + floor(3 ln n))"),
+    "beta": ("beta", float, "step-size increase bias (two-point controllers only)"),
+    "c-alpha": ("c_alpha", float, "step-size signal smoothing rate in (0, 1]"),
+    "budget": ("budget", int, "max function evaluations per run"),
+    "target-f": ("target_f", float, "stop when a fitness below this is found"),
+    "tol-fun": ("tol_fun", float, "stop on a flat best-fitness window (0 disables)"),
+    "tol-x": ("tol_x", float, "stop when sigma * max axis std falls below this (0 disables)"),
+    "sigma0": ("sigma0", float, "initial step-size"),
+    "m0": ("m0", float, "initial mean, broadcast to all coordinates"),
+    "noise-level": ("noise_level", float, "multiplicative noise strength of noisy_sphere"),
+    "condition": ("condition", float, "ellipsoid condition number"),
+    "restarts": ("restarts", int, "max restarts with doubled population size"),
+    "out": ("out", str, "output directory for per-run CSVs and summary.csv"),
+    "workers": ("workers", int, "parallel worker processes"),
 }
-
-_FIELD_FOR_OPTION = {
-    "objective": "objectives",
-    "n": "dimensions",
-    "controller": "controllers",
-    "lambda": "lam",
-    "c-alpha": "c_alpha",
-    "target-f": "target_f",
-    "tol-fun": "tol_fun",
-    "tol-x": "tol_x",
-    "noise-level": "noise_level",
-}
-
-
-def _field_name(option: str) -> str:
-    return _FIELD_FOR_OPTION.get(option, option.replace("-", "_"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # unset flags leave no attribute, so they never override the config file
     parser = argparse.ArgumentParser(
         prog="tpcma",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--config", type=str, default=None,
-                        help="key=value config file; explicit flags override it")
-    for option, (converter, help_text) in _OPTIONS.items():
+    parser.add_argument("--config", help="key=value config file; explicit flags override it")
+    for option, (field, converter, help_text) in _OPTIONS.items():
         names = [f"--{option}"]
         if option == "seeds":
             names.append("--seed")  # convenient singular alias
-        parser.add_argument(*names, type=converter, default=None, help=help_text)
-    parser.add_argument("--no-timestamp", action="store_true",
+        parser.add_argument(*names, dest=field, type=converter, help=help_text)
+    parser.add_argument("--no-timestamp", dest="timestamp", action="store_false",
                         help="omit the creation-time header line from CSVs")
     return parser
 
@@ -376,7 +376,6 @@ def _parse_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     known = {opt.replace("-", "_"): opt for opt in _OPTIONS}
     known["seed"] = "seeds"
-    known["no_timestamp"] = "no-timestamp"
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -387,18 +386,18 @@ def _parse_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in known:
-            problems.append(f"{path}:{lineno}: unknown key {key.replace('_', '-')!r}")
-            continue
         if key == "no_timestamp":
             if value.lower() not in ("true", "false", "0", "1"):
                 problems.append(f"{path}:{lineno}: no-timestamp must be true/false")
             else:
                 values["timestamp"] = value.lower() in ("false", "0")
             continue
-        converter = _OPTIONS[known[key]][0]
+        if key not in known:
+            problems.append(f"{path}:{lineno}: unknown key {key.replace('_', '-')!r}")
+            continue
+        field, converter, _ = _OPTIONS[known[key]]
         try:
-            values[_field_name(known[key])] = converter(value)
+            values[field] = converter(value)
         except ValueError:
             problems.append(f"{path}:{lineno}: bad value {value!r} for {key.replace('_', '-')!r}")
     if problems:
@@ -412,23 +411,18 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     Precedence: explicit flags > config file > built-in defaults.  All
     validation problems are reported at once.
     """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    values: dict[str, object] = {}
-    if args.config:
-        values.update(_parse_config_file(args.config))
-    for option in _OPTIONS:
-        flag_value = getattr(args, option.replace("-", "_"))
-        if flag_value is not None:
-            values[_field_name(option)] = flag_value
-    if args.no_timestamp:
-        values["timestamp"] = False
+    flags = vars(_build_parser().parse_args(argv))
+    config_path = flags.pop("config", None)
+    values = _parse_config_file(config_path) if config_path else {}
+    values.update(flags)
 
     config = ExperimentConfig(**values)
     config.validate()
-    if config.beta is not None and "csa" in config.controllers:
-        print("warning: --beta has no effect on the csa controller", file=sys.stderr)
+    ignored = [flag for flag, value in (("--beta", config.beta), ("--c-alpha", config.c_alpha))
+               if value is not None]
+    if ignored and any(CONTROLLERS[c][0] == "csa" for c in config.controllers):
+        print(f"warning: {', '.join(ignored)} has no effect on the csa controller",
+              file=sys.stderr)
     return config
 
 

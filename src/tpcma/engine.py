@@ -22,7 +22,7 @@ from . import covariance as cov_mod
 from . import objectives as obj_mod
 from . import recombine, sampler, stepsize
 from .params import StrategyParams, default_params
-from .stepsize import CsaState, TpaState, salomon_legacy_params
+from .stepsize import CsaState, TpaState
 
 __all__ = [
     "CONTROLLERS",
@@ -39,10 +39,19 @@ __all__ = [
     "run_with_restarts",
 ]
 
-CONTROLLERS = ("tpa", "tpa_noise", "tpa_legacy", "csa")
-
-# beta_bias used by the tpa_noise controller: 0.2 * alpha_change at defaults.
-NOISE_BETA_BIAS = 0.1
+# controller name -> (engine mode, StrategyParams overrides of the defaults).
+# tpa_noise biases the decrease branch by 0.2 * alpha_change; tpa_legacy is
+# the original two-point scheme of evolutionary gradient search: wider test
+# steps, change factor ln 1.8, no smoothing and the legacy geometry.
+CONTROLLERS: dict[str, tuple[str, dict[str, object]]] = {
+    "tpa": ("tpa", {}),
+    "tpa_noise": ("tpa", {"beta_bias": 0.1}),
+    "tpa_legacy": (
+        "tpa",
+        {"alpha_test": 0.8, "alpha_change": math.log(1.8), "c_alpha": 1.0, "legacy": True},
+    ),
+    "csa": ("csa", {}),
+}
 
 
 class RunAborted(RuntimeError):
@@ -176,7 +185,6 @@ class CmaEs:
         mode: str = "tpa",
         criteria: TerminationCriteria | None = None,
         rng: np.random.Generator | None = None,
-        record_trace: bool = True,
     ):
         if mode not in ("tpa", "csa"):
             raise ValueError(f"mode must be 'tpa' or 'csa', got {mode!r}")
@@ -192,7 +200,6 @@ class CmaEs:
         self.mode = mode
         self.criteria = criteria if criteria is not None else TerminationCriteria()
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.record_trace = record_trace
 
         self.m = m0
         self.sigma = float(sigma0)
@@ -327,14 +334,9 @@ class CmaEs:
             h_sigma = stepsize.csa_stall_indicator(self.csa.p_sigma, g_next, p)
             self._finish_generation(Y_sel, mean_step, h_sigma)
         else:
-            minus_width = (
-                p.alpha_test / (1.0 + p.alpha_test) if p.asymmetric_minus_point else None
-            )
-            test_points = stepsize.tpa_test_points(
-                m_new, self.sigma, mean_step, p.alpha_test, minus_width=minus_width
-            )
+            test_points = stepsize.tpa_test_points(m_new, self.sigma, mean_step, p)
             self._test_round = _TestRound(Y_sel, mean_step, self.m, np.stack(test_points))
-            if not p.mean_uses_new_sigma:
+            if not p.legacy:
                 self.m = m_new
 
     def _tell_test_points(self, fitnesses: Sequence[float]) -> None:
@@ -352,7 +354,7 @@ class CmaEs:
 
         self.tpa, multiplier = stepsize.tpa_update(self.tpa, f_plus, f_minus, p)
         self.sigma *= multiplier
-        if p.mean_uses_new_sigma:
+        if p.legacy:
             self.m = recombine.update_mean(test_round.m_old, self.sigma, test_round.mean_step)
         g_next = self.generation + 1
         h_sigma = cov_mod.stall_indicator(self.tpa.alpha_s, g_next, p)
@@ -372,18 +374,17 @@ class CmaEs:
             raise RunAborted(f"step-size became {self.sigma}", self.state)
         if not np.all(np.isfinite(self.cov.C)):
             raise RunAborted("covariance matrix became non-finite", self.state)
-        if self.record_trace:
-            self.trace.append(
-                RunRecord(
-                    generation=self.generation,
-                    evals=self.evals,
-                    best_f=self.best_f,
-                    sigma=self.sigma,
-                    alpha_s=self.alpha_s,
-                    axis_ratio=self._factor.axis_ratio,
-                    trace_C=float(np.sum(self._factor.scales**2)),
-                )
+        self.trace.append(
+            RunRecord(
+                generation=self.generation,
+                evals=self.evals,
+                best_f=self.best_f,
+                sigma=self.sigma,
+                alpha_s=self.alpha_s,
+                axis_ratio=self._factor.axis_ratio,
+                trace_C=float(np.sum(self._factor.scales**2)),
             )
+        )
 
 
 # -- configured runs ---------------------------------------------------------
@@ -391,7 +392,11 @@ class CmaEs:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce one optimization run."""
+    """Everything needed to reproduce one optimization run.
+
+    ``beta_bias`` and ``c_alpha``, when set, override the defaults and the
+    controller's preset in ``CONTROLLERS``.
+    """
 
     objective: obj_mod.ObjectiveSpec
     controller: str = "tpa"
@@ -402,11 +407,12 @@ class RunConfig:
     beta_bias: float | None = None
     c_alpha: float | None = None
     criteria: TerminationCriteria = field(default_factory=TerminationCriteria)
-    record_trace: bool = True
 
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
-            raise ValueError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
+            raise ValueError(
+                f"controller must be one of {tuple(CONTROLLERS)}, got {self.controller!r}"
+            )
 
     def initial_mean(self) -> np.ndarray:
         m0 = np.asarray(self.m0, dtype=float)
@@ -415,42 +421,29 @@ class RunConfig:
         return m0
 
     def build_params(self, lam: int | None = None) -> tuple[StrategyParams, str]:
-        """Resolve the controller alias into (params, engine mode)."""
-        n = self.objective.n
-        beta = self.beta_bias
-        if self.controller == "tpa_noise" and beta is None:
-            beta = NOISE_BETA_BIAS
-        params = default_params(
-            n,
-            lam=lam if lam is not None else self.lam,
-            beta_bias=beta,
-            c_alpha=self.c_alpha,
-        )
-        if self.controller == "tpa_legacy":
-            params = salomon_legacy_params(params)
-            if self.beta_bias is not None:
-                params = replace(params, beta_bias=self.beta_bias)
-            if self.c_alpha is not None:
-                params = replace(params, c_alpha=self.c_alpha)
-        mode = "csa" if self.controller == "csa" else "tpa"
-        return params, mode
+        """Resolve the controller into (params, engine mode)."""
+        mode, preset = CONTROLLERS[self.controller]
+        explicit = {
+            name: value
+            for name, value in (("beta_bias", self.beta_bias), ("c_alpha", self.c_alpha))
+            if value is not None
+        }
+        base = default_params(self.objective.n, lam if lam is not None else self.lam)
+        return replace(base, **{**preset, **explicit}), mode
 
 
 @dataclass(frozen=True)
 class RestartPolicy:
-    """Restart schedule: multiply lam on every restart, up to a limit.
+    """Restart schedule: double lam on every restart, up to a limit.
 
     ``bounds`` (lower, upper arrays) trigger a fresh uniform initial mean
     per restart; without bounds the configured initial mean is reused.
     """
 
-    lam_multiplier: float = 2.0
     max_restarts: int = 0
     bounds: tuple[Sequence[float], Sequence[float]] | None = None
 
     def __post_init__(self):
-        if self.lam_multiplier <= 1.0:
-            raise ValueError(f"lam_multiplier must exceed 1, got {self.lam_multiplier}")
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
 
@@ -464,8 +457,8 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
     """Run with restarts at increasing population size.
 
     Each non-target termination restarts from a fresh state (mean per
-    policy, unit covariance, zeroed paths and signals) with lam scaled by
-    the policy multiplier; the evaluation budget is global across
+    policy, unit covariance, zeroed paths and signals) with lam doubled;
+    the evaluation budget is global across
     restarts.  The random stream continues across segments.  The result's
     termination is that of the last segment.
     """
@@ -496,7 +489,6 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
             mode=mode,
             criteria=replace(config.criteria, max_evals=budget - evals),
             rng=rng,
-            record_trace=config.record_trace,
         )
         while (termination := opt.should_stop()) is None:
             opt.tell(obj_mod.evaluate_population(spec, opt.ask(), rng))
@@ -524,7 +516,7 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
             best_x = opt.best_x
         if termination == "target_f" or evals >= budget:
             break
-        lam = int(round(params.lam * policy.lam_multiplier))
+        lam = 2 * params.lam
 
     return RunResult(
         best_x=best_x,

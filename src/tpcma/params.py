@@ -1,9 +1,8 @@
 """Strategy constants: population size, recombination weights, learning rates.
 
-Everything here is derived once from the problem dimension (plus the
-population size and the step-size signal knobs) and is immutable
-afterwards.  Other settings are made with ``dataclasses.replace``, which
-re-runs the validation.
+Everything here is derived once from the problem dimension (and the
+population size) and is immutable afterwards.  Other settings are made
+with ``dataclasses.replace``, which re-runs the validation.
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ class StrategyParams:
         weights: mu recombination weights, positive, decreasing, sum 1.
         mu_w: variance effective selection mass 1/sum(w_i^2).
         c_c: cumulation constant for the covariance evolution path.
-        mu_cov: mixing number for the covariance learning rates.
         c_1: rank-one covariance learning rate.
         c_mu: rank-mu covariance learning rate.
         alpha_test: half-width of the two step-size test points, in units
@@ -92,10 +90,10 @@ class StrategyParams:
         c_sigma: path learning rate of the cumulative (baseline) step-size
             controller.
         d_sigma: damping of the cumulative controller.
-        asymmetric_minus_point: legacy two-point scheme flag; the downward
-            test point uses width alpha_test/(1+alpha_test).
-        mean_uses_new_sigma: legacy flag; the mean update is deferred until
-            after the step-size update and uses the new step-size.
+        legacy: the original two-point scheme of evolutionary gradient
+            search: the downward test point uses width
+            alpha_test/(1+alpha_test), and the mean update is deferred
+            until after the step-size update and uses the new step-size.
     """
 
     n: int
@@ -105,7 +103,6 @@ class StrategyParams:
     weights: np.ndarray
     mu_w: float
     c_c: float
-    mu_cov: float
     c_1: float
     c_mu: float
     c_sigma: float
@@ -114,8 +111,7 @@ class StrategyParams:
     alpha_change: float = 0.5
     beta_bias: float = 0.0
     c_alpha: float = 0.3
-    asymmetric_minus_point: bool = False
-    mean_uses_new_sigma: bool = False
+    legacy: bool = False
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -144,8 +140,6 @@ class StrategyParams:
                 problems.append(f"mu_w={self.mu_w} outside [1, mu={self.mu}]")
         if not 0.0 < self.c_c <= 1.0:
             problems.append(f"c_c must be in (0, 1], got {self.c_c}")
-        if self.mu_cov <= 0.0:
-            problems.append(f"mu_cov must be positive, got {self.mu_cov}")
         if not 0.0 <= self.c_1 < 1.0:
             problems.append(f"c_1 must be in [0, 1), got {self.c_1}")
         if not 0.0 <= self.c_mu < 1.0:
@@ -174,19 +168,10 @@ def default_lambda(n: int) -> int:
     return 4 + int(math.floor(3.0 * math.log(n)))
 
 
-def default_params(
-    n: int,
-    lam: int | None = None,
-    *,
-    beta_bias: float | None = None,
-    c_alpha: float | None = None,
-) -> StrategyParams:
+def default_params(n: int, lam: int | None = None) -> StrategyParams:
     """Derive the full strategy-constant set for dimension ``n``.
 
-    ``lam`` overrides the default population size 4 + floor(3 ln n);
-    ``beta_bias`` and ``c_alpha`` override the step-size signal's bias and
-    smoothing rate.  Overrides are validated against the parameter
-    invariants, not clamped.
+    ``lam`` overrides the default population size 4 + floor(3 ln n).
 
     mu' is lam/2 and mu is the integer closest to it, with ties going to
     the smaller integer so that the last weight stays positive.
@@ -204,10 +189,9 @@ def default_params(
     mu_w = variance_effective_mass(weights)
 
     c_c = 4.0 / (n + 4.0)
-    mu_cov = mu_w
-    c_1 = 2.0 / ((n + 1.3) ** 2 + mu_cov)
-    # mu_cov - 2 + 1/mu_cov = (mu_cov - 1)^2 / mu_cov >= 0, so c_mu >= 0
-    c_mu = min(2.0 * (mu_cov - 2.0 + 1.0 / mu_cov) / ((n + 2.0) ** 2 + mu_cov), 1.0 - c_1)
+    c_1 = 2.0 / ((n + 1.3) ** 2 + mu_w)
+    # mu_w - 2 + 1/mu_w = (mu_w - 1)^2 / mu_w >= 0, so c_mu >= 0
+    c_mu = min(2.0 * (mu_w - 2.0 + 1.0 / mu_w) / ((n + 2.0) ** 2 + mu_w), 1.0 - c_1)
     c_sigma = (mu_w + 2.0) / (n + mu_w + 3.0)
     d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_w - 1.0) / (n + 1.0)) - 1.0) + c_sigma
 
@@ -219,11 +203,8 @@ def default_params(
         weights=weights,
         mu_w=mu_w,
         c_c=c_c,
-        mu_cov=mu_cov,
         c_1=c_1,
         c_mu=c_mu,
-        beta_bias=0.0 if beta_bias is None else beta_bias,
-        c_alpha=0.3 if c_alpha is None else c_alpha,
         c_sigma=c_sigma,
         d_sigma=d_sigma,
     )

@@ -6,8 +6,8 @@ Two controllers are provided:
   symmetrically along the realized mean shift are evaluated; whichever wins
   decides a raw up/down signal that is exponentially smoothed and applied
   multiplicatively to sigma.  A legacy variant of this scheme (asymmetric
-  downward point, no smoothing, mean updated with the new sigma) is
-  available through :func:`salomon_legacy_params`.
+  downward point, no smoothing, mean updated with the new sigma) is the
+  ``tpa_legacy`` entry of ``engine.CONTROLLERS``.
 * cumulative adaptation (baseline): the classic whitened evolution path
   whose length is compared against its expectation under random selection.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "CsaState",
     "tpa_test_points",
     "tpa_update",
-    "salomon_legacy_params",
     "csa_update",
     "csa_stall_indicator",
     "expected_normal_norm",
@@ -51,25 +50,20 @@ class CsaState:
 
 
 def tpa_test_points(
-    m_new: np.ndarray,
-    sigma: float,
-    mean_step: np.ndarray,
-    alpha_test: float,
-    *,
-    minus_width: float | None = None,
+    m_new: np.ndarray, sigma: float, mean_step: np.ndarray, params: StrategyParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two step-size test points around the updated mean.
 
-    Returns (m + a' sigma <y>, m - a' sigma <y>) where <y> is the mean step
-    used in this generation's mean update and sigma is the step-size the
-    population was sampled with.  ``minus_width`` replaces alpha_test on
-    the downward point for the legacy asymmetric scheme.
+    Returns (m + a' sigma <y>, m - a' sigma <y>) where a' is alpha_test,
+    <y> is the mean step used in this generation's mean update and sigma
+    is the step-size the population was sampled with.  In the legacy
+    scheme the downward point uses the width a'/(1+a') instead.
     """
     m_new = np.asarray(m_new, dtype=float)
     shift = sigma * np.asarray(mean_step, dtype=float)
-    if minus_width is None:
-        minus_width = alpha_test
-    return m_new + alpha_test * shift, m_new - minus_width * shift
+    a = params.alpha_test
+    minus_width = a / (1.0 + a) if params.legacy else a
+    return m_new + a * shift, m_new - minus_width * shift
 
 
 def tpa_update(
@@ -94,22 +88,6 @@ def tpa_update(
         alpha_act = params.alpha_change
     alpha_s = (1.0 - params.c_alpha) * state.alpha_s + params.c_alpha * alpha_act
     return TpaState(alpha_s=alpha_s), math.exp(alpha_s)
-
-
-def salomon_legacy_params(base: StrategyParams) -> StrategyParams:
-    """Constants reproducing the original two-point scheme of evolutionary
-    gradient search: wider test steps, change factor ln 1.8, no smoothing,
-    asymmetric downward point, and the mean update deferred until after the
-    step-size update."""
-    return replace(
-        base,
-        alpha_test=0.8,
-        alpha_change=math.log(1.8),
-        beta_bias=0.0,
-        c_alpha=1.0,
-        asymmetric_minus_point=True,
-        mean_uses_new_sigma=True,
-    )
 
 
 def expected_normal_norm(n: int) -> float:

@@ -5,6 +5,7 @@ all).  The heavyweight comparison grids keep within a few minutes total."""
 import math
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,7 +60,6 @@ def test_c1_sphere_convergence():
                 m0=3.0,
                 sigma0=2.0,
                 criteria=TerminationCriteria(max_evals=1500 * n, target_f=1e-10),
-                record_trace=False,
             )
             solved += run(config).termination == "target_f"
         outcomes[n] = solved
@@ -180,14 +180,14 @@ def test_c5_smoothing_sign_property():
     alpha = 0.5
     violations = []
 
-    params_half = default_params(10, c_alpha=0.5)
+    params_half = replace(default_params(10), c_alpha=0.5)
     for alpha_s in reachable_signals(0.5, alpha, 13):
         for f_plus, f_minus, sign in ((1.0, 2.0, 1.0), (2.0, 1.0, -1.0)):
             new, _ = tpa_update(TpaState(alpha_s), f_plus, f_minus, params_half)
             if math.copysign(1.0, new.alpha_s) != sign or new.alpha_s == 0.0:
                 violations.append(("c_alpha=0.5", alpha_s, sign))
 
-    params_light = default_params(10, c_alpha=0.3)
+    params_light = replace(default_params(10), c_alpha=0.3)
     for alpha_s in reachable_signals(0.3, alpha, 13):
         for f_plus, f_minus, sign in ((1.0, 2.0, 1.0), (2.0, 1.0, -1.0)):
             state = TpaState(alpha_s)

@@ -48,8 +48,9 @@ class TestParseConfig:
         config = parse_config(["--seed", "7"])
         assert config.seeds == (7,)
 
-    def test_beta_with_csa_warns(self, capsys):
-        parse_config(["--controller", "csa", "--beta", "0.1"])
+    @pytest.mark.parametrize("flag", ["--beta", "--c-alpha"])
+    def test_beta_with_csa_warns(self, capsys, flag):
+        parse_config(["--controller", "csa", flag, "0.1"])
         assert "no effect" in capsys.readouterr().err
 
     def test_empty_seed_list_rejected(self):
@@ -237,6 +238,26 @@ class TestMain:
     def test_main_rejects_bad_config(self, capsys):
         assert cli.main(["--objective", "nope"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,match",
+        [
+            (["--lambda", "1"], "lam must be >= 2"),
+            (["--c-alpha", "2"], "c_alpha must be in"),
+            (["--beta", "-1"], "beta_bias must be >= 0"),
+            (["--tol-x", "-1"], "tol_x must be >= 0"),
+            (["--condition", "0"], "condition must be positive"),
+            (["--objective", "noisy_sphere", "--noise-level", "-1"], "noise_level must be >= 0"),
+        ],
+        ids=["lambda", "c-alpha", "beta", "tol-x", "condition", "noise-level"],
+    )
+    def test_main_rejects_invalid_run_settings_up_front(self, args, match, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(args)
+        argv = args + ["--n", "2", "--seeds", "0", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # no cell ran
 
     def test_main_timestamp_header_present_by_default(self, tmp_path):
         cli.main(

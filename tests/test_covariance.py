@@ -88,10 +88,10 @@ class TestUpdateCovariance:
         np.testing.assert_allclose(new.C, expected, rtol=1e-14)
 
     def test_rank_one_rate_example(self):
-        mu_cov = 1.4597898888525862
-        p = default_params(10, lam=4)  # mu = 2, so mu_cov = mu_w = 1.4597...
-        assert p.mu_cov == pytest.approx(mu_cov, rel=1e-14)
-        assert p.c_1 == pytest.approx(2.0 / ((10 + 1.3) ** 2 + mu_cov), rel=1e-14)
+        mu_w = 1.4597898888525862
+        p = default_params(10, lam=4)  # mu = 2, so mu_w = 1.4597...
+        assert p.mu_w == pytest.approx(mu_w, rel=1e-14)
+        assert p.c_1 == pytest.approx(2.0 / ((10 + 1.3) ** 2 + mu_w), rel=1e-14)
         assert p.c_1 == pytest.approx(0.015485894338048995, rel=1e-12)
 
     def test_trace_identity(self):

@@ -329,7 +329,7 @@ class TestRestarts:
             sigma0=2.0,
             criteria=TerminationCriteria(max_evals=200_000, target_f=-1.0, tol_fun=1e-12),
         )
-        result = run_with_restarts(config, RestartPolicy(lam_multiplier=2.0, max_restarts=2))
+        result = run_with_restarts(config, RestartPolicy(max_restarts=2))
         assert [seg.lam for seg in result.segments] == [10, 20, 40]
         assert result.termination == result.segments[-1].termination == "tol_fun"
         assert result.evals == sum(seg.evals for seg in result.segments)
@@ -404,7 +404,7 @@ class TestRunConfig:
 
         legacy = RunConfig(objective=ObjectiveSpec("sphere", 2), controller="tpa_legacy")
         params, mode = legacy.build_params()
-        assert mode == "tpa" and params.mean_uses_new_sigma and params.asymmetric_minus_point
+        assert mode == "tpa" and params.legacy
 
         csa = RunConfig(objective=ObjectiveSpec("sphere", 2), controller="csa")
         _, mode = csa.build_params()
@@ -415,6 +415,13 @@ class TestRunConfig:
                            beta_bias=0.25)
         params, _ = config.build_params()
         assert params.beta_bias == 0.25
+
+    def test_explicit_c_alpha_overrides_legacy_preset(self):
+        config = RunConfig(objective=ObjectiveSpec("sphere", 2), controller="tpa_legacy",
+                           c_alpha=0.5)
+        params, _ = config.build_params()
+        assert params.c_alpha == 0.5
+        assert params.legacy and params.alpha_test == 0.8
 
 
 class TestLegacyGeometry:

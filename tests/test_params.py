@@ -31,14 +31,12 @@ class TestDefaults:
         assert p.mu_prime == 5.0
         assert p.mu == 5
         assert p.c_c == pytest.approx(4.0 / 14.0, rel=1e-15)
-        assert p.mu_cov == p.mu_w
-        assert p.c_1 == pytest.approx(2.0 / ((10 + 1.3) ** 2 + p.mu_cov), rel=1e-15)
+        assert p.c_1 == pytest.approx(2.0 / ((10 + 1.3) ** 2 + p.mu_w), rel=1e-15)
         assert p.alpha_test == 0.5
         assert p.alpha_change == 0.5
         assert p.beta_bias == 0.0
         assert p.c_alpha == 0.3
-        assert not p.asymmetric_minus_point
-        assert not p.mean_uses_new_sigma
+        assert not p.legacy
 
     def test_single_parent_degenerate(self):
         p = default_params(1, lam=2)
@@ -54,13 +52,13 @@ class TestDefaults:
             default_params(5, lam=1)
 
     def test_overrides_validated_not_clamped(self):
-        p = default_params(10, beta_bias=0.1, c_alpha=0.5)
+        p = replace(default_params(10), beta_bias=0.1, c_alpha=0.5)
         assert p.beta_bias == 0.1
         assert p.c_alpha == 0.5
         with pytest.raises(ValueError, match="c_alpha"):
-            default_params(10, c_alpha=1.5)
+            replace(default_params(10), c_alpha=1.5)
         with pytest.raises(ValueError, match="beta_bias"):
-            default_params(10, beta_bias=-0.1)
+            replace(default_params(10), beta_bias=-0.1)
         with pytest.raises(ValueError, match="c_1"):
             replace(default_params(10), c_1=0.9, c_mu=0.9)
 

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tpcma.engine import CONTROLLERS
 from tpcma.params import default_params
 from tpcma.stepsize import (
     CsaState,
@@ -10,17 +12,17 @@ from tpcma.stepsize import (
     csa_stall_indicator,
     csa_update,
     expected_normal_norm,
-    salomon_legacy_params,
     tpa_test_points,
     tpa_update,
 )
 
 DEFAULTS = default_params(10)
+LEGACY = replace(DEFAULTS, **CONTROLLERS["tpa_legacy"][1])
 
 
 class TestTestPoints:
     def test_basic_placement(self):
-        plus, minus = tpa_test_points(np.zeros(2), 1.0, np.array([1.0, 0.0]), 0.5)
+        plus, minus = tpa_test_points(np.zeros(2), 1.0, np.array([1.0, 0.0]), DEFAULTS)
         np.testing.assert_array_equal(plus, [0.5, 0.0])
         np.testing.assert_array_equal(minus, [-0.5, 0.0])
 
@@ -28,18 +30,12 @@ class TestTestPoints:
         rng = np.random.default_rng(4)
         m = rng.standard_normal(5)
         step = rng.standard_normal(5)
-        plus, minus = tpa_test_points(m, 1.7, step, 0.5)
+        plus, minus = tpa_test_points(m, 1.7, step, DEFAULTS)
         np.testing.assert_allclose((plus + minus) / 2.0, m, rtol=1e-15, atol=1e-15)
-
-    def test_zero_width_degenerates_to_mean(self):
-        m = np.array([2.0, -3.0])
-        plus, minus = tpa_test_points(m, 2.0, np.array([1.0, 1.0]), 0.0)
-        np.testing.assert_array_equal(plus, m)
-        np.testing.assert_array_equal(minus, m)
 
     def test_asymmetric_minus_width(self):
         m = np.zeros(1)
-        plus, minus = tpa_test_points(m, 1.0, np.array([1.0]), 0.8, minus_width=0.8 / 1.8)
+        plus, minus = tpa_test_points(m, 1.0, np.array([1.0]), LEGACY)
         assert plus[0] == pytest.approx(0.8)
         assert minus[0] == pytest.approx(-0.4444444444444445, rel=1e-12)
 
@@ -56,7 +52,7 @@ class TestTpaUpdate:
         assert mult == pytest.approx(0.8607079764250578, rel=1e-14)
 
     def test_noise_bias_shrinks_decrease(self):
-        params = default_params(10, beta_bias=0.1)
+        params = replace(DEFAULTS, beta_bias=0.1)
         state, _ = tpa_update(TpaState(0.0), 2.0, 1.0, params)
         assert state.alpha_s == pytest.approx(0.3 * -0.4, rel=1e-15)
 
@@ -97,7 +93,7 @@ class TestTpaUpdate:
             assert abs(state.alpha_s) <= 0.5
 
     def test_sign_agreement_after_one_update_at_half_smoothing(self):
-        params = default_params(10, c_alpha=0.5)
+        params = replace(DEFAULTS, c_alpha=0.5)
         # reachable signals are strictly inside (-alpha, alpha)
         for alpha_s in np.linspace(-0.4999, 0.4999, 1001):
             up, _ = tpa_update(TpaState(alpha_s), 1.0, 2.0, params)
@@ -108,23 +104,22 @@ class TestTpaUpdate:
 
 class TestLegacyParams:
     def test_constants_and_flags(self):
-        legacy = salomon_legacy_params(DEFAULTS)
+        legacy = LEGACY
         assert legacy.alpha_test == 0.8
         assert legacy.alpha_change == pytest.approx(math.log(1.8), rel=1e-15)
         assert legacy.beta_bias == 0.0
         assert legacy.c_alpha == 1.0
-        assert legacy.asymmetric_minus_point
-        assert legacy.mean_uses_new_sigma
+        assert legacy.legacy
 
     def test_single_generation_multiplier(self):
-        legacy = salomon_legacy_params(DEFAULTS)
+        legacy = LEGACY
         _, up = tpa_update(TpaState(0.0), 1.0, 2.0, legacy)
         _, down = tpa_update(TpaState(0.0), 2.0, 1.0, legacy)
         assert up == pytest.approx(1.8, rel=1e-13)
         assert down == pytest.approx(1.0 / 1.8, rel=1e-13)
 
     def test_smoothing_disabled(self):
-        legacy = salomon_legacy_params(DEFAULTS)
+        legacy = LEGACY
         state, _ = tpa_update(TpaState(0.123), 1.0, 2.0, legacy)
         assert state.alpha_s == pytest.approx(math.log(1.8), rel=1e-15)
 
