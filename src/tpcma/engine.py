@@ -493,13 +493,12 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
         while (termination := opt.should_stop()) is None:
             opt.tell(obj_mod.evaluate_population(spec, opt.ask(), rng))
 
-        if attempt == 0:
-            trace += opt.trace
-        else:
-            trace += [
-                replace(row, generation=row.generation + generations, evals=row.evals + evals)
-                for row in opt.trace
-            ]
+        # a segment's rows carry the run's counters and its best so far
+        trace += [
+            replace(row, generation=row.generation + generations, evals=row.evals + evals,
+                    best_f=min(row.best_f, best_f))
+            for row in opt.trace
+        ]
         segments.append(
             RestartSegment(
                 lam=params.lam,

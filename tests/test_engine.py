@@ -353,9 +353,12 @@ class TestRestarts:
         result = run_with_restarts(config, RestartPolicy(max_restarts=10))
         assert result.evals <= 6000 + default_params(5, lam=10 * 2**10).lam + 2
         assert result.evals == sum(seg.evals for seg in result.segments)
-        # trace rows carry cumulative counters
+        # trace rows carry cumulative counters and the run's best so far
         evals = [row.evals for row in result.trace]
         assert evals == sorted(evals)
+        best = [row.best_f for row in result.trace]
+        assert best == sorted(best, reverse=True)
+        assert best[-1] == result.best_f
 
     def test_restart_mean_redraw_within_bounds(self):
         config = RunConfig(

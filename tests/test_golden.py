@@ -51,14 +51,14 @@ GOLDEN = {
     ("noisy_sphere", "tpa_noise"): "4871ada4039c5b8b",
     ("noisy_sphere", "tpa_legacy"): "13fba9672c1a8e84",
     ("noisy_sphere", "csa"): "47b705553cdbb5fa",
-    ("rastrigin_restarts", "tpa"): "dce88017590a31cc",
-    ("rastrigin_restarts", "tpa_noise"): "e2ebf2edc5874995",
-    ("rastrigin_restarts", "tpa_legacy"): "d56444e09839761b",
-    ("rastrigin_restarts", "csa"): "e55f3ddd30a1bcf1",
-    ("bounded_restarts", "tpa"): "aeea1d5421336fa2",
-    ("bounded_restarts", "tpa_noise"): "0a0d0a25eeccb227",
-    ("bounded_restarts", "tpa_legacy"): "1135f26bbf6af8bb",
-    ("bounded_restarts", "csa"): "1823f5cb656b1c2c",
+    ("rastrigin_restarts", "tpa"): "c24cc04cd3bf3189",
+    ("rastrigin_restarts", "tpa_noise"): "016c4c7f07acfd9c",
+    ("rastrigin_restarts", "tpa_legacy"): "c9f13a9207f2ebcf",
+    ("rastrigin_restarts", "csa"): "0a6ffbfedefd5a58",
+    ("bounded_restarts", "tpa"): "379bfeb2c3467d0f",
+    ("bounded_restarts", "tpa_noise"): "7bb2b61f9dbc0648",
+    ("bounded_restarts", "tpa_legacy"): "f192380eeae4791a",
+    ("bounded_restarts", "csa"): "552b89ad49e6d200",
 }
 
 
