@@ -421,8 +421,7 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     ignored = [flag for flag, value in (("--beta", config.beta), ("--c-alpha", config.c_alpha))
                if value is not None]
     if ignored and any(CONTROLLERS[c][0] == "csa" for c in config.controllers):
-        print(f"warning: {', '.join(ignored)} has no effect on the csa controller",
-              file=sys.stderr)
+        print(f"warning: no effect on the csa controller: {', '.join(ignored)}", file=sys.stderr)
     return config
 
 

@@ -62,8 +62,8 @@ def tpa_test_points(
     m_new = np.asarray(m_new, dtype=float)
     shift = sigma * np.asarray(mean_step, dtype=float)
     a = params.alpha_test
-    minus_width = a / (1.0 + a) if params.legacy else a
-    return m_new + a * shift, m_new - minus_width * shift
+    a_down = a / (1.0 + a) if params.legacy else a
+    return m_new + a * shift, m_new - a_down * shift
 
 
 def tpa_update(
