@@ -97,17 +97,7 @@ class ExperimentConfig:
         for c in self.controllers:
             if c not in CONTROLLERS:
                 problems.append(f"unknown controller {c!r}; choose from {tuple(CONTROLLERS)}")
-        if not problems:
-            # build one run per (objective, n, controller) group with the
-            # library's own validators; they differ only in the seed
-            for kind in self.objectives:
-                for n in self.dimensions:
-                    for controller in self.controllers:
-                        try:
-                            _run_config_for(_Cell(kind, n, controller, 0, self)).build_params()
-                        except ValueError as exc:
-                            if str(exc) not in problems:
-                                problems.append(str(exc))
+        grid_ok = not problems
         if not self.seeds:
             problems.append("seed list is empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -120,6 +110,17 @@ class ExperimentConfig:
             problems.append(f"restarts must be >= 0, got {self.restarts}")
         if self.workers < 1:
             problems.append(f"workers must be >= 1, got {self.workers}")
+        if grid_ok:
+            # build one run per (objective, n, controller) group with the
+            # library's own validators; they differ only in the seed
+            for kind in self.objectives:
+                for n in self.dimensions:
+                    for controller in self.controllers:
+                        try:
+                            _run_config_for(_Cell(kind, n, controller, 0, self)).build_params()
+                        except ValueError as exc:
+                            if str(exc) not in problems:
+                                problems.append(str(exc))
         if problems:
             raise ConfigError("; ".join(problems))
 

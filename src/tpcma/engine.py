@@ -101,7 +101,8 @@ class RunRecord:
     ``sigma``, ``alpha_s`` and ``best_f`` are the values after the
     generation's updates; ``axis_ratio`` and ``trace_C`` describe the
     covariance the generation was sampled from.  ``alpha_s`` is NaN in
-    cumulative mode.
+    cumulative mode.  In a restart run, ``generation``, ``evals`` and
+    ``best_f`` count over the whole run, not the segment.
     """
 
     generation: int
@@ -458,9 +459,9 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
 
     Each non-target termination restarts from a fresh state (mean per
     policy, unit covariance, zeroed paths and signals) with lam doubled;
-    the evaluation budget is global across
-    restarts.  The random stream continues across segments.  The result's
-    termination is that of the last segment.
+    the evaluation budget is global across restarts.  The random stream
+    continues across segments.  The result's termination is that of the
+    last segment.
     """
     rng = np.random.default_rng(config.seed)
     spec = config.objective
@@ -493,12 +494,14 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
         while (termination := opt.should_stop()) is None:
             opt.tell(obj_mod.evaluate_population(spec, opt.ask(), rng))
 
-        # a segment's rows carry the run's counters and its best so far
-        trace += [
-            replace(row, generation=row.generation + generations, evals=row.evals + evals,
-                    best_f=min(row.best_f, best_f))
-            for row in opt.trace
-        ]
+        if attempt == 0:
+            trace += opt.trace
+        else:  # a later segment's rows carry the run's counters and best so far
+            trace += [
+                replace(row, generation=row.generation + generations, evals=row.evals + evals,
+                        best_f=min(row.best_f, best_f))
+                for row in opt.trace
+            ]
         segments.append(
             RestartSegment(
                 lam=params.lam,
