@@ -104,23 +104,20 @@ class TestTpaUpdate:
 
 class TestLegacyParams:
     def test_constants_and_flags(self):
-        legacy = LEGACY
-        assert legacy.alpha_test == 0.8
-        assert legacy.alpha_change == pytest.approx(math.log(1.8), rel=1e-15)
-        assert legacy.beta_bias == 0.0
-        assert legacy.c_alpha == 1.0
-        assert legacy.legacy
+        assert LEGACY.alpha_test == 0.8
+        assert LEGACY.alpha_change == pytest.approx(math.log(1.8), rel=1e-15)
+        assert LEGACY.beta_bias == 0.0
+        assert LEGACY.c_alpha == 1.0
+        assert LEGACY.legacy
 
     def test_single_generation_multiplier(self):
-        legacy = LEGACY
-        _, up = tpa_update(TpaState(0.0), 1.0, 2.0, legacy)
-        _, down = tpa_update(TpaState(0.0), 2.0, 1.0, legacy)
+        _, up = tpa_update(TpaState(0.0), 1.0, 2.0, LEGACY)
+        _, down = tpa_update(TpaState(0.0), 2.0, 1.0, LEGACY)
         assert up == pytest.approx(1.8, rel=1e-13)
         assert down == pytest.approx(1.0 / 1.8, rel=1e-13)
 
     def test_smoothing_disabled(self):
-        legacy = LEGACY
-        state, _ = tpa_update(TpaState(0.123), 1.0, 2.0, legacy)
+        state, _ = tpa_update(TpaState(0.123), 1.0, 2.0, LEGACY)
         assert state.alpha_s == pytest.approx(math.log(1.8), rel=1e-15)
 
 
