@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,15 +113,18 @@ class ExperimentConfig:
             problems.append(f"workers must be >= 1, got {self.workers}")
         if grid_ok:
             # build one run per (objective, n, controller) group with the
-            # library's own validators; they differ only in the seed
-            for kind in self.objectives:
-                for n in self.dimensions:
-                    for controller in self.controllers:
-                        try:
-                            _run_config_for(_Cell(kind, n, controller, 0, self)).build_params()
-                        except ValueError as exc:
-                            if str(exc) not in problems:
-                                problems.append(str(exc))
+            # library's own validators; they differ only in the seed.  A bad
+            # lam stops default_params before StrategyParams checks the other
+            # settings, so those are checked once more with the default lam.
+            configs = (self,) if self.lam is None else (self, replace(self, lam=None))
+            for config, kind, n, controller in itertools.product(
+                configs, self.objectives, self.dimensions, self.controllers
+            ):
+                try:
+                    _run_config_for(_Cell(kind, n, controller, 0, config)).build_params()
+                except ValueError as exc:
+                    if str(exc) not in problems:
+                        problems.append(str(exc))
         if problems:
             raise ConfigError("; ".join(problems))
 

@@ -72,6 +72,10 @@ class TerminationCriteria:
     Zero / infinite values disable the respective check.  ``max_evals`` is
     a budget on function evaluations; a generation in progress is always
     completed, so the final count may overshoot by at most lam + 2.
+    ``max_axis_ratio`` reads the sampling factor, which is refreshed only
+    every 1/(10 n (c_1 + c_mu)) generations (see :class:`CmaEs`), so it
+    can fire up to that many generations, rounded up, late.  ``tol_x``
+    reads the current covariance.
     """
 
     max_evals: int = 100_000
@@ -100,9 +104,11 @@ class RunRecord:
 
     ``sigma``, ``alpha_s`` and ``best_f`` are the values after the
     generation's updates; ``axis_ratio`` and ``trace_C`` describe the
-    covariance the generation was sampled from.  ``alpha_s`` is NaN in
-    cumulative mode.  In a restart run, ``generation``, ``evals`` and
-    ``best_f`` count over the whole run, not the segment.
+    covariance the generation was sampled from, that is the factor as last
+    refreshed (every generation for n <= 50, see :class:`CmaEs`).
+    ``alpha_s`` is NaN in cumulative mode.  In a restart run,
+    ``generation``, ``evals`` and ``best_f`` count over the whole run, not
+    the segment.
     """
 
     generation: int
@@ -175,6 +181,14 @@ class CmaEs:
     values (minimization; failures mapped to +inf, never NaN).  In
     two-point mode a generation is two rounds: the lam offspring, then the
     two test points returned by the following ``ask()``.
+
+    The eigendecomposition of C that offspring are sampled from is
+    refreshed only when more than 1/(10 n (c_1 + c_mu)) generations have
+    passed since it was taken, as C moves by about c_1 + c_mu per
+    generation.  That interval is below one generation for n <= 50.
+    Sampling, the cumulative controller's C^(-1/2), the trace's
+    ``axis_ratio``/``trace_C`` and ``max_axis_ratio`` all read this factor;
+    the covariance and path updates and ``tol_x`` read the current C.
     """
 
     def __init__(
@@ -216,6 +230,11 @@ class CmaEs:
 
         self._pending: np.ndarray | None = None  # the points of an untold ask()
         self._factor: sampler.CovarianceFactor | None = None
+        self._factor_generation = 0  # the generation self._factor was taken at
+        # every generation for n <= 50, every 4th at n=400, and never again
+        # when C cannot change
+        rate = params.c_1 + params.c_mu
+        self._refresh_interval = 1.0 / (10.0 * params.n * rate) if rate > 0.0 else math.inf
         self._Y: np.ndarray | None = None  # the steps of the last sampled population
         self._test_round: _TestRound | None = None  # set between the two tpa rounds
         window = 10 + int(math.ceil(30.0 * params.n / params.lam))
@@ -281,7 +300,12 @@ class CmaEs:
         if self._pending is not None:
             raise RuntimeError("ask() called twice without tell()")
         if self._test_round is None:
-            self._factor = sampler.decompose(self.cov.C, want_inv_sqrt=(self.mode == "csa"))
+            if (
+                self._factor is None
+                or self.generation - self._factor_generation > self._refresh_interval
+            ):
+                self._factor = sampler.decompose(self.cov.C, want_inv_sqrt=(self.mode == "csa"))
+                self._factor_generation = self.generation
             self._pending, self._Y = sampler.sample_population(
                 self.m, self.sigma, self._factor, self.params.lam, self.rng
             )

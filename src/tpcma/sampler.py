@@ -24,6 +24,9 @@ class CovarianceFactor:
     two-point step-size controller never needs it, only the cumulative
     baseline does.  ``repaired`` flags that at least one eigenvalue was
     raised to the floor.
+
+    The engine keeps one factor for several generations at large n (see
+    ``engine.CmaEs``), so it may describe a covariance a few updates old.
     """
 
     basis: np.ndarray

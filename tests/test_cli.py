@@ -240,23 +240,26 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "args,match",
+        "args,messages",
         [
-            (["--lambda", "1"], "lam must be >= 2"),
-            (["--c-alpha", "2"], "c_alpha must be in"),
-            (["--beta", "-1"], "beta_bias must be >= 0"),
-            (["--tol-x", "-1"], "tol_x must be >= 0"),
-            (["--condition", "0"], "condition must be positive"),
-            (["--objective", "noisy_sphere", "--noise-level", "-1"], "noise_level must be >= 0"),
+            (["--lambda", "1"], ["lam must be >= 2"]),
+            (["--c-alpha", "2"], ["c_alpha must be in"]),
+            (["--beta", "-1"], ["beta_bias must be >= 0"]),
+            (["--tol-x", "-1"], ["tol_x must be >= 0"]),
+            (["--condition", "0"], ["condition must be positive"]),
+            (["--objective", "noisy_sphere", "--noise-level", "-1"], ["noise_level must be >= 0"]),
+            (["--lambda", "1", "--c-alpha", "2"], ["lam must be >= 2", "c_alpha must be in"]),
         ],
-        ids=["lambda", "c-alpha", "beta", "tol-x", "condition", "noise-level"],
+        ids=["lambda", "c-alpha", "beta", "tol-x", "condition", "noise-level", "lambda-c-alpha"],
     )
-    def test_main_rejects_invalid_run_settings_up_front(self, args, match, tmp_path, capsys):
-        with pytest.raises(ConfigError, match=match):
+    def test_main_rejects_invalid_run_settings_up_front(self, args, messages, tmp_path, capsys):
+        with pytest.raises(ConfigError) as info:
             parse_config(args)
+        assert all(message in str(info.value) for message in messages)
         argv = args + ["--n", "2", "--seeds", "0", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
-        assert match in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(message in err for message in messages)
         assert not (tmp_path / "out").exists()  # no cell ran
 
     def test_main_timestamp_header_present_by_default(self, tmp_path):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tpcma import sampler, stepsize
 from tpcma.engine import (
     CmaEs,
     RestartPolicy,
@@ -163,6 +164,65 @@ class TestAskTellProtocol:
         xs = opt.ask()
         opt.tell(evaluate_population(spec, np.asarray(xs)))
         assert opt._factor.inv_sqrt is not None
+
+
+class TestFactorRefresh:
+    """C is decomposed only every 1/(10 n (c_1 + c_mu)) generations."""
+
+    @staticmethod
+    def _run(monkeypatch, params, mode, generations):
+        n = params.n
+        opt = CmaEs(params, np.zeros(n), 1.0, mode=mode, rng=np.random.default_rng(3))
+        refreshed_at, factors, sampled_with, whitened_with = [], [], [], []
+        decompose, sample, csa_update = (
+            sampler.decompose, sampler.sample_population, stepsize.csa_update
+        )
+
+        def counting_decompose(C, **kwargs):
+            refreshed_at.append(opt.generation)
+            factors.append(decompose(C, **kwargs))
+            return factors[-1]
+
+        def recording_sample(m, sigma, factor, lam, rng):
+            sampled_with.append(factor)
+            return sample(m, sigma, factor, lam, rng)
+
+        def recording_csa_update(state, mean_step, inv_sqrt, params):
+            whitened_with.append(inv_sqrt)
+            return csa_update(state, mean_step, inv_sqrt, params)
+
+        monkeypatch.setattr(sampler, "decompose", counting_decompose)
+        monkeypatch.setattr(sampler, "sample_population", recording_sample)
+        monkeypatch.setattr(stepsize, "csa_update", recording_csa_update)
+        spec = ObjectiveSpec("ellipsoid", n)
+        while opt.generation < generations:
+            opt.tell(evaluate_population(spec, opt.ask()))
+        return opt, refreshed_at, factors, sampled_with, whitened_with
+
+    @pytest.mark.parametrize("mode", ["tpa", "csa"])
+    def test_every_generation_at_n10(self, monkeypatch, mode):
+        _, refreshed_at, *_ = self._run(monkeypatch, default_params(10), mode, 12)
+        assert refreshed_at == list(range(12))
+
+    @pytest.mark.parametrize("mode", ["tpa", "csa"])
+    def test_every_third_generation_at_n200(self, monkeypatch, mode):
+        params = default_params(200)
+        assert 2.0 < 1.0 / (10.0 * 200 * (params.c_1 + params.c_mu)) < 3.0
+        opt, refreshed_at, factors, sampled_with, whitened_with = self._run(
+            monkeypatch, params, mode, 10
+        )
+        assert refreshed_at == [0, 3, 6, 9]
+        assert all(sampled_with[g] is factors[g // 3] for g in range(10))
+        # the trace and csa's whitening read the factor that sampled the generation
+        assert [row.axis_ratio for row in opt.trace] == [f.axis_ratio for f in sampled_with]
+        if mode == "csa":
+            assert len(whitened_with) == 10
+            assert all(w is f.inv_sqrt for w, f in zip(whitened_with, sampled_with))
+
+    def test_once_when_the_covariance_cannot_change(self, monkeypatch):
+        params = replace(default_params(3), c_1=0.0, c_mu=0.0)
+        _, refreshed_at, *_ = self._run(monkeypatch, params, "tpa", 6)
+        assert refreshed_at == [0]
 
 
 @pytest.mark.parametrize("controller", ["tpa", "csa"])
