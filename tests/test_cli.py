@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,33 @@ class TestRunExperiment:
         name = "sphere_n3_tpa_seed4.csv"
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "objective,controller,restarts,digests",
+        [
+            # csa rows carry alpha_s = nan
+            ("sphere", "csa", 0, ("2907170a8867b834", "66027f3a7b6ecc12")),
+            ("rastrigin", "tpa_legacy", 2, ("c99a8e156eed9c7c", "3756da04cbbb155e")),
+        ],
+        ids=["csa", "tpa_legacy-restarts"],
+    )
+    def test_csv_bytes_are_pinned(self, objective, controller, restarts, digests, tmp_path):
+        config = ExperimentConfig(
+            objectives=(objective,),
+            dimensions=(3,),
+            controllers=(controller,),
+            seeds=(2,),
+            budget=3000,
+            target_f=1e-8,
+            restarts=restarts,
+            out=str(tmp_path),
+            timestamp=False,
+        )
+        run_experiment(config)
+        names = (f"{objective}_n3_{controller}_seed2.csv", "summary.csv")
+        found = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+                      for name in names)
+        assert found == digests
 
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "file"

@@ -22,6 +22,8 @@ CELLS = {
     "sphere": (ObjectiveSpec("sphere", 10), 1500, 1e-9, None),
     "ellipsoid": (ObjectiveSpec("ellipsoid", 10), 1500, 1e-9, None),
     "rosenbrock": (ObjectiveSpec("rosenbrock", 10), 1500, 1e-9, None),
+    "ellipsoid_n20": (ObjectiveSpec("ellipsoid", 20), 3000, 1e-9, None),
+    "rosenbrock_n20": (ObjectiveSpec("rosenbrock", 20), 3000, 1e-9, None),
     "noisy_sphere": (ObjectiveSpec("noisy_sphere", 5, noise_level=1.0), 600, -math.inf, None),
     "rastrigin_restarts": (
         ObjectiveSpec("rastrigin", 5), 3000, 1e-8, RestartPolicy(max_restarts=3),
@@ -47,6 +49,14 @@ GOLDEN = {
     ("rosenbrock", "tpa_noise"): "7a4a507c1b5ceb25",
     ("rosenbrock", "tpa_legacy"): "cba7d5ccedccae9e",
     ("rosenbrock", "csa"): "f378562f286dbdbc",
+    ("ellipsoid_n20", "tpa"): "894c7c47499421b0",
+    ("ellipsoid_n20", "tpa_noise"): "b826ea27e94d6237",
+    ("ellipsoid_n20", "tpa_legacy"): "57d02f1cfade1f8c",
+    ("ellipsoid_n20", "csa"): "76ae0d3b2389ad9f",
+    ("rosenbrock_n20", "tpa"): "26e04ab9271255d1",
+    ("rosenbrock_n20", "tpa_noise"): "c9418e13de75b150",
+    ("rosenbrock_n20", "tpa_legacy"): "2582273a710a6fe6",
+    ("rosenbrock_n20", "csa"): "9e87809c93123047",
     ("noisy_sphere", "tpa"): "f431f382922891a3",
     ("noisy_sphere", "tpa_noise"): "4871ada4039c5b8b",
     ("noisy_sphere", "tpa_legacy"): "13fba9672c1a8e84",
