@@ -72,10 +72,10 @@ def update_covariance(
     """
     w = np.asarray(weights, dtype=float)
     rank_mu = (Y_sel * w[:, None]).T @ Y_sel
-    C = (
-        (1.0 - params.c_1 - params.c_mu) * state.C
-        + params.c_1 * np.outer(state.p_c, state.p_c)
-        + params.c_mu * rank_mu
-    )
-    C = (C + C.T) / 2.0  # guard against floating-point drift
+    # accumulated in place into one new array; state.C is never written
+    C = (1.0 - params.c_1 - params.c_mu) * state.C
+    C += params.c_1 * (state.p_c[:, None] * state.p_c)
+    C += params.c_mu * rank_mu
+    C += C.T  # re-symmetrize against floating-point drift
+    C *= 0.5
     return CovarianceState(C=C, p_c=state.p_c)

@@ -360,7 +360,7 @@ class CmaEs:
             self._finish_generation(Y_sel, mean_step, h_sigma)
         else:
             test_points = stepsize.tpa_test_points(m_new, self.sigma, mean_step, p)
-            self._test_round = _TestRound(Y_sel, mean_step, self.m, np.stack(test_points))
+            self._test_round = _TestRound(Y_sel, mean_step, self.m, test_points)
             if not p.legacy:
                 self.m = m_new
 
@@ -397,7 +397,7 @@ class CmaEs:
         self.generation += 1
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise RunAborted(f"step-size became {self.sigma}", self.state)
-        if not np.all(np.isfinite(self.cov.C)):
+        if not np.isfinite(self.cov.C).all():
             raise RunAborted("covariance matrix became non-finite", self.state)
         self.trace.append(
             RunRecord(
@@ -407,7 +407,7 @@ class CmaEs:
                 sigma=self.sigma,
                 alpha_s=self.alpha_s,
                 axis_ratio=self._factor.axis_ratio,
-                trace_C=float(np.sum(self._factor.scales**2)),
+                trace_C=float((self._factor.scales**2).sum()),
             )
         )
 

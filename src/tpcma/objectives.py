@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,12 @@ class ObjectiveSpec:
         return self.kind in _STOCHASTIC_KINDS
 
 
+@functools.lru_cache(maxsize=32)
 def _ellipsoid_scales(n: int, condition: float) -> np.ndarray:
-    if n == 1:
-        return np.ones(1)
-    return condition ** (np.arange(n) / (n - 1))
+    """Axis scales condition^(i/(n-1)); cached, so returned read-only."""
+    scales = np.ones(1) if n == 1 else condition ** (np.arange(n) / (n - 1))
+    scales.flags.writeable = False
+    return scales
 
 
 def evaluate_population(
@@ -68,24 +71,23 @@ def evaluate_population(
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[1] != spec.n:
         raise ValueError(f"points have dimension {xs.shape[1]}, objective expects {spec.n}")
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise ValueError("points must be finite")
     if spec.stochastic and rng is None:
         raise ValueError(f"objective {spec.kind!r} needs a random stream")
 
     if spec.kind == "sphere":
-        return np.sum(xs**2, axis=1)
+        return (xs**2).sum(axis=1)
     if spec.kind == "ellipsoid":
-        return np.sum(_ellipsoid_scales(spec.n, spec.condition) * xs**2, axis=1)
+        return (_ellipsoid_scales(spec.n, spec.condition) * xs**2).sum(axis=1)
     if spec.kind == "rosenbrock":
-        return np.sum(
-            100.0 * (xs[:, 1:] - xs[:, :-1] ** 2) ** 2 + (1.0 - xs[:, :-1]) ** 2, axis=1
-        )
+        head = xs[:, :-1]
+        return (100.0 * (xs[:, 1:] - head**2) ** 2 + (1.0 - head) ** 2).sum(axis=1)
     if spec.kind == "rastrigin":
-        return 10.0 * spec.n + np.sum(xs**2 - 10.0 * np.cos(2.0 * np.pi * xs), axis=1)
+        return 10.0 * spec.n + (xs**2 - 10.0 * np.cos(2.0 * np.pi * xs)).sum(axis=1)
     if spec.kind == "noisy_sphere":
         noise = rng.standard_normal(xs.shape[0])
-        return np.sum(xs**2, axis=1) * (1.0 + spec.noise_level * noise)
+        return (xs**2).sum(axis=1) * (1.0 + spec.noise_level * noise)
     # random_fitness: independent of x
     return rng.random(xs.shape[0])
 

@@ -51,10 +51,10 @@ def decompose(C: np.ndarray, *, want_inv_sqrt: bool = False) -> CovarianceFactor
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"covariance must be a square matrix, got shape {C.shape}")
-    if not np.all(np.isfinite(C)):
+    if not np.isfinite(C).all():
         raise ValueError("covariance matrix contains non-finite entries")
-    scale = np.max(np.abs(C))
-    if np.max(np.abs(C - C.T)) > _SYMMETRY_RTOL * max(scale, 1e-300):
+    scale = np.abs(C).max()
+    if np.abs(C - C.T).max() > _SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError("covariance matrix is not symmetric")
 
     eigenvalues, basis = np.linalg.eigh(C)

@@ -51,19 +51,21 @@ class CsaState:
 
 def tpa_test_points(
     m_new: np.ndarray, sigma: float, mean_step: np.ndarray, params: StrategyParams
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The two step-size test points around the updated mean.
 
-    Returns (m + a' sigma <y>, m - a' sigma <y>) where a' is alpha_test,
-    <y> is the mean step used in this generation's mean update and sigma
-    is the step-size the population was sampled with.  In the legacy
-    scheme the downward point uses the width a'/(1+a') instead.
+    Returns the (2, n) array whose rows are m + a' sigma <y> and
+    m - a' sigma <y>, where a' is alpha_test, <y> is the mean step used in
+    this generation's mean update and sigma is the step-size the population
+    was sampled with.  In the legacy scheme the downward point uses the
+    width a'/(1+a') instead.
     """
     m_new = np.asarray(m_new, dtype=float)
     shift = sigma * np.asarray(mean_step, dtype=float)
     a = params.alpha_test
     a_down = a / (1.0 + a) if params.legacy else a
-    return m_new + a * shift, m_new - a_down * shift
+    # m + (-w) shift is exactly m - w shift in floating point
+    return m_new + np.array([[a], [-a_down]]) * shift
 
 
 def tpa_update(
@@ -111,7 +113,7 @@ def csa_update(
     p = (1.0 - cs) * state.p_sigma + math.sqrt(cs * (2.0 - cs) * params.mu_w) * (
         inv_sqrt @ np.asarray(mean_step, dtype=float)
     )
-    ratio = float(np.linalg.norm(p)) / expected_normal_norm(params.n)
+    ratio = math.sqrt(p.dot(p)) / expected_normal_norm(params.n)
     multiplier = math.exp((cs / params.d_sigma) * (ratio - 1.0))
     return CsaState(p_sigma=p), multiplier
 
@@ -128,4 +130,4 @@ def csa_stall_indicator(p_sigma: np.ndarray, g: int, params: StrategyParams) -> 
     cs = params.c_sigma
     normalizer = math.sqrt(1.0 - (1.0 - cs) ** (2 * g))
     limit = (1.4 + 2.0 / (params.n + 1.0)) * expected_normal_norm(params.n)
-    return 1 if float(np.linalg.norm(p_sigma)) / normalizer < limit else 0
+    return 1 if math.sqrt(p_sigma.dot(p_sigma)) / normalizer < limit else 0

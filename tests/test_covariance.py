@@ -112,6 +112,22 @@ class TestUpdateCovariance:
         )
         assert np.trace(new.C) == pytest.approx(oracle, rel=1e-10)
 
+    def test_equals_reference_formula_exactly(self):
+        rng = np.random.default_rng(5)
+        p = default_params(7)
+        a = rng.standard_normal((7, 7))
+        state = type(initial_covariance_state(7))(C=a @ a.T, p_c=rng.standard_normal(7))
+        C_before = state.C.copy()
+        Y_sel = rng.standard_normal((p.mu, 7))
+        new = update_covariance(state, Y_sel, p.weights, p)
+        reference = (
+            (1.0 - p.c_1 - p.c_mu) * state.C
+            + p.c_1 * np.outer(state.p_c, state.p_c)
+            + p.c_mu * (Y_sel * p.weights[:, None]).T @ Y_sel
+        )
+        np.testing.assert_array_equal(new.C, (reference + reference.T) / 2.0)
+        np.testing.assert_array_equal(state.C, C_before)  # the input is not written
+
     def test_symmetric_output(self):
         rng = np.random.default_rng(3)
         p = default_params(5)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tpcma import objectives
 from tpcma.objectives import OBJECTIVE_KINDS, ObjectiveSpec, evaluate, evaluate_population
 
 
@@ -28,6 +29,16 @@ class TestValues:
         spec = ObjectiveSpec("ellipsoid", 2, condition=1e6)
         assert evaluate(spec, np.array([1.0, 1.0])) == pytest.approx(1.0 + 1e6, rel=1e-15)
         assert evaluate(ObjectiveSpec("ellipsoid", 1), np.array([2.0])) == 4.0
+
+    def test_ellipsoid_scales_are_shared_read_only(self):
+        spec = ObjectiveSpec("ellipsoid", 5, condition=1e4)
+        xs = np.ones((2, 5))
+        first = evaluate_population(spec, xs)
+        scales = objectives._ellipsoid_scales(5, 1e4)
+        assert scales is objectives._ellipsoid_scales(5, 1e4)
+        with pytest.raises(ValueError):
+            scales[0] = 2.0
+        np.testing.assert_array_equal(evaluate_population(spec, xs), first)
 
     def test_rosenbrock(self):
         spec = ObjectiveSpec("rosenbrock", 4)

@@ -33,6 +33,17 @@ class TestTestPoints:
         plus, minus = tpa_test_points(m, 1.7, step, DEFAULTS)
         np.testing.assert_allclose((plus + minus) / 2.0, m, rtol=1e-15, atol=1e-15)
 
+    @pytest.mark.parametrize("params", [DEFAULTS, LEGACY], ids=["tpa", "tpa_legacy"])
+    def test_rows_equal_reference_formula_exactly(self, params):
+        rng = np.random.default_rng(8)
+        m, step = rng.standard_normal(10), rng.standard_normal(10)
+        points = tpa_test_points(m, 0.7, step, params)
+        a = params.alpha_test
+        a_down = a / (1.0 + a) if params.legacy else a
+        assert points.shape == (2, 10)
+        np.testing.assert_array_equal(points[0], m + a * (0.7 * step))
+        np.testing.assert_array_equal(points[1], m - a_down * (0.7 * step))
+
     def test_asymmetric_minus_width(self):
         m = np.zeros(1)
         plus, minus = tpa_test_points(m, 1.0, np.array([1.0]), LEGACY)
@@ -142,6 +153,14 @@ class TestCsa:
         state, _ = csa_update(CsaState(np.zeros(10)), step, np.eye(10), p)
         expected = math.sqrt(p.c_sigma * (2.0 - p.c_sigma))
         np.testing.assert_allclose(state.p_sigma, expected * step, rtol=1e-14)
+
+    def test_path_norm_equals_linalg_norm_exactly(self):
+        rng = np.random.default_rng(12)
+        p = DEFAULTS
+        state = CsaState(rng.standard_normal(10))
+        new, mult = csa_update(state, rng.standard_normal(10), np.eye(10), p)
+        ratio = float(np.linalg.norm(new.p_sigma)) / expected_normal_norm(10)
+        assert mult == math.exp((p.c_sigma / p.d_sigma) * (ratio - 1.0))
 
     def test_whitening_uses_inv_sqrt(self):
         p = default_params(3, lam=2)
