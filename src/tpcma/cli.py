@@ -12,9 +12,11 @@ Example:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -185,15 +187,28 @@ def _format(value) -> str:
     return str(value)
 
 
+@contextlib.contextmanager
+def _atomic_write(path: Path):
+    """A text file to write that appears at ``path`` only once the block
+    completes; if the block raises, neither it nor a partial file remains."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_trace_csv(path: Path, cell: _Cell, result: RunResult, *, timestamp: bool) -> None:
     """One row per generation, fixed column order, deterministic bytes.
 
     Header comment lines carry the run configuration; the creation
     timestamp line is suppressed with timestamp=False so that reruns are
-    byte-identical.
+    byte-identical.  The file is written atomically.
     """
     params, _ = _run_config_for(cell).build_params()
-    with path.open("w", newline="") as fh:
+    with _atomic_write(path) as fh:
         fh.write(f"# run={cell.name}\n")
         fh.write(
             f"# objective={cell.objective} n={cell.n} controller={cell.controller} "
@@ -212,18 +227,19 @@ def write_trace_csv(path: Path, cell: _Cell, result: RunResult, *, timestamp: bo
                  f"best_f={_format(result.best_f)}\n")
         if timestamp:
             fh.write(f"# created={time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        # %r of a Python float is its repr, "nan" and "inf" included
         for row in result.trace:
-            writer.writerow(
-                (
+            fh.write(
+                "%d,%d,%r,%r,%r,%r,%r\n"
+                % (
                     row.generation,
                     row.evals,
-                    _format(row.best_f),
-                    _format(row.sigma),
-                    _format(row.alpha_s),
-                    _format(row.axis_ratio),
-                    _format(row.trace_C),
+                    float(row.best_f),
+                    float(row.sigma),
+                    float(row.alpha_s),
+                    float(row.axis_ratio),
+                    float(row.trace_C),
                 )
             )
 
@@ -309,7 +325,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                     }
                 )
 
-    with (out_dir / "summary.csv").open("w", newline="") as fh:
+    with _atomic_write(out_dir / "summary.csv") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for row in summary:
@@ -427,6 +443,14 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
                if value is not None]
     if ignored and any(CONTROLLERS[c][0] == "csa" for c in config.controllers):
         print(f"warning: no effect on the csa controller: {', '.join(ignored)}", file=sys.stderr)
+    noisy = [kind for kind in config.objectives if ObjectiveSpec(kind, 1).stochastic]
+    if noisy and math.isfinite(config.target_f):
+        print(
+            f"warning: a finite --target-f ({config.target_f!r}) on stochastic objective "
+            f"{', '.join(noisy)} stops a run as solved on its first noise draw below the "
+            "target; use --target-f=-inf to run the whole budget",
+            file=sys.stderr,
+        )
     return config
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -54,6 +55,15 @@ class TestParseConfig:
     def test_beta_with_csa_warns(self, capsys, flag):
         parse_config(["--controller", "csa", flag, "0.1"])
         assert "no effect" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["noisy_sphere", "random_fitness"])
+    def test_finite_target_on_stochastic_objective_warns(self, capsys, kind):
+        parse_config(["--objective", f"sphere,{kind}", "--target-f", "1e-9"])
+        err = capsys.readouterr().err
+        assert kind in err and "--target-f=-inf" in err
+        parse_config(["--objective", kind, "--target-f=-inf"])
+        parse_config(["--objective", "sphere", "--target-f", "1e-9"])
+        assert capsys.readouterr().err == ""
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ConfigError, match="seed list is empty"):
@@ -183,6 +193,24 @@ class TestRunExperiment:
         found = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
                       for name in names)
         assert found == digests
+
+    def test_failed_trace_write_leaves_no_file(self, tmp_path):
+        config = ExperimentConfig(objectives=("sphere",), dimensions=(2,), controllers=("tpa",),
+                                  seeds=(0,), budget=200, out=str(tmp_path), timestamp=False)
+        cell = cli._Cell("sphere", 2, "tpa", 0, config)
+        result = cli.run(cli._run_config_for(cell))
+
+        def rows_then_failure():
+            yield from result.trace[:3]
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli.write_trace_csv(tmp_path / "cell.csv", cell,
+                                dataclasses.replace(result, trace=rows_then_failure()),
+                                timestamp=False)
+        assert list(tmp_path.iterdir()) == []
+        cli.write_trace_csv(tmp_path / "cell.csv", cell, result, timestamp=False)
+        assert [p.name for p in tmp_path.iterdir()] == ["cell.csv"]
 
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "file"
