@@ -65,7 +65,7 @@ def tpa_test_points(
     a = params.alpha_test
     a_down = a / (1.0 + a) if params.legacy else a
     # m + (-w) shift is exactly m - w shift in floating point
-    return m_new + np.array([[a], [-a_down]]) * shift
+    return m_new + np.multiply.outer((a, -a_down), shift)
 
 
 def tpa_update(
