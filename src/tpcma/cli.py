@@ -29,6 +29,7 @@ from .engine import (
     CONTROLLERS,
     RestartPolicy,
     RunConfig,
+    RunRecord,
     RunResult,
     TerminationCriteria,
     run,
@@ -38,7 +39,7 @@ from .objectives import OBJECTIVE_KINDS, ObjectiveSpec
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run_experiment", "main"]
 
-TRACE_COLUMNS = ("generation", "evals", "best_f", "sigma", "alpha_s", "axis_ratio", "trace_C")
+TRACE_COLUMNS = RunRecord._fields
 
 SUMMARY_COLUMNS = (
     "objective",
@@ -51,6 +52,10 @@ SUMMARY_COLUMNS = (
     "q25_evals",
     "q75_evals",
 )
+
+# the StrategyParams fields a trace CSV's header records
+_HEADER_PARAMS = ("lam", "mu", "mu_w", "c_c", "c_1", "c_mu", "alpha_test", "alpha_change",
+                  "beta_bias", "c_alpha", "c_sigma", "d_sigma")
 
 
 class ConfigError(ValueError):
@@ -82,51 +87,35 @@ class ExperimentConfig:
     timestamp: bool = True
 
     def validate(self) -> None:
-        """Raise ConfigError listing every problem, including the run
-        settings that the library itself rejects."""
-        problems = []
-        if not self.objectives:
-            problems.append("objective grid is empty")
-        for kind in self.objectives:
-            if kind not in OBJECTIVE_KINDS:
-                problems.append(f"unknown objective {kind!r}; choose from {OBJECTIVE_KINDS}")
-        if not self.dimensions:
-            problems.append("dimension grid is empty")
-        for n in self.dimensions:
-            if n < 1:
-                problems.append(f"dimension must be >= 1, got {n}")
-        if not self.controllers:
-            problems.append("controller grid is empty")
-        for c in self.controllers:
-            if c not in CONTROLLERS:
-                problems.append(f"unknown controller {c!r}; choose from {tuple(CONTROLLERS)}")
-        grid_ok = not problems
-        if not self.seeds:
-            problems.append("seed list is empty")
+        """Raise ConfigError listing every problem.  The grid, seed and
+        worker rules are the CLI's own; every run setting is judged by the
+        library objects that a cell builds from it."""
+        lists = {"objective grid": self.objectives, "dimension grid": self.dimensions,
+                 "controller grid": self.controllers, "seed list": self.seeds}
+        problems = [f"{name} is empty" for name, values in lists.items() if not values]
         if len(set(self.seeds)) != len(self.seeds):
             problems.append("seeds must be distinct")
-        if self.budget < 0:
-            problems.append(f"budget must be >= 0, got {self.budget}")
-        if self.sigma0 <= 0:
-            problems.append(f"sigma0 must be positive, got {self.sigma0}")
-        if self.restarts < 0:
-            problems.append(f"restarts must be >= 0, got {self.restarts}")
         if self.workers < 1:
             problems.append(f"workers must be >= 1, got {self.workers}")
-        if grid_ok:
-            # build one run per (objective, n, controller) group with the
-            # library's own validators; they differ only in the seed.  A bad
-            # lam stops default_params before StrategyParams checks the other
-            # settings, so those are checked once more with the default lam.
-            configs = (self,) if self.lam is None else (self, replace(self, lam=None))
-            for config, kind, n, controller in itertools.product(
-                configs, self.objectives, self.dimensions, self.controllers
-            ):
-                try:
-                    _run_config_for(_Cell(kind, n, controller, 0, config)).build_params()
-                except ValueError as exc:
-                    if str(exc) not in problems:
-                        problems.append(str(exc))
+
+        def check(build) -> None:
+            try:
+                build()
+            except ValueError as exc:
+                # the library joins the problems of one object with "; "
+                for problem in str(exc).split("; "):
+                    if problem not in problems:
+                        problems.append(problem)
+
+        check(lambda: _criteria_for(self))
+        check(lambda: RestartPolicy(max_restarts=self.restarts))
+        # a bad lam stops default_params before StrategyParams checks the
+        # other settings, so those are checked once more with the default lam
+        configs = (self,) if self.lam is None else (self, replace(self, lam=None))
+        for config, kind, n, controller in itertools.product(
+            configs, self.objectives, self.dimensions, self.controllers
+        ):
+            check(lambda: _run_config_for(_Cell(kind, n, controller, 0, config)).build_params())
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -149,8 +138,16 @@ class _CellOutcome:
     cell: _Cell
     solved: bool = False
     evals_to_target: int | None = None
-    best_f: float = math.nan
     error: str | None = None
+
+
+def _criteria_for(cfg: ExperimentConfig) -> TerminationCriteria:
+    return TerminationCriteria(
+        max_evals=cfg.budget,
+        target_f=cfg.target_f,
+        tol_fun=cfg.tol_fun,
+        tol_x=cfg.tol_x,
+    )
 
 
 def _run_config_for(cell: _Cell) -> RunConfig:
@@ -161,12 +158,6 @@ def _run_config_for(cell: _Cell) -> RunConfig:
         noise_level=cfg.noise_level if cell.objective == "noisy_sphere" else 0.0,
         condition=cfg.condition,
     )
-    criteria = TerminationCriteria(
-        max_evals=cfg.budget,
-        target_f=cfg.target_f,
-        tol_fun=cfg.tol_fun,
-        tol_x=cfg.tol_x,
-    )
     return RunConfig(
         objective=spec,
         controller=cell.controller,
@@ -176,15 +167,8 @@ def _run_config_for(cell: _Cell) -> RunConfig:
         lam=cfg.lam,
         beta_bias=cfg.beta,
         c_alpha=cfg.c_alpha,
-        criteria=criteria,
+        criteria=_criteria_for(cfg),
     )
-
-
-def _format(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return "nan" if math.isnan(value) else repr(value)
-    return str(value)
 
 
 @contextlib.contextmanager
@@ -212,36 +196,20 @@ def write_trace_csv(path: Path, cell: _Cell, result: RunResult, *, timestamp: bo
         fh.write(f"# run={cell.name}\n")
         fh.write(
             f"# objective={cell.objective} n={cell.n} controller={cell.controller} "
-            f"seed={cell.seed} sigma0={_format(cell.config.sigma0)} "
-            f"m0={_format(cell.config.m0)} budget={cell.config.budget} "
-            f"target_f={_format(cell.config.target_f)} restarts={cell.config.restarts}\n"
+            f"seed={cell.seed} sigma0={cell.config.sigma0!r} "
+            f"m0={cell.config.m0!r} budget={cell.config.budget} "
+            f"target_f={cell.config.target_f!r} restarts={cell.config.restarts}\n"
         )
-        fh.write(
-            f"# lam={params.lam} mu={params.mu} mu_w={_format(params.mu_w)} "
-            f"c_c={_format(params.c_c)} c_1={_format(params.c_1)} c_mu={_format(params.c_mu)} "
-            f"alpha_test={_format(params.alpha_test)} alpha_change={_format(params.alpha_change)} "
-            f"beta_bias={_format(params.beta_bias)} c_alpha={_format(params.c_alpha)} "
-            f"c_sigma={_format(params.c_sigma)} d_sigma={_format(params.d_sigma)}\n"
-        )
+        header = " ".join(f"{name}={getattr(params, name)!r}" for name in _HEADER_PARAMS)
+        fh.write(f"# {header}\n")
         fh.write(f"# termination={result.termination} evals={result.evals} "
-                 f"best_f={_format(result.best_f)}\n")
+                 f"best_f={result.best_f!r}\n")
         if timestamp:
             fh.write(f"# created={time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        # %r of a Python float is its repr, "nan" and "inf" included
+        # rows hold Python numbers; %r of a float is its repr, "nan" and "inf" included
         for row in result.trace:
-            fh.write(
-                "%d,%d,%r,%r,%r,%r,%r\n"
-                % (
-                    row.generation,
-                    row.evals,
-                    float(row.best_f),
-                    float(row.sigma),
-                    float(row.alpha_s),
-                    float(row.axis_ratio),
-                    float(row.trace_C),
-                )
-            )
+            fh.write("%d,%d,%r,%r,%r,%r,%r\n" % row)
 
 
 def _execute_cell(cell: _Cell) -> _CellOutcome:
@@ -254,7 +222,6 @@ def _execute_cell(cell: _Cell) -> _CellOutcome:
             result = run(config)
         outcome.solved = result.termination == "target_f"
         outcome.evals_to_target = result.evals if outcome.solved else cell.config.budget
-        outcome.best_f = result.best_f
         out_dir = Path(cell.config.out)
         write_trace_csv(
             out_dir / f"{cell.name}.csv", cell, result, timestamp=cell.config.timestamp
@@ -328,8 +295,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     with _atomic_write(out_dir / "summary.csv") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for row in summary:
-            writer.writerow({k: _format(v) for k, v in row.items()})
+        writer.writerows(summary)
     return summary
 
 

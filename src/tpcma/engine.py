@@ -87,19 +87,23 @@ class TerminationCriteria:
     max_axis_ratio: float = math.inf
 
     def __post_init__(self):
-        if self.max_evals < 0:
-            raise ValueError(f"max_evals must be >= 0, got {self.max_evals}")
+        # each bound is written so that NaN fails it
+        problems = []
+        if not self.max_evals >= 0:
+            problems.append(f"max_evals must be >= 0, got {self.max_evals}")
+        if not self.target_f < math.inf:
+            problems.append(f"target_f must be finite or -inf, got {self.target_f}")
         for name in ("tol_x", "tol_fun", "sigma_ratio_min"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.sigma_ratio_max <= 0.0:
-            raise ValueError(f"sigma_ratio_max must be positive, got {self.sigma_ratio_max}")
-        if self.max_axis_ratio <= 0.0:
-            raise ValueError(f"max_axis_ratio must be positive, got {self.max_axis_ratio}")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                problems.append(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        for name in ("sigma_ratio_max", "max_axis_ratio"):
+            if not getattr(self, name) > 0.0:
+                problems.append(f"{name} must be positive, got {getattr(self, name)}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """One trace row per completed generation.
 
     ``sigma``, ``alpha_s`` and ``best_f`` are the values after the
@@ -108,7 +112,7 @@ class RunRecord:
     refreshed (every generation for n <= 50, see :class:`CmaEs`).
     ``alpha_s`` is NaN in cumulative mode.  In a restart run,
     ``generation``, ``evals`` and ``best_f`` count over the whole run, not
-    the segment.
+    the segment.  The field order is the trace CSV's column order.
     """
 
     generation: int
@@ -173,6 +177,18 @@ class RunResult:
         return max(0, len(self.segments) - 1)
 
 
+def _start_problems(m0: np.ndarray, sigma0: float, n: int) -> list[str]:
+    """What is wrong with an initial mean and step-size in dimension n."""
+    problems = []
+    if m0.shape != (n,):
+        problems.append(f"m0 must have shape ({n},), got {m0.shape}")
+    elif not np.isfinite(m0).all():
+        problems.append("m0 must be finite")
+    if not 0.0 < sigma0 < math.inf:
+        problems.append(f"sigma0 must be positive and finite, got {sigma0}")
+    return problems
+
+
 class CmaEs:
     """Ask/tell CMA-ES with a two-point or cumulative step-size controller.
 
@@ -204,12 +220,8 @@ class CmaEs:
         if mode not in ("tpa", "csa"):
             raise ValueError(f"mode must be 'tpa' or 'csa', got {mode!r}")
         m0 = np.array(m0, dtype=float)
-        if m0.shape != (params.n,):
-            raise ValueError(f"m0 must have shape ({params.n},), got {m0.shape}")
-        if not np.all(np.isfinite(m0)):
-            raise ValueError("m0 must be finite")
-        if not (sigma0 > 0.0 and math.isfinite(sigma0)):
-            raise ValueError(f"sigma0 must be positive and finite, got {sigma0}")
+        if problems := _start_problems(m0, sigma0, params.n):
+            raise ValueError("; ".join(problems))
 
         self.params = params
         self.mode = mode
@@ -434,10 +446,13 @@ class RunConfig:
     criteria: TerminationCriteria = field(default_factory=TerminationCriteria)
 
     def __post_init__(self):
+        problems = _start_problems(self.initial_mean(), self.sigma0, self.objective.n)
         if self.controller not in CONTROLLERS:
-            raise ValueError(
+            problems.append(
                 f"controller must be one of {tuple(CONTROLLERS)}, got {self.controller!r}"
             )
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def initial_mean(self) -> np.ndarray:
         m0 = np.asarray(self.m0, dtype=float)
@@ -463,14 +478,25 @@ class RestartPolicy:
 
     ``bounds`` (lower, upper arrays) trigger a fresh uniform initial mean
     per restart; without bounds the configured initial mean is reused.
+    They are stored as float arrays; a run checks their length.
     """
 
     max_restarts: int = 0
     bounds: tuple[Sequence[float], Sequence[float]] | None = None
 
     def __post_init__(self):
-        if self.max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
+        problems = []
+        if not self.max_restarts >= 0:
+            problems.append(f"max_restarts must be >= 0, got {self.max_restarts}")
+        if self.bounds is not None:
+            lower, upper = bounds = tuple(np.array(b, dtype=float) for b in self.bounds)
+            object.__setattr__(self, "bounds", bounds)
+            if not (lower.ndim == 1 and lower.shape == upper.shape
+                    and np.isfinite(bounds).all() and (lower <= upper).all()):
+                problems.append("bounds must be two finite 1-D arrays of one length, "
+                                "lower <= upper")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 def run(config: RunConfig) -> RunResult:
@@ -487,8 +513,10 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
     continues across segments.  The result's termination is that of the
     last segment.
     """
-    rng = np.random.default_rng(config.seed)
     spec = config.objective
+    if policy.bounds is not None and policy.bounds[0].shape != (spec.n,):
+        raise ValueError(f"restart bounds must have length {spec.n}, got {policy.bounds[0].size}")
+    rng = np.random.default_rng(config.seed)
     budget = config.criteria.max_evals
     lam = config.lam
 
@@ -503,9 +531,7 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
         if attempt == 0 or policy.bounds is None:
             m0 = config.initial_mean()
         else:
-            lower = np.asarray(policy.bounds[0], dtype=float)
-            upper = np.asarray(policy.bounds[1], dtype=float)
-            m0 = rng.uniform(lower, upper, size=spec.n)
+            m0 = rng.uniform(*policy.bounds, size=spec.n)
         params, mode = config.build_params(lam)
         opt = CmaEs(
             params,
@@ -522,8 +548,8 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
             trace += opt.trace
         else:  # a later segment's rows carry the run's counters and best so far
             trace += [
-                replace(row, generation=row.generation + generations, evals=row.evals + evals,
-                        best_f=min(row.best_f, best_f))
+                row._replace(generation=row.generation + generations, evals=row.evals + evals,
+                             best_f=min(row.best_f, best_f))
                 for row in opt.trace
             ]
         segments.append(

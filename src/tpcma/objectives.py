@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +38,18 @@ class ObjectiveSpec:
     condition: float = 1e6
 
     def __post_init__(self):
+        # each bound is written so that NaN fails it
+        problems = []
         if self.kind not in OBJECTIVE_KINDS:
-            raise ValueError(f"unknown objective kind {self.kind!r}; choose from {OBJECTIVE_KINDS}")
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.noise_level < 0.0:
-            raise ValueError(f"noise_level must be >= 0, got {self.noise_level}")
-        if self.condition <= 0.0:
-            raise ValueError(f"condition must be positive, got {self.condition}")
+            problems.append(f"objective kind must be one of {OBJECTIVE_KINDS}, got {self.kind!r}")
+        if not self.n >= 1:
+            problems.append(f"dimension must be >= 1, got {self.n}")
+        if not 0.0 <= self.noise_level < math.inf:
+            problems.append(f"noise_level must be >= 0 and finite, got {self.noise_level}")
+        if not 0.0 < self.condition < math.inf:
+            problems.append(f"condition must be positive and finite, got {self.condition}")
+        if problems:
+            raise ValueError("; ".join(problems))
 
     @property
     def stochastic(self) -> bool:

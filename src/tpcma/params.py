@@ -118,6 +118,7 @@ class StrategyParams:
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
+        # the float bounds are written so that NaN fails them
         problems = []
         if self.n < 1:
             problems.append(f"n must be >= 1, got {self.n}")
@@ -130,11 +131,11 @@ class StrategyParams:
         if w.shape != (self.mu,):
             problems.append(f"weights must have shape ({self.mu},), got {w.shape}")
         else:
-            if np.any(w <= 0.0):
+            if not (w > 0.0).all():
                 problems.append("weights must be strictly positive")
             if np.any(np.diff(w) > 0.0):
                 problems.append("weights must be non-increasing")
-            if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
+            if not abs(w.sum() - 1.0) <= _WEIGHT_SUM_TOL:
                 problems.append(f"weights must sum to 1 within {_WEIGHT_SUM_TOL}")
             if not (1.0 - 1e-9 <= self.mu_w <= self.mu + 1e-9):
                 problems.append(f"mu_w={self.mu_w} outside [1, mu={self.mu}]")
@@ -146,19 +147,19 @@ class StrategyParams:
             problems.append(f"c_mu must be in [0, 1), got {self.c_mu}")
         if self.c_1 + self.c_mu > 1.0:
             problems.append(f"c_1 + c_mu = {self.c_1 + self.c_mu} exceeds 1")
-        if self.alpha_test <= 0.0:
-            problems.append(f"alpha_test must be positive, got {self.alpha_test}")
-        if self.alpha_change < 0.0:
+        if not 0.0 < self.alpha_test < math.inf:
+            problems.append(f"alpha_test must be positive and finite, got {self.alpha_test}")
+        if not 0.0 <= self.alpha_change < math.inf:
             # zero is allowed: it freezes the step-size entirely
-            problems.append(f"alpha_change must be >= 0, got {self.alpha_change}")
-        if self.beta_bias < 0.0:
-            problems.append(f"beta_bias must be >= 0, got {self.beta_bias}")
+            problems.append(f"alpha_change must be >= 0 and finite, got {self.alpha_change}")
+        if not 0.0 <= self.beta_bias < math.inf:
+            problems.append(f"beta_bias must be >= 0 and finite, got {self.beta_bias}")
         if not 0.0 < self.c_alpha <= 1.0:
             problems.append(f"c_alpha must be in (0, 1], got {self.c_alpha}")
         if not 0.0 < self.c_sigma < 1.0:
             problems.append(f"c_sigma must be in (0, 1), got {self.c_sigma}")
-        if self.d_sigma <= 0.0:
-            problems.append(f"d_sigma must be positive, got {self.d_sigma}")
+        if not 0.0 < self.d_sigma < math.inf:
+            problems.append(f"d_sigma must be positive and finite, got {self.d_sigma}")
         if problems:
             raise ValueError("invalid strategy parameters: " + "; ".join(problems))
 

@@ -306,17 +306,46 @@ class TestMain:
             (["--condition", "0"], ["condition must be positive"]),
             (["--objective", "noisy_sphere", "--noise-level", "-1"], ["noise_level must be >= 0"]),
             (["--lambda", "1", "--c-alpha", "2"], ["lam must be >= 2", "c_alpha must be in"]),
+            (["--sigma0", "nan"], ["sigma0 must be positive and finite"]),
+            (["--sigma0", "inf"], ["sigma0 must be positive and finite"]),
+            (["--m0", "inf"], ["m0 must be finite"]),
+            (["--beta", "nan"], ["beta_bias must be >= 0 and finite"]),
+            (["--beta", "inf"], ["beta_bias must be >= 0 and finite"]),
+            (["--target-f", "nan"], ["target_f must be finite or -inf"]),
+            (["--tol-fun", "nan"], ["tol_fun must be >= 0 and finite"]),
+            (["--condition", "inf"], ["condition must be positive and finite"]),
+            (["--objective", "noisy_sphere", "--noise-level", "nan"],
+             ["noise_level must be >= 0 and finite"]),
+            (["--budget", "-1"], ["max_evals must be >= 0, got -1"]),
+            (["--budget", "-5", "--tol-x", "-1"], ["max_evals must be >= 0", "tol_x must be >= 0"]),
+            (["--objective", "wat", "--budget", "-1"],
+             ["objective kind must be one of", "max_evals must be >= 0"]),
+            (["--objective", "wat,sphere", "--n", "0"],
+             ["objective kind must be one of", "dimension must be >= 1, got 0"]),
+            (["--controller", "nope"], ["controller must be one of"]),
+            (["--restarts", "-1"], ["max_restarts must be >= 0"]),
         ],
-        ids=["lambda", "c-alpha", "beta", "tol-x", "condition", "noise-level", "lambda-c-alpha"],
+        ids=["lambda", "c-alpha", "beta", "tol-x", "condition", "noise-level", "lambda-c-alpha",
+             "sigma0-nan", "sigma0-inf", "m0-inf", "beta-nan", "beta-inf", "target-f-nan",
+             "tol-fun-nan", "condition-inf", "noise-level-nan", "budget", "budget-tol-x",
+             "objective-budget", "objective-dimension", "controller", "restarts"],
     )
     def test_main_rejects_invalid_run_settings_up_front(self, args, messages, tmp_path, capsys):
+        def assert_listed_once(text):
+            # every expected problem is listed, and nothing else
+            problems = text.split("; ")
+            assert len(problems) == len(messages), problems
+            assert all(any(m in problem for problem in problems) for m in messages), problems
+
         with pytest.raises(ConfigError) as info:
             parse_config(args)
-        assert all(message in str(info.value) for message in messages)
-        argv = args + ["--n", "2", "--seeds", "0", "--out", str(tmp_path / "out")]
+        assert_listed_once(str(info.value))
+        # the case's own flags come last, so they win over these
+        argv = ["--n", "2", "--seeds", "0", "--out", str(tmp_path / "out")] + args
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert all(message in err for message in messages)
+        assert err.startswith("error: ")
+        assert_listed_once(err.removeprefix("error: ").rstrip("\n"))
         assert not (tmp_path / "out").exists()  # no cell ran
 
     def test_main_timestamp_header_present_by_default(self, tmp_path):

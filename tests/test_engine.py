@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tpcma import sampler, stepsize
+from tpcma import engine, sampler, stepsize
 from tpcma.engine import (
     CmaEs,
     RestartPolicy,
@@ -240,6 +240,50 @@ def test_best_f_is_a_python_float(controller):
     assert all(type(seg.best_f) is float for seg in result.segments)
 
 
+@pytest.mark.parametrize("restarts", [0, 2])
+@pytest.mark.parametrize("controller", ["tpa", "tpa_noise", "tpa_legacy", "csa"])
+def test_trace_rows_hold_python_numbers(controller, restarts):
+    # the CSV writer formats rows with %r, which would print np.float64(...)
+    config = RunConfig(
+        objective=ObjectiveSpec("rastrigin", 3),
+        controller=controller,
+        m0=3.0,
+        sigma0=2.0,
+        criteria=TerminationCriteria(max_evals=3000, target_f=-1.0, tol_fun=1e-8),
+    )
+    result = run_with_restarts(config, RestartPolicy(max_restarts=restarts))
+    assert (len(result.segments) > 1) == (restarts > 0)  # rows were stitched
+    for row in result.trace:
+        assert [type(value) for value in row] == [int, int] + [float] * 5
+
+
+class TestCriteriaValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_evals", -1),
+            ("max_evals", math.nan),
+            ("target_f", math.nan),
+            ("target_f", math.inf),
+            ("tol_x", -1.0),
+            ("tol_x", math.nan),
+            ("tol_fun", math.inf),
+            ("sigma_ratio_min", math.nan),
+            ("sigma_ratio_max", 0.0),
+            ("sigma_ratio_max", math.nan),
+            ("max_axis_ratio", math.nan),
+        ],
+    )
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TerminationCriteria(**{field: value})
+
+    def test_names_every_bad_field(self):
+        with pytest.raises(ValueError) as info:
+            TerminationCriteria(max_evals=-5, tol_x=-1.0)
+        assert "max_evals" in str(info.value) and "tol_x" in str(info.value)
+
+
 class TestTermination:
     def test_zero_budget_stops_immediately(self):
         result = run(sphere_config(4, max_evals=0))
@@ -432,6 +476,30 @@ class TestRestarts:
         result = run_with_restarts(config, policy)
         assert len(result.segments) == 2
 
+    @pytest.mark.parametrize(
+        "bounds,message",
+        [
+            ((np.zeros((2, 3)), np.ones((2, 3))), "1-D"),
+            ((np.zeros(3), np.ones(2)), "1-D"),
+            ((np.full(3, np.nan), np.ones(3)), "finite"),
+            ((np.zeros(3), np.full(3, np.inf)), "finite"),
+            ((np.ones(3), np.zeros(3)), "lower <= upper"),
+        ],
+        ids=["2-D", "unequal-length", "nan", "inf", "lower-above-upper"],
+    )
+    def test_rejects_bad_bounds(self, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            RestartPolicy(max_restarts=2, bounds=bounds)
+
+    def test_bounds_length_checked_before_any_segment(self, monkeypatch):
+        def no_segment(*args, **kwargs):
+            raise AssertionError("a segment started")
+
+        monkeypatch.setattr(engine, "CmaEs", no_segment)
+        policy = RestartPolicy(max_restarts=2, bounds=(np.full(2, -5.0), np.full(2, 5.0)))
+        with pytest.raises(ValueError, match="restart bounds must have length 3, got 2"):
+            run_with_restarts(sphere_config(3), policy)
+
     def test_restarts_solve_rastrigin_more_often(self):
         # paired-seed comparison on a multimodal function
         seeds = range(20)
@@ -455,6 +523,23 @@ class TestRunConfig:
     def test_rejects_unknown_controller(self):
         with pytest.raises(ValueError):
             RunConfig(objective=ObjectiveSpec("sphere", 2), controller="simulated_annealing")
+
+    @pytest.mark.parametrize(
+        "m0,sigma0,message",
+        [
+            ([1.0, 2.0, 3.0], 1.0, r"m0 must have shape \(2,\), got \(3,\)"),
+            (math.nan, 1.0, "m0 must be finite"),
+            (0.0, 0.0, "sigma0 must be positive and finite, got 0.0"),
+            (0.0, math.nan, "sigma0 must be positive and finite, got nan"),
+            (0.0, math.inf, "sigma0 must be positive and finite, got inf"),
+        ],
+        ids=["m0-shape", "m0-nan", "sigma0-zero", "sigma0-nan", "sigma0-inf"],
+    )
+    def test_rejects_bad_start(self, m0, sigma0, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(objective=ObjectiveSpec("sphere", 2), m0=m0, sigma0=sigma0)
+        with pytest.raises(ValueError, match=message):
+            CmaEs(default_params(2), np.broadcast_to(m0, np.shape(m0) or (2,)), sigma0)
 
     def test_controller_aliases(self):
         base = RunConfig(objective=ObjectiveSpec("sphere", 2))

@@ -19,6 +19,21 @@ class TestSpecValidation:
             ObjectiveSpec("ellipsoid", 3, condition=0.0)
 
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("noise_level", np.nan), ("noise_level", np.inf), ("condition", np.nan),
+         ("condition", np.inf)],
+    )
+    def test_rejects_nonfinite_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ObjectiveSpec("noisy_sphere", 3, **{field: value})
+
+    def test_names_every_bad_field(self):
+        with pytest.raises(ValueError) as info:
+            ObjectiveSpec("banana", 0)
+        assert "banana" in str(info.value) and "dimension" in str(info.value)
+
+
 class TestValues:
     def test_sphere(self):
         spec = ObjectiveSpec("sphere", 3)

@@ -63,6 +63,24 @@ class TestDefaults:
             replace(default_params(10), c_1=0.9, c_mu=0.9)
 
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("beta_bias", math.nan),
+            ("beta_bias", math.inf),
+            ("alpha_test", math.nan),
+            ("alpha_test", math.inf),
+            ("alpha_change", math.nan),
+            ("c_alpha", math.nan),
+            ("d_sigma", math.inf),
+            ("weights", np.full(5, math.nan)),
+        ],
+    )
+    def test_rejects_nonfinite_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(default_params(10), **{field: value})
+
+
 class TestRounding:
     @pytest.mark.parametrize(
         "value,expected",
