@@ -98,24 +98,28 @@ class ExperimentConfig:
         if self.workers < 1:
             problems.append(f"workers must be >= 1, got {self.workers}")
 
-        def check(build) -> None:
+        def check(build):
             try:
-                build()
+                return build()
             except ValueError as exc:
                 # the library joins the problems of one object with "; "
                 for problem in str(exc).split("; "):
                     if problem not in problems:
                         problems.append(problem)
 
-        check(lambda: _criteria_for(self))
+        # each object is judged on its own, so a bad setting of one cannot hide another's
+        criteria = check(lambda: _criteria_for(self)) or TerminationCriteria()
         check(lambda: RestartPolicy(max_restarts=self.restarts))
-        # a bad lam stops default_params before StrategyParams checks the
-        # other settings, so those are checked once more with the default lam
+        for kind, n in itertools.product(self.objectives, self.dimensions):
+            check(lambda: _objective_for(self, kind, n))
+        # RunConfig's rules do not depend on the objective kind: a sphere of
+        # dimension n (1 where n is bad) stands in.  A bad lam stops
+        # default_params before StrategyParams checks the other settings, so
+        # those are checked once more with the default lam.
         configs = (self,) if self.lam is None else (self, replace(self, lam=None))
-        for config, kind, n, controller in itertools.product(
-            configs, self.objectives, self.dimensions, self.controllers
-        ):
-            check(lambda: _run_config_for(_Cell(kind, n, controller, 0, config)).build_params())
+        for config, n, controller in itertools.product(configs, self.dimensions, self.controllers):
+            sphere = ObjectiveSpec("sphere", max(n, 1))
+            check(lambda: _run_config(config, sphere, controller, criteria).build_params())
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -150,25 +154,22 @@ def _criteria_for(cfg: ExperimentConfig) -> TerminationCriteria:
     )
 
 
+def _objective_for(cfg: ExperimentConfig, kind: str, n: int) -> ObjectiveSpec:
+    noise_level = cfg.noise_level if kind == "noisy_sphere" else 0.0
+    return ObjectiveSpec(kind=kind, n=n, noise_level=noise_level, condition=cfg.condition)
+
+
+def _run_config(cfg: ExperimentConfig, objective: ObjectiveSpec, controller: str,
+                criteria: TerminationCriteria, seed: int = 0) -> RunConfig:
+    return RunConfig(objective=objective, controller=controller, seed=seed, m0=cfg.m0,
+                     sigma0=cfg.sigma0, lam=cfg.lam, beta_bias=cfg.beta, c_alpha=cfg.c_alpha,
+                     criteria=criteria)
+
+
 def _run_config_for(cell: _Cell) -> RunConfig:
     cfg = cell.config
-    spec = ObjectiveSpec(
-        kind=cell.objective,
-        n=cell.n,
-        noise_level=cfg.noise_level if cell.objective == "noisy_sphere" else 0.0,
-        condition=cfg.condition,
-    )
-    return RunConfig(
-        objective=spec,
-        controller=cell.controller,
-        seed=cell.seed,
-        m0=cfg.m0,
-        sigma0=cfg.sigma0,
-        lam=cfg.lam,
-        beta_bias=cfg.beta,
-        c_alpha=cfg.c_alpha,
-        criteria=_criteria_for(cfg),
-    )
+    return _run_config(cfg, _objective_for(cfg, cell.objective, cell.n), cell.controller,
+                       _criteria_for(cfg), cell.seed)
 
 
 @contextlib.contextmanager

@@ -3,31 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .params import StrategyParams
 
-__all__ = [
-    "CovarianceState",
-    "initial_covariance_state",
-    "stall_indicator",
-    "update_path",
-    "update_covariance",
-]
-
-
-@dataclass(frozen=True)
-class CovarianceState:
-    """Search covariance C (symmetric positive definite) and its evolution path."""
-
-    C: np.ndarray
-    p_c: np.ndarray
-
-
-def initial_covariance_state(n: int) -> CovarianceState:
-    return CovarianceState(C=np.eye(n), p_c=np.zeros(n))
+__all__ = ["stall_indicator", "update_path", "update_covariance"]
 
 
 def stall_indicator(alpha_s: float, g: int, params: StrategyParams) -> int:
@@ -47,35 +28,29 @@ def stall_indicator(alpha_s: float, g: int, params: StrategyParams) -> int:
 
 
 def update_path(
-    state: CovarianceState,
-    mean_step: np.ndarray,
-    h_sigma: int,
-    params: StrategyParams,
-) -> CovarianceState:
-    """Cumulate the mean step into the evolution path (or let it decay)."""
+    p_c: np.ndarray, mean_step: np.ndarray, h_sigma: int, params: StrategyParams
+) -> np.ndarray:
+    """The evolution path p_c with the mean step cumulated into it (or
+    decayed only, when h_sigma is 0), as a new array."""
     coeff = math.sqrt(params.c_c * (2.0 - params.c_c) * params.mu_w)
-    p_c = (1.0 - params.c_c) * state.p_c + h_sigma * coeff * np.asarray(mean_step, dtype=float)
-    return CovarianceState(C=state.C, p_c=p_c)
+    return (1.0 - params.c_c) * p_c + h_sigma * coeff * np.asarray(mean_step, dtype=float)
 
 
 def update_covariance(
-    state: CovarianceState,
-    Y_sel: np.ndarray,
-    weights: np.ndarray,
-    params: StrategyParams,
-) -> CovarianceState:
+    C: np.ndarray, p_c: np.ndarray, Y_sel: np.ndarray, params: StrategyParams
+) -> np.ndarray:
     """Rank-one plus rank-mu covariance update, re-symmetrized.
 
     C' = (1 - c_1 - c_mu) C + c_1 p_c p_c^T + c_mu Y_sel^T diag(w) Y_sel,
-    where ``Y_sel`` holds the mu best sampled steps as rows, best first.
-    The path update must already have been applied for this generation.
+    where ``Y_sel`` holds the mu best sampled steps as rows, best first,
+    and w is ``params.weights``.  ``p_c`` must already be this
+    generation's path.  Returns C' as a new array.
     """
-    w = np.asarray(weights, dtype=float)
-    rank_mu = (Y_sel * w[:, None]).T @ Y_sel
-    # accumulated in place into one new array; state.C is never written
-    C = (1.0 - params.c_1 - params.c_mu) * state.C
-    C += params.c_1 * (state.p_c[:, None] * state.p_c)
-    C += params.c_mu * rank_mu
-    C += C.T  # re-symmetrize against floating-point drift
-    C *= 0.5
-    return CovarianceState(C=C, p_c=state.p_c)
+    rank_mu = (Y_sel * params.weights[:, None]).T @ Y_sel
+    # accumulated in place into one new array; C is never written
+    C_new = (1.0 - params.c_1 - params.c_mu) * C
+    C_new += params.c_1 * (p_c[:, None] * p_c)
+    C_new += params.c_mu * rank_mu
+    C_new += C_new.T  # re-symmetrize against floating-point drift
+    C_new *= 0.5
+    return C_new

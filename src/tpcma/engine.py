@@ -22,7 +22,6 @@ from . import covariance as cov_mod
 from . import objectives as obj_mod
 from . import recombine, sampler, stepsize
 from .params import StrategyParams, default_params
-from .stepsize import CsaState, TpaState
 
 __all__ = [
     "CONTROLLERS",
@@ -126,12 +125,16 @@ class RunRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """Snapshot of the mutable optimizer state."""
+    """Snapshot of the mutable optimizer state (see :class:`CmaEs`).  ``C``,
+    ``p_c`` and ``p_sigma`` are the optimizer's own arrays, not copies: every
+    update returns new arrays and none is written in place."""
 
     m: np.ndarray
     sigma: float
-    cov: cov_mod.CovarianceState
-    controller: TpaState | CsaState
+    C: np.ndarray
+    p_c: np.ndarray
+    alpha_s: float
+    p_sigma: np.ndarray | None
     g: int
     evals: int
     best_x: np.ndarray | None
@@ -198,6 +201,10 @@ class CmaEs:
     two-point mode a generation is two rounds: the lam offspring, then the
     two test points returned by the following ``ask()``.
 
+    The state is held in plain attributes: ``m``, ``sigma``, ``C`` and its
+    path ``p_c``, the two-point signal ``alpha_s`` (NaN in cumulative mode)
+    and the cumulative path ``p_sigma`` (None in two-point mode).
+
     The eigendecomposition of C that offspring are sampled from is
     refreshed only when more than 1/(10 n (c_1 + c_mu)) generations have
     passed since it was taken, as C moves by about c_1 + c_mu per
@@ -231,9 +238,10 @@ class CmaEs:
         self.m = m0
         self.sigma = float(sigma0)
         self.sigma0 = float(sigma0)
-        self.cov = cov_mod.initial_covariance_state(params.n)
-        self.tpa = TpaState() if mode == "tpa" else None
-        self.csa = CsaState(p_sigma=np.zeros(params.n)) if mode == "csa" else None
+        self.C = np.eye(params.n)
+        self.p_c = np.zeros(params.n)
+        self.alpha_s = 0.0 if mode == "tpa" else math.nan
+        self.p_sigma = np.zeros(params.n) if mode == "csa" else None
         self.generation = 0
         self.evals = 0
         self.best_x: np.ndarray | None = None
@@ -257,21 +265,18 @@ class CmaEs:
 
     @property
     def state(self) -> EvolutionState:
-        controller = self.tpa if self.mode == "tpa" else self.csa
         return EvolutionState(
             m=self.m.copy(),
             sigma=self.sigma,
-            cov=self.cov,
-            controller=controller,
+            C=self.C,
+            p_c=self.p_c,
+            alpha_s=self.alpha_s,
+            p_sigma=self.p_sigma,
             g=self.generation,
             evals=self.evals,
             best_x=None if self.best_x is None else self.best_x.copy(),
             best_f=self.best_f,
         )
-
-    @property
-    def alpha_s(self) -> float:
-        return self.tpa.alpha_s if self.mode == "tpa" else math.nan
 
     # -- termination ---------------------------------------------------------
 
@@ -291,7 +296,7 @@ class CmaEs:
             reason = "sigma_min"
         elif self.sigma > c.sigma_ratio_max * self.sigma0:
             reason = "sigma_max"
-        elif c.tol_x > 0.0 and self.sigma * math.sqrt(float(np.max(np.diag(self.cov.C)))) < c.tol_x:
+        elif c.tol_x > 0.0 and self.sigma * math.sqrt(float(np.max(np.diag(self.C)))) < c.tol_x:
             reason = "tol_x"
         elif (
             c.tol_fun > 0.0
@@ -316,7 +321,7 @@ class CmaEs:
                 self._factor is None
                 or self.generation - self._factor_generation > self._refresh_interval
             ):
-                self._factor = sampler.decompose(self.cov.C, want_inv_sqrt=(self.mode == "csa"))
+                self._factor = sampler.decompose(self.C, want_inv_sqrt=(self.mode == "csa"))
                 self._factor_generation = self.generation
             self._pending, self._Y = sampler.sample_population(
                 self.m, self.sigma, self._factor, self.params.lam, self.rng
@@ -363,12 +368,12 @@ class CmaEs:
 
         if self.mode == "csa":
             self.m = m_new
-            self.csa, multiplier = stepsize.csa_update(
-                self.csa, mean_step, self._factor.inv_sqrt, p
+            self.p_sigma, multiplier = stepsize.csa_update(
+                self.p_sigma, mean_step, self._factor.inv_sqrt, p
             )
             self.sigma *= multiplier
             g_next = self.generation + 1
-            h_sigma = stepsize.csa_stall_indicator(self.csa.p_sigma, g_next, p)
+            h_sigma = stepsize.csa_stall_indicator(self.p_sigma, g_next, p)
             self._finish_generation(Y_sel, mean_step, h_sigma)
         else:
             test_points = stepsize.tpa_test_points(m_new, self.sigma, mean_step, p)
@@ -389,12 +394,12 @@ class CmaEs:
         self._note_best(test_round.test_points[0], f_plus)
         self._note_best(test_round.test_points[1], f_minus)
 
-        self.tpa, multiplier = stepsize.tpa_update(self.tpa, f_plus, f_minus, p)
+        self.alpha_s, multiplier = stepsize.tpa_update(self.alpha_s, f_plus, f_minus, p)
         self.sigma *= multiplier
         if p.legacy:
             self.m = recombine.update_mean(test_round.m_old, self.sigma, test_round.mean_step)
         g_next = self.generation + 1
-        h_sigma = cov_mod.stall_indicator(self.tpa.alpha_s, g_next, p)
+        h_sigma = cov_mod.stall_indicator(self.alpha_s, g_next, p)
         self._finish_generation(test_round.Y_sel, test_round.mean_step, h_sigma)
 
     def _note_best(self, x: np.ndarray, fitness: float) -> None:
@@ -404,12 +409,12 @@ class CmaEs:
 
     def _finish_generation(self, Y_sel: np.ndarray, mean_step: np.ndarray, h_sigma: int) -> None:
         p = self.params
-        self.cov = cov_mod.update_path(self.cov, mean_step, h_sigma, p)
-        self.cov = cov_mod.update_covariance(self.cov, Y_sel, p.weights, p)
+        self.p_c = cov_mod.update_path(self.p_c, mean_step, h_sigma, p)
+        self.C = cov_mod.update_covariance(self.C, self.p_c, Y_sel, p)
         self.generation += 1
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise RunAborted(f"step-size became {self.sigma}", self.state)
-        if not np.isfinite(self.cov.C).all():
+        if not np.isfinite(self.C).all():
             raise RunAborted("covariance matrix became non-finite", self.state)
         self.trace.append(
             RunRecord(

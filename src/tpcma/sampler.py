@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,8 @@ def sample_population(
     coordinate-minor, so trajectories are reproducible for a given seed
     and draw order.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if lam < 2:
         raise ValueError(f"lam must be >= 2, got {lam}")
     m = np.asarray(m, dtype=float)

@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .params import StrategyParams
 
 __all__ = [
-    "TpaState",
-    "CsaState",
     "tpa_test_points",
     "tpa_update",
     "csa_update",
@@ -33,20 +30,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TpaState:
-    """Smoothed step-size signal; starts at zero."""
-
-    alpha_s: float = 0.0
-
-
-@dataclass(frozen=True)
-class CsaState:
-    """Whitened evolution path of the cumulative controller; starts at zero."""
-
-    p_sigma: np.ndarray
 
 
 def tpa_test_points(
@@ -69,9 +52,10 @@ def tpa_test_points(
 
 
 def tpa_update(
-    state: TpaState, f_plus: float, f_minus: float, params: StrategyParams
-) -> tuple[TpaState, float]:
-    """Smooth the win/lose signal and return the new state and sigma multiplier.
+    alpha_s: float, f_plus: float, f_minus: float, params: StrategyParams
+) -> tuple[float, float]:
+    """Smooth the win/lose signal into alpha_s (which starts at zero) and
+    return the new alpha_s and the sigma multiplier exp(alpha_s).
 
     The raw signal is -alpha_change + beta_bias when the downward point wins
     (strictly smaller fitness) and +alpha_change otherwise; ties take the
@@ -88,8 +72,8 @@ def tpa_update(
         alpha_act = -params.alpha_change + params.beta_bias
     else:
         alpha_act = params.alpha_change
-    alpha_s = (1.0 - params.c_alpha) * state.alpha_s + params.c_alpha * alpha_act
-    return TpaState(alpha_s=alpha_s), math.exp(alpha_s)
+    alpha_s = (1.0 - params.c_alpha) * alpha_s + params.c_alpha * alpha_act
+    return alpha_s, math.exp(alpha_s)
 
 
 def expected_normal_norm(n: int) -> float:
@@ -98,24 +82,22 @@ def expected_normal_norm(n: int) -> float:
 
 
 def csa_update(
-    state: CsaState,
-    mean_step: np.ndarray,
-    inv_sqrt: np.ndarray,
-    params: StrategyParams,
-) -> tuple[CsaState, float]:
+    p_sigma: np.ndarray, mean_step: np.ndarray, inv_sqrt: np.ndarray, params: StrategyParams
+) -> tuple[np.ndarray, float]:
     """Cumulative step-size update (baseline controller).
 
+    ``p_sigma`` is the whitened evolution path, which starts at zero;
     ``inv_sqrt`` must be C^(-1/2) of the covariance the population was
-    sampled from.  Returns the new path state and the sigma multiplier
-    exp((c_sigma/d_sigma) (||p|| / E||N(0,I)|| - 1)).
+    sampled from.  Returns the new path, as a new array, and the sigma
+    multiplier exp((c_sigma/d_sigma) (||p|| / E||N(0,I)|| - 1)).
     """
     cs = params.c_sigma
-    p = (1.0 - cs) * state.p_sigma + math.sqrt(cs * (2.0 - cs) * params.mu_w) * (
+    p = (1.0 - cs) * p_sigma + math.sqrt(cs * (2.0 - cs) * params.mu_w) * (
         inv_sqrt @ np.asarray(mean_step, dtype=float)
     )
     ratio = math.sqrt(p.dot(p)) / expected_normal_norm(params.n)
     multiplier = math.exp((cs / params.d_sigma) * (ratio - 1.0))
-    return CsaState(p_sigma=p), multiplier
+    return p, multiplier
 
 
 def csa_stall_indicator(p_sigma: np.ndarray, g: int, params: StrategyParams) -> int:

@@ -19,7 +19,7 @@ from tpcma.engine import (
 )
 from tpcma.objectives import ObjectiveSpec
 from tpcma.params import default_params
-from tpcma.stepsize import TpaState, tpa_update
+from tpcma.stepsize import tpa_update
 
 SEEDS = tuple(range(11))
 
@@ -183,17 +183,17 @@ def test_c5_smoothing_sign_property():
     params_half = replace(default_params(10), c_alpha=0.5)
     for alpha_s in reachable_signals(0.5, alpha, 13):
         for f_plus, f_minus, sign in ((1.0, 2.0, 1.0), (2.0, 1.0, -1.0)):
-            new, _ = tpa_update(TpaState(alpha_s), f_plus, f_minus, params_half)
-            if math.copysign(1.0, new.alpha_s) != sign or new.alpha_s == 0.0:
+            new, _ = tpa_update(alpha_s, f_plus, f_minus, params_half)
+            if math.copysign(1.0, new) != sign or new == 0.0:
                 violations.append(("c_alpha=0.5", alpha_s, sign))
 
     params_light = replace(default_params(10), c_alpha=0.3)
     for alpha_s in reachable_signals(0.3, alpha, 13):
         for f_plus, f_minus, sign in ((1.0, 2.0, 1.0), (2.0, 1.0, -1.0)):
-            state = TpaState(alpha_s)
+            state = alpha_s
             state, _ = tpa_update(state, f_plus, f_minus, params_light)
             state, _ = tpa_update(state, f_plus, f_minus, params_light)
-            if math.copysign(1.0, state.alpha_s) != sign or state.alpha_s == 0.0:
+            if math.copysign(1.0, state) != sign or state == 0.0:
                 violations.append(("c_alpha=0.3 twice", alpha_s, sign))
 
     report(
@@ -247,7 +247,7 @@ def test_c7_structural_invariants():
         xs = opt.ask()
         opt.tell(evaluate_population(spec, np.asarray(xs)))
         if opt.generation > generation:  # generation just completed
-            C = opt.cov.C
+            C = opt.C
             if np.max(np.abs(C - C.T)) > 1e-12 * np.max(np.abs(C)):
                 failures.append(f"asymmetry at generation {opt.generation}")
             if np.linalg.eigvalsh(C)[0] <= 0.0:
@@ -274,22 +274,22 @@ def test_c7_structural_invariants():
             break
 
     # trace identity of the covariance update at 1e-10 relative
-    from tpcma.covariance import CovarianceState, update_covariance
+    from tpcma.covariance import update_covariance
 
     for _ in range(100):
         p = default_params(7)
         a = rng.standard_normal((7, 7))
-        state = CovarianceState(C=a @ a.T + np.eye(7), p_c=rng.standard_normal(7))
+        C, p_c = a @ a.T + np.eye(7), rng.standard_normal(7)
         ys = rng.standard_normal((p.lam, 7))
         f = rng.standard_normal(p.lam)
-        new = update_covariance(state, ys[rank(f)[: p.mu]], p.weights, p)
+        new = update_covariance(C, p_c, ys[rank(f)[: p.mu]], p)
         selected = ys[np.argsort(f, kind="stable")[: p.mu]]
         oracle = (
-            (1.0 - p.c_1 - p.c_mu) * np.trace(state.C)
-            + p.c_1 * float(np.sum(state.p_c**2))
+            (1.0 - p.c_1 - p.c_mu) * np.trace(C)
+            + p.c_1 * float(np.sum(p_c**2))
             + p.c_mu * float(p.weights @ np.sum(selected**2, axis=1))
         )
-        if abs(np.trace(new.C) - oracle) > 1e-10 * abs(oracle):
+        if abs(np.trace(new) - oracle) > 1e-10 * abs(oracle):
             failures.append("trace identity violated")
             break
 

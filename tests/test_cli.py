@@ -324,11 +324,17 @@ class TestMain:
              ["objective kind must be one of", "dimension must be >= 1, got 0"]),
             (["--controller", "nope"], ["controller must be one of"]),
             (["--restarts", "-1"], ["max_restarts must be >= 0"]),
+            (["--budget", "-1", "--sigma0", "0"],
+             ["max_evals must be >= 0", "sigma0 must be positive and finite"]),
+            (["--lambda", "1", "--budget", "-1"], ["lam must be >= 2", "max_evals must be >= 0"]),
+            (["--objective", "wat", "--controller", "nope"],
+             ["objective kind must be one of", "controller must be one of"]),
         ],
         ids=["lambda", "c-alpha", "beta", "tol-x", "condition", "noise-level", "lambda-c-alpha",
              "sigma0-nan", "sigma0-inf", "m0-inf", "beta-nan", "beta-inf", "target-f-nan",
              "tol-fun-nan", "condition-inf", "noise-level-nan", "budget", "budget-tol-x",
-             "objective-budget", "objective-dimension", "controller", "restarts"],
+             "objective-budget", "objective-dimension", "controller", "restarts",
+             "budget-sigma0", "lambda-budget", "objective-controller"],
     )
     def test_main_rejects_invalid_run_settings_up_front(self, args, messages, tmp_path, capsys):
         def assert_listed_once(text):

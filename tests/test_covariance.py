@@ -4,12 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tpcma.covariance import (
-    initial_covariance_state,
-    stall_indicator,
-    update_covariance,
-    update_path,
-)
+from tpcma.covariance import stall_indicator, update_covariance, update_path
 from tpcma.params import default_params
 from tpcma.recombine import rank
 
@@ -50,42 +45,42 @@ class TestStallIndicator:
 class TestUpdatePath:
     def test_zero_path_accumulates_step(self):
         p = default_params(10, lam=2)  # mu_w = 1, c_c = 4/14
-        state = initial_covariance_state(10)
         step = np.r_[1.0, np.zeros(9)]
-        new = update_path(state, step, 1, p)
+        p_c = update_path(np.zeros(10), step, 1, p)
         coeff = math.sqrt(p.c_c * (2.0 - p.c_c) * p.mu_w)
         assert coeff == pytest.approx(0.6998542122237652, rel=1e-12)
-        np.testing.assert_allclose(new.p_c, coeff * step, rtol=1e-14)
+        np.testing.assert_allclose(p_c, coeff * step, rtol=1e-14)
 
     def test_stall_branch_is_pure_decay(self):
         p = default_params(3)
-        state = initial_covariance_state(3)
-        state = update_path(state, np.ones(3), 1, p)
-        decayed = update_path(state, np.full(3, 9.9), 0, p)
-        np.testing.assert_allclose(decayed.p_c, (1.0 - p.c_c) * state.p_c, rtol=1e-15)
+        p_c = update_path(np.zeros(3), np.ones(3), 1, p)
+        decayed = update_path(p_c, np.full(3, 9.9), 0, p)
+        np.testing.assert_allclose(decayed, (1.0 - p.c_c) * p_c, rtol=1e-15)
 
-    def test_covariance_untouched(self):
-        state = initial_covariance_state(4)
-        new = update_path(state, np.ones(4), 1, default_params(4))
-        np.testing.assert_array_equal(new.C, state.C)
+    def test_inputs_not_written(self):
+        rng = np.random.default_rng(8)
+        p_c, step = rng.standard_normal(4), rng.standard_normal(4)
+        p_c_before, step_before = p_c.copy(), step.copy()
+        new = update_path(p_c, step, 1, default_params(4))
+        assert new is not p_c
+        np.testing.assert_array_equal(p_c, p_c_before)
+        np.testing.assert_array_equal(step, step_before)
 
 
 class TestUpdateCovariance:
     def test_no_learning_keeps_covariance(self):
         p = replace(default_params(4), c_1=0.0, c_mu=0.0)
-        state = initial_covariance_state(4)
         Y_sel = selected_from(np.eye(4), [1.0, 2.0, 3.0, 4.0], p.mu)
-        new = update_covariance(state, Y_sel, p.weights, p)
-        np.testing.assert_array_equal(new.C, state.C)
+        new = update_covariance(np.eye(4), np.zeros(4), Y_sel, p)
+        np.testing.assert_array_equal(new, np.eye(4))
 
     def test_single_dyad(self):
         p = default_params(2, lam=2)  # mu = 1, weights [1]
-        state = initial_covariance_state(2)
         Y_sel = selected_from([[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0], p.mu)
-        new = update_covariance(state, Y_sel, p.weights, p)
+        new = update_covariance(np.eye(2), np.zeros(2), Y_sel, p)
         expected = (1.0 - p.c_1 - p.c_mu) * np.eye(2)
         expected[0, 0] += p.c_mu
-        np.testing.assert_allclose(new.C, expected, rtol=1e-14)
+        np.testing.assert_allclose(new, expected, rtol=1e-14)
 
     def test_rank_one_rate_example(self):
         mu_w = 1.4597898888525862
@@ -99,50 +94,50 @@ class TestUpdateCovariance:
         rng = np.random.default_rng(17)
         p = default_params(6)
         a = rng.standard_normal((6, 6))
-        state = initial_covariance_state(6)
-        state = type(state)(C=a @ a.T + np.eye(6), p_c=rng.standard_normal(6))
+        C, p_c = a @ a.T + np.eye(6), rng.standard_normal(6)
         ys = rng.standard_normal((p.lam, 6))
         f = rng.standard_normal(p.lam)
-        new = update_covariance(state, selected_from(ys, f, p.mu), p.weights, p)
+        new = update_covariance(C, p_c, selected_from(ys, f, p.mu), p)
         selected = ys[np.argsort(f, kind="stable")[: p.mu]]
         oracle = (
-            (1.0 - p.c_1 - p.c_mu) * np.trace(state.C)
-            + p.c_1 * np.sum(state.p_c**2)
+            (1.0 - p.c_1 - p.c_mu) * np.trace(C)
+            + p.c_1 * np.sum(p_c**2)
             + p.c_mu * float(p.weights @ np.sum(selected**2, axis=1))
         )
-        assert np.trace(new.C) == pytest.approx(oracle, rel=1e-10)
+        assert np.trace(new) == pytest.approx(oracle, rel=1e-10)
 
     def test_equals_reference_formula_exactly(self):
         rng = np.random.default_rng(5)
         p = default_params(7)
         a = rng.standard_normal((7, 7))
-        state = type(initial_covariance_state(7))(C=a @ a.T, p_c=rng.standard_normal(7))
-        C_before = state.C.copy()
+        C, p_c = a @ a.T, rng.standard_normal(7)
         Y_sel = rng.standard_normal((p.mu, 7))
-        new = update_covariance(state, Y_sel, p.weights, p)
+        inputs_before = [x.copy() for x in (C, p_c, Y_sel)]
+        new = update_covariance(C, p_c, Y_sel, p)
         reference = (
-            (1.0 - p.c_1 - p.c_mu) * state.C
-            + p.c_1 * np.outer(state.p_c, state.p_c)
+            (1.0 - p.c_1 - p.c_mu) * C
+            + p.c_1 * np.outer(p_c, p_c)
             + p.c_mu * (Y_sel * p.weights[:, None]).T @ Y_sel
         )
-        np.testing.assert_array_equal(new.C, (reference + reference.T) / 2.0)
-        np.testing.assert_array_equal(state.C, C_before)  # the input is not written
+        np.testing.assert_array_equal(new, (reference + reference.T) / 2.0)
+        for x, before in zip((C, p_c, Y_sel), inputs_before):  # no input is written
+            np.testing.assert_array_equal(x, before)
 
     def test_symmetric_output(self):
         rng = np.random.default_rng(3)
         p = default_params(5)
-        state = initial_covariance_state(5)
+        C, p_c = np.eye(5), np.zeros(5)
         for _ in range(50):
             Y_sel = selected_from(rng.standard_normal((p.lam, 5)), rng.standard_normal(p.lam), p.mu)
-            state = update_path(state, rng.standard_normal(5), 1, p)
-            state = update_covariance(state, Y_sel, p.weights, p)
-            np.testing.assert_array_equal(state.C, state.C.T)
+            p_c = update_path(p_c, rng.standard_normal(5), 1, p)
+            C = update_covariance(C, p_c, Y_sel, p)
+            np.testing.assert_array_equal(C, C.T)
 
     def test_random_selection_keeps_identity_shape(self):
         # y ~ N(0, I) with random ranking: the time-averaged C estimates E[C] = a I
         rng = np.random.default_rng(23)
         p = default_params(5)
-        state = initial_covariance_state(5)
+        C, p_c = np.eye(5), np.zeros(5)
         generations = 10_000
         c_sum = np.zeros((5, 5))
         for _ in range(generations):
@@ -150,9 +145,9 @@ class TestUpdateCovariance:
             f = rng.permutation(p.lam).astype(float)
             Y_sel = selected_from(ys, f, p.mu)
             step = p.weights @ ys[np.argsort(f, kind="stable")[: p.mu]]
-            state = update_path(state, step, 1, p)
-            state = update_covariance(state, Y_sel, p.weights, p)
-            c_sum += state.C
+            p_c = update_path(p_c, step, 1, p)
+            C = update_covariance(C, p_c, Y_sel, p)
+            c_sum += C
         c_mean = c_sum / generations
         mask = ~np.eye(5, dtype=bool)
         assert np.abs(c_mean[mask]).mean() < 5.0 / math.sqrt(generations)
@@ -161,14 +156,13 @@ class TestUpdateCovariance:
     def test_path_sign_destroyed_without_cumulation(self):
         # with c_c = 1 and p_c = 0 the update cannot distinguish +step from -step
         p = replace(default_params(4), c_c=1.0)
-        state = initial_covariance_state(4)
         ys = np.random.default_rng(9).standard_normal((p.lam, 4))
         f = np.arange(p.lam, dtype=float)
         step = p.weights @ ys[: p.mu]
 
         def final_C(step_vec, Y_sel):
-            st = update_path(state, step_vec, 1, p)
-            return update_covariance(st, Y_sel, p.weights, p).C
+            p_c = update_path(np.zeros(4), step_vec, 1, p)
+            return update_covariance(np.eye(4), p_c, Y_sel, p)
 
         positive = final_C(step, selected_from(ys, f, p.mu))
         negative = final_C(-step, selected_from(-ys, f, p.mu))

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -75,7 +77,7 @@ class TestStepAccounting:
         assert opt.generation == 3
         assert opt.sigma == 1.0
         assert opt.alpha_s == 0.0
-        np.testing.assert_array_equal(opt.cov.C, np.eye(3))
+        np.testing.assert_array_equal(opt.C, np.eye(3))
         assert not np.array_equal(opt.m, m_before)
 
 
@@ -166,6 +168,25 @@ class TestAskTellProtocol:
         assert opt._factor.inv_sqrt is not None
 
 
+class TestSnapshot:
+    @pytest.mark.parametrize("controller", ["tpa", "tpa_legacy", "csa"])
+    def test_state_taken_mid_run_is_unchanged_by_later_generations(self, controller):
+        # the snapshot shares C, p_c and p_sigma with the optimizer, so no
+        # update may write those arrays in place
+        spec = ObjectiveSpec("ellipsoid", 4)
+        params, mode = RunConfig(objective=spec, controller=controller).build_params()
+        opt = CmaEs(params, np.ones(4), 0.5, mode=mode, rng=np.random.default_rng(6))
+        while opt.generation < 5:
+            opt.tell(evaluate_population(spec, opt.ask()))
+        state = opt.state
+        before = copy.deepcopy(state)
+        while opt.generation < 10:
+            opt.tell(evaluate_population(spec, opt.ask()))
+        for field in dataclasses.fields(state):
+            np.testing.assert_array_equal(getattr(state, field.name), getattr(before, field.name))
+        assert not np.array_equal(opt.C, state.C)
+
+
 class TestFactorRefresh:
     """C is decomposed only every 1/(10 n (c_1 + c_mu)) generations."""
 
@@ -187,9 +208,9 @@ class TestFactorRefresh:
             sampled_with.append(factor)
             return sample(m, sigma, factor, lam, rng)
 
-        def recording_csa_update(state, mean_step, inv_sqrt, params):
+        def recording_csa_update(p_sigma, mean_step, inv_sqrt, params):
             whitened_with.append(inv_sqrt)
-            return csa_update(state, mean_step, inv_sqrt, params)
+            return csa_update(p_sigma, mean_step, inv_sqrt, params)
 
         monkeypatch.setattr(sampler, "decompose", counting_decompose)
         monkeypatch.setattr(sampler, "sample_population", recording_sample)
@@ -420,7 +441,7 @@ class TestInvariance:
         warped = drive(lambda x: float(np.exp(np.sum(x * x))))
         assert np.array_equal(base.m, warped.m)
         assert base.sigma == warped.sigma
-        np.testing.assert_array_equal(base.cov.C, warped.cov.C)
+        np.testing.assert_array_equal(base.C, warped.C)
 
 
 class TestRestarts:

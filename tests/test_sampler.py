@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,11 @@ class TestSamplePopulation:
             sample_population(np.zeros(2), 0.0, f, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
             sample_population(np.zeros(2), 1.0, f, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_sigma_before_drawing(self, sigma):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            sample_population(np.zeros(2), sigma, decompose(np.eye(2)), 4, rng)
+        assert rng.bit_generator.state == before

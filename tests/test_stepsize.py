@@ -7,8 +7,6 @@ import pytest
 from tpcma.engine import CONTROLLERS
 from tpcma.params import default_params
 from tpcma.stepsize import (
-    CsaState,
-    TpaState,
     csa_stall_indicator,
     csa_update,
     expected_normal_norm,
@@ -53,64 +51,64 @@ class TestTestPoints:
 
 class TestTpaUpdate:
     def test_increase_branch(self):
-        state, mult = tpa_update(TpaState(0.0), 1.0, 2.0, DEFAULTS)  # f+ wins
-        assert state.alpha_s == pytest.approx(0.15, rel=1e-15)
+        alpha_s, mult = tpa_update(0.0, 1.0, 2.0, DEFAULTS)  # f+ wins
+        assert alpha_s == pytest.approx(0.15, rel=1e-15)
         assert mult == pytest.approx(1.161834242728283, rel=1e-14)
 
     def test_decrease_branch(self):
-        state, mult = tpa_update(TpaState(0.0), 2.0, 1.0, DEFAULTS)  # f- wins
-        assert state.alpha_s == pytest.approx(-0.15, rel=1e-15)
+        alpha_s, mult = tpa_update(0.0, 2.0, 1.0, DEFAULTS)  # f- wins
+        assert alpha_s == pytest.approx(-0.15, rel=1e-15)
         assert mult == pytest.approx(0.8607079764250578, rel=1e-14)
 
     def test_noise_bias_shrinks_decrease(self):
         params = replace(DEFAULTS, beta_bias=0.1)
-        state, _ = tpa_update(TpaState(0.0), 2.0, 1.0, params)
-        assert state.alpha_s == pytest.approx(0.3 * -0.4, rel=1e-15)
+        alpha_s, _ = tpa_update(0.0, 2.0, 1.0, params)
+        assert alpha_s == pytest.approx(0.3 * -0.4, rel=1e-15)
 
     def test_tie_takes_increase_branch(self):
-        state, _ = tpa_update(TpaState(0.0), 1.5, 1.5, DEFAULTS)
-        assert state.alpha_s == pytest.approx(0.15)
+        alpha_s, _ = tpa_update(0.0, 1.5, 1.5, DEFAULTS)
+        assert alpha_s == pytest.approx(0.15)
 
     def test_single_infinite_value_is_ordinary_comparison(self):
-        state, _ = tpa_update(TpaState(0.0), math.inf, 1.0, DEFAULTS)
-        assert state.alpha_s < 0.0
-        state, _ = tpa_update(TpaState(0.0), 1.0, math.inf, DEFAULTS)
-        assert state.alpha_s > 0.0
+        alpha_s, _ = tpa_update(0.0, math.inf, 1.0, DEFAULTS)
+        assert alpha_s < 0.0
+        alpha_s, _ = tpa_update(0.0, 1.0, math.inf, DEFAULTS)
+        assert alpha_s > 0.0
 
     def test_both_infinite_decreases_with_warning(self, caplog):
         with caplog.at_level("WARNING"):
-            state, mult = tpa_update(TpaState(0.0), math.inf, math.inf, DEFAULTS)
-        assert state.alpha_s == pytest.approx(-0.15)
+            alpha_s, mult = tpa_update(0.0, math.inf, math.inf, DEFAULTS)
+        assert alpha_s == pytest.approx(-0.15)
         assert mult < 1.0
         assert any("infeasible" in r.message for r in caplog.records)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            tpa_update(TpaState(0.0), math.nan, 1.0, DEFAULTS)
+            tpa_update(0.0, math.nan, 1.0, DEFAULTS)
 
     def test_multipliers_are_log_symmetric(self):
         # reaching +a and -a gives exactly reciprocal multipliers
         for a in (0.1, 0.25, 0.45):
-            _, up = tpa_update(TpaState((a - 0.15) / 0.7), 1.0, 2.0, DEFAULTS)
-            _, down = tpa_update(TpaState(-(a - 0.15) / 0.7), 2.0, 1.0, DEFAULTS)
+            _, up = tpa_update((a - 0.15) / 0.7, 1.0, 2.0, DEFAULTS)
+            _, down = tpa_update(-(a - 0.15) / 0.7, 2.0, 1.0, DEFAULTS)
             assert up * down == pytest.approx(1.0, abs=1e-15)
 
     def test_signal_stays_in_reachable_band(self):
-        state = TpaState(0.0)
+        alpha_s = 0.0
         rng = np.random.default_rng(0)
         for _ in range(2000):
             f = rng.standard_normal(2)
-            state, _ = tpa_update(state, f[0], f[1], DEFAULTS)
-            assert abs(state.alpha_s) <= 0.5
+            alpha_s, _ = tpa_update(alpha_s, f[0], f[1], DEFAULTS)
+            assert abs(alpha_s) <= 0.5
 
     def test_sign_agreement_after_one_update_at_half_smoothing(self):
         params = replace(DEFAULTS, c_alpha=0.5)
         # reachable signals are strictly inside (-alpha, alpha)
         for alpha_s in np.linspace(-0.4999, 0.4999, 1001):
-            up, _ = tpa_update(TpaState(alpha_s), 1.0, 2.0, params)
-            down, _ = tpa_update(TpaState(alpha_s), 2.0, 1.0, params)
-            assert up.alpha_s > 0.0
-            assert down.alpha_s < 0.0
+            up, _ = tpa_update(alpha_s, 1.0, 2.0, params)
+            down, _ = tpa_update(alpha_s, 2.0, 1.0, params)
+            assert up > 0.0
+            assert down < 0.0
 
 
 class TestLegacyParams:
@@ -122,53 +120,61 @@ class TestLegacyParams:
         assert LEGACY.legacy
 
     def test_single_generation_multiplier(self):
-        _, up = tpa_update(TpaState(0.0), 1.0, 2.0, LEGACY)
-        _, down = tpa_update(TpaState(0.0), 2.0, 1.0, LEGACY)
+        _, up = tpa_update(0.0, 1.0, 2.0, LEGACY)
+        _, down = tpa_update(0.0, 2.0, 1.0, LEGACY)
         assert up == pytest.approx(1.8, rel=1e-13)
         assert down == pytest.approx(1.0 / 1.8, rel=1e-13)
 
     def test_smoothing_disabled(self):
-        state, _ = tpa_update(TpaState(0.123), 1.0, 2.0, LEGACY)
-        assert state.alpha_s == pytest.approx(math.log(1.8), rel=1e-15)
+        alpha_s, _ = tpa_update(0.123, 1.0, 2.0, LEGACY)
+        assert alpha_s == pytest.approx(math.log(1.8), rel=1e-15)
 
 
 class TestCsa:
     def test_zero_path_zero_step_shrinks(self):
         p = DEFAULTS
-        state, mult = csa_update(CsaState(np.zeros(10)), np.zeros(10), np.eye(10), p)
-        np.testing.assert_array_equal(state.p_sigma, np.zeros(10))
+        p_sigma, mult = csa_update(np.zeros(10), np.zeros(10), np.eye(10), p)
+        np.testing.assert_array_equal(p_sigma, np.zeros(10))
         assert mult == pytest.approx(math.exp(-p.c_sigma / p.d_sigma), rel=1e-14)
         assert mult < 1.0
 
     def test_stationary_at_expected_norm(self):
         p = DEFAULTS
         target = expected_normal_norm(10) / (1.0 - p.c_sigma)
-        state = CsaState(p_sigma=np.r_[target, np.zeros(9)])
-        _, mult = csa_update(state, np.zeros(10), np.eye(10), p)
+        _, mult = csa_update(np.r_[target, np.zeros(9)], np.zeros(10), np.eye(10), p)
         assert mult == pytest.approx(1.0, abs=1e-12)
 
     def test_path_formula_single_parent(self):
         p = default_params(10, lam=2)  # mu_w = 1
         step = np.r_[1.0, np.zeros(9)]
-        state, _ = csa_update(CsaState(np.zeros(10)), step, np.eye(10), p)
+        p_sigma, _ = csa_update(np.zeros(10), step, np.eye(10), p)
         expected = math.sqrt(p.c_sigma * (2.0 - p.c_sigma))
-        np.testing.assert_allclose(state.p_sigma, expected * step, rtol=1e-14)
+        np.testing.assert_allclose(p_sigma, expected * step, rtol=1e-14)
 
     def test_path_norm_equals_linalg_norm_exactly(self):
         rng = np.random.default_rng(12)
         p = DEFAULTS
-        state = CsaState(rng.standard_normal(10))
-        new, mult = csa_update(state, rng.standard_normal(10), np.eye(10), p)
-        ratio = float(np.linalg.norm(new.p_sigma)) / expected_normal_norm(10)
+        new, mult = csa_update(rng.standard_normal(10), rng.standard_normal(10), np.eye(10), p)
+        ratio = float(np.linalg.norm(new)) / expected_normal_norm(10)
         assert mult == math.exp((p.c_sigma / p.d_sigma) * (ratio - 1.0))
 
     def test_whitening_uses_inv_sqrt(self):
         p = default_params(3, lam=2)
         inv_sqrt = np.diag([0.5, 1.0, 2.0])
         step = np.array([1.0, 1.0, 1.0])
-        state, _ = csa_update(CsaState(np.zeros(3)), step, inv_sqrt, p)
+        p_sigma, _ = csa_update(np.zeros(3), step, inv_sqrt, p)
         coeff = math.sqrt(p.c_sigma * (2.0 - p.c_sigma))
-        np.testing.assert_allclose(state.p_sigma, coeff * np.array([0.5, 1.0, 2.0]), rtol=1e-14)
+        np.testing.assert_allclose(p_sigma, coeff * np.array([0.5, 1.0, 2.0]), rtol=1e-14)
+
+    def test_inputs_not_written(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((10, 10))
+        inputs = (rng.standard_normal(10), rng.standard_normal(10), a @ a.T)
+        inputs_before = [x.copy() for x in inputs]
+        new, _ = csa_update(*inputs, DEFAULTS)
+        assert new is not inputs[0]
+        for x, before in zip(inputs, inputs_before):
+            np.testing.assert_array_equal(x, before)
 
     def test_stall_indicator(self):
         p = DEFAULTS
