@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -113,13 +113,10 @@ class ExperimentConfig:
         for kind, n in itertools.product(self.objectives, self.dimensions):
             check(lambda: _objective_for(self, kind, n))
         # RunConfig's rules do not depend on the objective kind: a sphere of
-        # dimension n (1 where n is bad) stands in.  A bad lam stops
-        # default_params before StrategyParams checks the other settings, so
-        # those are checked once more with the default lam.
-        configs = (self,) if self.lam is None else (self, replace(self, lam=None))
-        for config, n, controller in itertools.product(configs, self.dimensions, self.controllers):
+        # dimension n (1 where n is bad) stands in
+        for n, controller in itertools.product(self.dimensions, self.controllers):
             sphere = ObjectiveSpec("sphere", max(n, 1))
-            check(lambda: _run_config(config, sphere, controller, criteria).build_params())
+            check(lambda: _run_config(self, sphere, controller, criteria))
         if problems:
             raise ConfigError("; ".join(problems))
 

@@ -251,10 +251,8 @@ class CmaEs:
         self._pending: np.ndarray | None = None  # the points of an untold ask()
         self._factor: sampler.CovarianceFactor | None = None
         self._factor_generation = 0  # the generation self._factor was taken at
-        # every generation for n <= 50, every 4th at n=400, and never again
-        # when C cannot change
-        rate = params.c_1 + params.c_mu
-        self._refresh_interval = 1.0 / (10.0 * params.n * rate) if rate > 0.0 else math.inf
+        # every generation for n <= 50, every 4th at n=400
+        self._refresh_interval = 1.0 / (10.0 * params.n * (params.c_1 + params.c_mu))
         self._Y: np.ndarray | None = None  # the steps of the last sampled population
         self._test_round: _TestRound | None = None  # set between the two tpa rounds
         window = 10 + int(math.ceil(30.0 * params.n / params.lam))
@@ -349,7 +347,7 @@ class CmaEs:
         if fitness.shape != (p.lam,):
             raise ValueError(f"expected {p.lam} fitness values, got {fitness.size}")
         order = recombine.rank(fitness)
-        n_infeasible = int(np.isinf(fitness).sum())
+        n_infeasible = int(np.count_nonzero(fitness == math.inf))
         if n_infeasible > p.lam - p.mu:
             raise RunAborted(
                 f"{n_infeasible} of {p.lam} evaluations infeasible; "
@@ -436,8 +434,8 @@ class CmaEs:
 class RunConfig:
     """Everything needed to reproduce one optimization run.
 
-    ``beta_bias`` and ``c_alpha``, when set, override the defaults and the
-    controller's preset in ``CONTROLLERS``.
+    ``lam``, ``beta_bias`` and ``c_alpha``, when set, override the defaults
+    and the controller's preset in ``CONTROLLERS``.
     """
 
     objective: obj_mod.ObjectiveSpec
@@ -456,6 +454,10 @@ class RunConfig:
             problems.append(
                 f"controller must be one of {tuple(CONTROLLERS)}, got {self.controller!r}"
             )
+        try:  # with no preset when the controller is unknown
+            self._params(CONTROLLERS.get(self.controller, ("", {}))[1])
+        except ValueError as exc:
+            problems.append(str(exc))
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -466,15 +468,16 @@ class RunConfig:
         return m0
 
     def build_params(self, lam: int | None = None) -> tuple[StrategyParams, str]:
-        """Resolve the controller into (params, engine mode)."""
+        """Resolve the controller into (params, engine mode); ``lam``
+        overrides the configured population size."""
         mode, preset = CONTROLLERS[self.controller]
-        explicit = {
-            name: value
-            for name, value in (("beta_bias", self.beta_bias), ("c_alpha", self.c_alpha))
-            if value is not None
-        }
-        base = default_params(self.objective.n, lam if lam is not None else self.lam)
-        return replace(base, **{**preset, **explicit}), mode
+        return self._params(preset, lam), mode
+
+    def _params(self, preset: dict[str, object], lam: int | None = None) -> StrategyParams:
+        settings = (("lam", self.lam if lam is None else lam), ("beta_bias", self.beta_bias),
+                    ("c_alpha", self.c_alpha))
+        explicit = {name: value for name, value in settings if value is not None}
+        return replace(default_params(self.objective.n), **{**preset, **explicit})
 
 
 @dataclass(frozen=True)

@@ -59,13 +59,14 @@ def tpa_update(
 
     The raw signal is -alpha_change + beta_bias when the downward point wins
     (strictly smaller fitness) and +alpha_change otherwise; ties take the
-    increase branch.  If both test evaluations are non-finite the step is
-    assumed too long and the decrease branch is taken, with a warning.
+    increase branch.  If both test evaluations are infeasible (+inf) the
+    step is assumed too long and the decrease branch is taken, with a
+    warning; two -inf values are a tie.
     The caller applies sigma <- sigma * multiplier.
     """
     if math.isnan(f_plus) or math.isnan(f_minus):
         raise ValueError("NaN test-point fitness; map failed evaluations to +inf")
-    if math.isinf(f_plus) and math.isinf(f_minus):
+    if f_plus == math.inf and f_minus == math.inf:
         logger.warning("both step-size test points infeasible; decreasing sigma")
         alpha_act = -params.alpha_change + params.beta_bias
     elif f_minus < f_plus:

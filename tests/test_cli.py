@@ -329,12 +329,14 @@ class TestMain:
             (["--lambda", "1", "--budget", "-1"], ["lam must be >= 2", "max_evals must be >= 0"]),
             (["--objective", "wat", "--controller", "nope"],
              ["objective kind must be one of", "controller must be one of"]),
+            (["--controller", "nope", "--beta", "nan", "--lambda", "1"],
+             ["controller must be one of", "beta_bias must be >= 0", "lam must be >= 2"]),
         ],
         ids=["lambda", "c-alpha", "beta", "tol-x", "condition", "noise-level", "lambda-c-alpha",
              "sigma0-nan", "sigma0-inf", "m0-inf", "beta-nan", "beta-inf", "target-f-nan",
              "tol-fun-nan", "condition-inf", "noise-level-nan", "budget", "budget-tol-x",
              "objective-budget", "objective-dimension", "controller", "restarts",
-             "budget-sigma0", "lambda-budget", "objective-controller"],
+             "budget-sigma0", "lambda-budget", "objective-controller", "controller-beta-lambda"],
     )
     def test_main_rejects_invalid_run_settings_up_front(self, args, messages, tmp_path, capsys):
         def assert_listed_once(text):

@@ -1,16 +1,13 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from tpcma.params import (
-    StrategyParams,
-    compute_weights,
-    default_params,
-    nearest_int_half_down,
-    variance_effective_mass,
-)
+from tpcma.params import StrategyParams, default_params
+
+SETTINGS = ("n", "lam", "alpha_test", "alpha_change", "beta_bias", "c_alpha", "legacy")
+DERIVED = ("mu_prime", "mu", "weights", "mu_w", "c_c", "c_1", "c_mu", "c_sigma", "d_sigma")
 
 
 def weights_oracle(mu_prime, mu):
@@ -59,9 +56,32 @@ class TestDefaults:
             replace(default_params(10), c_alpha=1.5)
         with pytest.raises(ValueError, match="beta_bias"):
             replace(default_params(10), beta_bias=-0.1)
-        with pytest.raises(ValueError, match="c_1"):
+        with pytest.raises(ValueError, match="c_1 is declared with init=False"):
             replace(default_params(10), c_1=0.9, c_mu=0.9)
 
+    def test_only_the_settings_can_be_set(self):
+        assert tuple(f.name for f in fields(StrategyParams) if f.init) == SETTINGS
+        for name in DERIVED:
+            with pytest.raises(ValueError, match=f"{name} is declared with init=False"):
+                replace(default_params(10), **{name: getattr(default_params(10), name)})
+            with pytest.raises(TypeError, match=name):
+                StrategyParams(n=10, lam=10, **{name: getattr(default_params(10), name)})
+
+    @pytest.mark.parametrize("changes", [{"lam": 50}, {"n": 200}, {"n": 3, "lam": 7}])
+    def test_replace_derives_the_constants_again(self, changes):
+        # lam=10 is the default at n=10; it stays when only n changes
+        p = replace(default_params(10), c_alpha=0.5, **changes)
+        fresh = replace(default_params(changes.get("n", 10), changes.get("lam", 10)), c_alpha=0.5)
+        assert p.mu == fresh.lam // 2
+        for name in SETTINGS + DERIVED:
+            np.testing.assert_array_equal(getattr(p, name), getattr(fresh, name), err_msg=name)
+
+    def test_lists_every_bad_setting(self):
+        with pytest.raises(ValueError) as info:
+            StrategyParams(n=0, lam=1, alpha_test=0.0, alpha_change=-1.0, beta_bias=math.nan,
+                           c_alpha=2.0)
+        names = [problem.split()[0] for problem in str(info.value).split("; ")]
+        assert names == ["n", "lam", "alpha_test", "alpha_change", "beta_bias", "c_alpha"]
 
     @pytest.mark.parametrize(
         "field,value",
@@ -77,22 +97,24 @@ class TestDefaults:
         ],
     )
     def test_rejects_nonfinite_values(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        # a setting is checked; a derived field cannot be set at all
+        match = f"{field} is declared with init=False" if field in DERIVED else f"{field} must be"
+        with pytest.raises(ValueError, match=match):
             replace(default_params(10), **{field: value})
 
 
 class TestRounding:
-    @pytest.mark.parametrize(
-        "value,expected",
-        [(1.5, 1), (2.5, 2), (1.4, 1), (1.6, 2), (5.0, 5), (0.5, 0), (4.5, 4)],
-    )
-    def test_nearest_int_half_down(self, value, expected):
-        assert nearest_int_half_down(value) == expected
+    # mu is lam/2 rounded to the nearest integer, with ties going down
+    @pytest.mark.parametrize("value,expected", [(1.5, 1), (2.5, 2), (5.0, 5), (4.5, 4)])
+    def test_mu_rounds_ties_down(self, value, expected):
+        p = default_params(10, lam=int(2 * value))
+        assert p.mu_prime == value
+        assert p.mu == expected
 
 
 class TestWeights:
     def test_two_parent_weights(self):
-        w = compute_weights(2.0, 2)
+        w = default_params(10, lam=4).weights
         expected = weights_oracle(2.0, 2)
         assert w == pytest.approx(expected, rel=1e-13)
         # frozen from the oracle
@@ -100,53 +122,44 @@ class TestWeights:
         assert w[1] == pytest.approx(0.19583714006727054, rel=1e-12)
 
     def test_single_weight_normalizes(self):
-        assert compute_weights(1.0, 1).tolist() == [1.0]
+        assert default_params(1, lam=2).weights.tolist() == [1.0]
 
     def test_five_parent_first_weight(self):
-        w = compute_weights(5.0, 5)
+        w = default_params(10, lam=10).weights
         assert w[0] == pytest.approx(0.45627264690340597, rel=1e-12)
         assert w == pytest.approx(weights_oracle(5.0, 5), rel=1e-13)
 
-    def test_rejects_nonpositive_last_weight(self):
-        with pytest.raises(ValueError):
-            compute_weights(1.0, 2)  # ln(1.5) - ln(2) < 0
-        with pytest.raises(ValueError):
-            compute_weights(2.0, 0)
-
 
 class TestVarianceEffectiveMass:
-    def test_equal_weights_give_mu(self):
-        for mu in (1, 2, 4, 7):
-            w = np.full(mu, 1.0 / mu)
-            assert variance_effective_mass(w) == pytest.approx(mu, rel=1e-12)
-
     def test_single_weight(self):
-        assert variance_effective_mass([1.0]) == 1.0
+        assert default_params(1, lam=2).mu_w == 1.0
 
     def test_two_weight_value(self):
         w = weights_oracle(2.0, 2)
         oracle = 1.0 / sum(x * x for x in w)
-        assert variance_effective_mass(w) == pytest.approx(oracle, rel=1e-13)
-        assert variance_effective_mass(w) == pytest.approx(1.4597898888525862, rel=1e-12)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            variance_effective_mass([])
-        with pytest.raises(ValueError):
-            variance_effective_mass([0.7, 0.2])  # does not sum to 1
-        with pytest.raises(ValueError):
-            variance_effective_mass([1.2, -0.2])
+        mu_w = default_params(10, lam=4).mu_w
+        assert mu_w == pytest.approx(oracle, rel=1e-13)
+        assert mu_w == pytest.approx(1.4597898888525862, rel=1e-12)
 
 
 class TestInvariants:
     def test_weight_invariants_all_dimensions(self):
+        # every bound that the derived constants are known to keep
         for n in range(1, 101):
-            p = default_params(n)
-            assert abs(p.weights.sum() - 1.0) <= 1e-12
-            if p.mu > 1:
-                assert np.all(np.diff(p.weights) < 0.0), f"weights not strictly decreasing, n={n}"
-            assert p.c_1 + p.c_mu <= 1.0
-            assert 1.0 - 1e-9 <= p.mu_w <= p.mu + 1e-9
+            for lam in (None, 2, 3, 4, 5, 10, 17, 50, 101, 400):
+                p = default_params(n, lam)
+                where = f"n={n}, lam={p.lam}"
+                assert 1 <= p.mu <= p.lam, where
+                assert p.weights.shape == (p.mu,), where
+                assert np.all(p.weights > 0.0), where
+                assert np.all(np.diff(p.weights) < 0.0), where
+                assert abs(p.weights.sum() - 1.0) <= 1e-12, where
+                assert 1.0 - 1e-9 <= p.mu_w <= p.mu + 1e-9, where
+                assert 0.0 < p.c_c <= 1.0, where
+                assert 0.0 <= p.c_1 < 1.0 and 0.0 <= p.c_mu < 1.0, where
+                assert p.c_1 + p.c_mu <= 1.0, where
+                assert 0.0 < p.c_sigma < 1.0, where
+                assert 0.0 < p.d_sigma < math.inf, where
 
     @pytest.mark.parametrize("lam", [10, 100])
     def test_leading_weights_sum_near_half(self, lam):

@@ -82,6 +82,14 @@ class TestTpaUpdate:
         assert mult < 1.0
         assert any("infeasible" in r.message for r in caplog.records)
 
+    def test_both_minus_infinite_is_a_tie(self, caplog):
+        # -inf is a fitness, not a failure: the pair ties and sigma grows
+        with caplog.at_level("WARNING"):
+            alpha_s, mult = tpa_update(0.0, -math.inf, -math.inf, DEFAULTS)
+        assert alpha_s == pytest.approx(0.15)
+        assert mult > 1.0
+        assert not caplog.records
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             tpa_update(0.0, math.nan, 1.0, DEFAULTS)
