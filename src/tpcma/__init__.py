@@ -9,7 +9,10 @@ The public surface:
 * ``python -m tpcma.cli`` (or the ``tpcma`` script) runs benchmark grids.
 
 The building blocks (sampling, recombination, covariance and step-size
-updates) stay importable from their modules.
+updates) stay importable from their modules.  They take values that
+:class:`CmaEs` has already checked and do not check them again: the checked
+surface is this package's API, and the optimizer's state attributes
+(``opt.sigma``, ``opt.C``, ...) are for reading.
 """
 
 from .engine import (

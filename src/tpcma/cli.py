@@ -93,8 +93,8 @@ class ExperimentConfig:
         lists = {"objective grid": self.objectives, "dimension grid": self.dimensions,
                  "controller grid": self.controllers, "seed list": self.seeds}
         problems = [f"{name} is empty" for name, values in lists.items() if not values]
-        if len(set(self.seeds)) != len(self.seeds):
-            problems.append("seeds must be distinct")
+        problems += [f"{name} entries must be distinct, got {values}"
+                     for name, values in lists.items() if len(set(values)) != len(values)]
         if self.workers < 1:
             problems.append(f"workers must be >= 1, got {self.workers}")
 
@@ -265,30 +265,27 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         if outcome.error is not None:
             print(f"run {outcome.cell.name} failed: {outcome.error}", file=sys.stderr)
 
+    # the cells of one objective x n x controller group are consecutive, one per seed
     summary = []
-    for kind in config.objectives:
-        for n in config.dimensions:
-            for controller in config.controllers:
-                group = [
-                    o
-                    for o in outcomes
-                    if o.cell.objective == kind and o.cell.n == n and o.cell.controller == controller
-                ]
-                evals = np.array([o.evals_to_target for o in group], dtype=float)
-                q25, q50, q75 = np.percentile(evals, [25.0, 50.0, 75.0])
-                summary.append(
-                    {
-                        "objective": kind,
-                        "n": n,
-                        "controller": controller,
-                        "runs": len(group),
-                        "solved": sum(o.solved for o in group),
-                        "failed": sum(o.error is not None for o in group),
-                        "median_evals": float(q50),
-                        "q25_evals": float(q25),
-                        "q75_evals": float(q75),
-                    }
-                )
+    runs = len(config.seeds)
+    for start in range(0, len(outcomes), runs):
+        group = outcomes[start : start + runs]
+        cell = group[0].cell
+        evals = np.array([o.evals_to_target for o in group], dtype=float)
+        q25, q50, q75 = np.percentile(evals, [25.0, 50.0, 75.0])
+        summary.append(
+            {
+                "objective": cell.objective,
+                "n": cell.n,
+                "controller": cell.controller,
+                "runs": runs,
+                "solved": sum(o.solved for o in group),
+                "failed": sum(o.error is not None for o in group),
+                "median_evals": float(q50),
+                "q25_evals": float(q25),
+                "q75_evals": float(q75),
+            }
+        )
 
     with _atomic_write(out_dir / "summary.csv") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS, lineterminator="\n")

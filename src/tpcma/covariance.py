@@ -1,4 +1,8 @@
-"""Rank-one plus rank-mu covariance matrix adaptation with a stall gate."""
+"""Rank-one plus rank-mu covariance matrix adaptation with a stall gate.
+
+Like the other layer modules, these functions take values that
+``engine.CmaEs`` has already checked and do not check them again.
+"""
 
 from __future__ import annotations
 
@@ -20,8 +24,6 @@ def stall_indicator(alpha_s: float, g: int, params: StrategyParams) -> int:
     after an environment change; shape changes are postponed until then.
     ``g`` counts completed generations and is 1 at the first update.
     """
-    if g < 1:
-        raise ValueError(f"generation counter must be >= 1, got {g}")
     decay = 1.0 - params.c_alpha
     threshold = (1.0 - decay**9) * (1.0 - decay**g) * params.alpha_change
     return 0 if alpha_s > threshold else 1
@@ -33,7 +35,7 @@ def update_path(
     """The evolution path p_c with the mean step cumulated into it (or
     decayed only, when h_sigma is 0), as a new array."""
     coeff = math.sqrt(params.c_c * (2.0 - params.c_c) * params.mu_w)
-    return (1.0 - params.c_c) * p_c + h_sigma * coeff * np.asarray(mean_step, dtype=float)
+    return (1.0 - params.c_c) * p_c + h_sigma * coeff * mean_step
 
 
 def update_covariance(
@@ -51,6 +53,6 @@ def update_covariance(
     C_new = (1.0 - params.c_1 - params.c_mu) * C
     C_new += params.c_1 * (p_c[:, None] * p_c)
     C_new += params.c_mu * rank_mu
-    C_new += C_new.T  # re-symmetrize against floating-point drift
+    C_new += C_new.T  # exactly symmetric, as sampler.decompose assumes
     C_new *= 0.5
     return C_new

@@ -203,7 +203,10 @@ class CmaEs:
 
     The state is held in plain attributes: ``m``, ``sigma``, ``C`` and its
     path ``p_c``, the two-point signal ``alpha_s`` (NaN in cumulative mode)
-    and the cumulative path ``p_sigma`` (None in two-point mode).
+    and the cumulative path ``p_sigma`` (None in two-point mode), for
+    reading.  The optimizer alone judges the values it runs on: ``m0``,
+    ``sigma0``, ``mode``, the told fitness, and sigma and C after each
+    generation; the layer functions it calls check nothing again.
 
     The eigendecomposition of C that offspring are sampled from is
     refreshed only when more than 1/(10 n (c_1 + c_mu)) generations have
@@ -332,20 +335,23 @@ class CmaEs:
         """Feed back objective values for the points of the last ask().
 
         The values are validated before anything changes: a tell that
-        raises ValueError leaves the ask pending, to be told again.
+        raises ValueError leaves the ask pending, to be told again.  This
+        is the one place where fitness values are judged.
         """
         if self._pending is None:
             raise RuntimeError("tell() called without a pending ask()")
-        if self._test_round is None:
-            self._tell_population(fitnesses)
-        else:
-            self._tell_test_points(fitnesses)
-
-    def _tell_population(self, fitnesses: Sequence[float]) -> None:
-        p = self.params
         fitness = np.asarray(fitnesses, dtype=float)
-        if fitness.shape != (p.lam,):
-            raise ValueError(f"expected {p.lam} fitness values, got {fitness.size}")
+        if fitness.shape != (len(self._pending),):
+            raise ValueError(f"expected {len(self._pending)} fitness values, got {fitness.size}")
+        if np.isnan(fitness).any():
+            raise ValueError("NaN fitness; map failed evaluations to +inf instead")
+        if self._test_round is None:
+            self._tell_population(fitness)
+        else:
+            self._tell_test_points(fitness)
+
+    def _tell_population(self, fitness: np.ndarray) -> None:
+        p = self.params
         order = recombine.rank(fitness)
         n_infeasible = int(np.count_nonzero(fitness == math.inf))
         if n_infeasible > p.lam - p.mu:
@@ -379,13 +385,9 @@ class CmaEs:
             if not p.legacy:
                 self.m = m_new
 
-    def _tell_test_points(self, fitnesses: Sequence[float]) -> None:
+    def _tell_test_points(self, fitness: np.ndarray) -> None:
         p = self.params
-        if len(fitnesses) != 2:
-            raise ValueError(f"expected 2 test-point fitness values, got {len(fitnesses)}")
-        f_plus, f_minus = float(fitnesses[0]), float(fitnesses[1])
-        if math.isnan(f_plus) or math.isnan(f_minus):
-            raise ValueError("NaN fitness; map failed evaluations to +inf instead")
+        f_plus, f_minus = float(fitness[0]), float(fitness[1])
         self._pending = None
         test_round, self._test_round = self._test_round, None
         self.evals += 2

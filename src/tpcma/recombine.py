@@ -1,36 +1,33 @@
-"""Fitness ranking and weighted recombination of the sampled steps."""
+"""Fitness ranking and weighted recombination of the sampled steps.
+
+Like the other layer modules, these functions take values that
+``engine.CmaEs`` has already checked and do not check them again.
+"""
 
 from __future__ import annotations
-
-import math
-from typing import Sequence
 
 import numpy as np
 
 __all__ = ["rank", "weighted_mean_step", "update_mean"]
 
 
-def rank(fitness: Sequence[float] | np.ndarray) -> np.ndarray:
+def rank(fitness: np.ndarray) -> np.ndarray:
     """Selection order of a population, best first (0-based indices).
 
     The sort is stable and ascending in fitness (minimization); ties keep
-    sampling order.  NaN fitness is rejected: evaluation failures must be
-    represented as +inf explicitly, so that they rank last.
+    sampling order and +inf (a failed evaluation) ranks last.  ``fitness``
+    holds no NaN: ``CmaEs.tell`` rejects it.
     """
-    fitness = np.asarray(fitness, dtype=float)
-    if np.isnan(fitness).any():
-        raise ValueError("NaN fitness; map failed evaluations to +inf instead")
     return np.argsort(fitness, kind="stable")
 
 
 def weighted_mean_step(Y_sel: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted mean of the selected steps, sum_i w_i y_(i).
 
-    ``Y_sel`` holds the mu best sampled steps as rows, best first.
+    ``Y_sel`` holds the mu best sampled steps as rows, best first, one per
+    weight.
     """
-    if len(weights) > len(Y_sel):
-        raise ValueError(f"need {len(weights)} selected offspring but got {len(Y_sel)}")
-    return np.asarray(weights, dtype=float) @ Y_sel
+    return weights @ Y_sel
 
 
 def update_mean(m: np.ndarray, sigma: float, mean_step: np.ndarray) -> np.ndarray:
@@ -39,6 +36,4 @@ def update_mean(m: np.ndarray, sigma: float, mean_step: np.ndarray) -> np.ndarra
     With weights summing to one this equals the weighted mean of the mu
     best candidate solutions.
     """
-    if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
-    return np.asarray(m, dtype=float) + sigma * np.asarray(mean_step, dtype=float)
+    return m + sigma * mean_step

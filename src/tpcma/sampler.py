@@ -1,8 +1,11 @@
-"""Covariance factorization and multivariate-normal offspring sampling."""
+"""Covariance factorization and multivariate-normal offspring sampling.
+
+Like the other layer modules, these functions take values that
+``engine.CmaEs`` has already checked and do not check them again.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,8 +15,6 @@ __all__ = ["CovarianceFactor", "decompose", "sample_population"]
 # Eigenvalues below this fraction of the largest one are raised to the floor
 # before taking square roots, keeping the sampling distribution proper.
 EIGENVALUE_FLOOR = 1e-14
-
-_SYMMETRY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,20 +45,12 @@ class CovarianceFactor:
 def decompose(C: np.ndarray, *, want_inv_sqrt: bool = False) -> CovarianceFactor:
     """Symmetric eigendecomposition of the covariance matrix.
 
-    Raises ValueError for non-finite or asymmetric input.  An indefinite or
-    near-singular matrix is repaired by flooring its eigenvalues at
-    EIGENVALUE_FLOOR times the largest one; ``repaired`` is set on the
-    result in that case.
+    ``C`` must be a finite symmetric float matrix; only its lower triangle
+    is read.  An indefinite or near-singular matrix is repaired by flooring
+    its eigenvalues at EIGENVALUE_FLOOR times the largest one; ``repaired``
+    is set on the result in that case.  Raises ValueError if no eigenvalue
+    is positive, as there is then nothing to floor against.
     """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError(f"covariance must be a square matrix, got shape {C.shape}")
-    if not np.isfinite(C).all():
-        raise ValueError("covariance matrix contains non-finite entries")
-    scale = np.abs(C).max()
-    if np.abs(C - C.T).max() > _SYMMETRY_RTOL * max(scale, 1e-300):
-        raise ValueError("covariance matrix is not symmetric")
-
     eigenvalues, basis = np.linalg.eigh(C)
     largest = eigenvalues[-1]
     if largest <= 0.0:
@@ -87,12 +80,6 @@ def sample_population(
     coordinate-minor, so trajectories are reproducible for a given seed
     and draw order.
     """
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    if lam < 2:
-        raise ValueError(f"lam must be >= 2, got {lam}")
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    z = rng.standard_normal((lam, n))
+    z = rng.standard_normal((lam, m.shape[0]))
     Y = (z * factor.scales) @ factor.basis.T
     return m + sigma * Y, Y

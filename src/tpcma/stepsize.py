@@ -10,6 +10,9 @@ Two controllers are provided:
   ``tpa_legacy`` entry of ``engine.CONTROLLERS``.
 * cumulative adaptation (baseline): the classic whitened evolution path
   whose length is compared against its expectation under random selection.
+
+Like the other layer modules, these functions take values that
+``engine.CmaEs`` has already checked and do not check them again.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ def tpa_test_points(
     was sampled with.  In the legacy scheme the downward point uses the
     width a'/(1+a') instead.
     """
-    m_new = np.asarray(m_new, dtype=float)
-    shift = sigma * np.asarray(mean_step, dtype=float)
+    shift = sigma * mean_step
     a = params.alpha_test
     a_down = a / (1.0 + a) if params.legacy else a
     # m + (-w) shift is exactly m - w shift in floating point
@@ -61,11 +63,12 @@ def tpa_update(
     (strictly smaller fitness) and +alpha_change otherwise; ties take the
     increase branch.  If both test evaluations are infeasible (+inf) the
     step is assumed too long and the decrease branch is taken, with a
-    warning; two -inf values are a tie.
-    The caller applies sigma <- sigma * multiplier.
+    warning; two -inf values are a tie.  Neither value is NaN:
+    ``CmaEs.tell`` rejects it.
+    The caller applies sigma <- sigma * multiplier.  The multiplier is +inf
+    once exp(alpha_s) overflows, and the caller's step-size check then
+    ends the run.
     """
-    if math.isnan(f_plus) or math.isnan(f_minus):
-        raise ValueError("NaN test-point fitness; map failed evaluations to +inf")
     if f_plus == math.inf and f_minus == math.inf:
         logger.warning("both step-size test points infeasible; decreasing sigma")
         alpha_act = -params.alpha_change + params.beta_bias
@@ -74,7 +77,10 @@ def tpa_update(
     else:
         alpha_act = params.alpha_change
     alpha_s = (1.0 - params.c_alpha) * alpha_s + params.c_alpha * alpha_act
-    return alpha_s, math.exp(alpha_s)
+    try:
+        return alpha_s, math.exp(alpha_s)
+    except OverflowError:
+        return alpha_s, math.inf
 
 
 def expected_normal_norm(n: int) -> float:
@@ -93,9 +99,7 @@ def csa_update(
     multiplier exp((c_sigma/d_sigma) (||p|| / E||N(0,I)|| - 1)).
     """
     cs = params.c_sigma
-    p = (1.0 - cs) * p_sigma + math.sqrt(cs * (2.0 - cs) * params.mu_w) * (
-        inv_sqrt @ np.asarray(mean_step, dtype=float)
-    )
+    p = (1.0 - cs) * p_sigma + math.sqrt(cs * (2.0 - cs) * params.mu_w) * (inv_sqrt @ mean_step)
     ratio = math.sqrt(p.dot(p)) / expected_normal_norm(params.n)
     multiplier = math.exp((cs / params.d_sigma) * (ratio - 1.0))
     return p, multiplier
@@ -108,8 +112,6 @@ def csa_stall_indicator(p_sigma: np.ndarray, g: int, params: StrategyParams) -> 
     (1.4 + 2/(n+1)) E||N(0,I)|| threshold, 1 otherwise.  ``g`` counts
     completed step-size updates, starting at 1.
     """
-    if g < 1:
-        raise ValueError(f"generation counter must be >= 1, got {g}")
     cs = params.c_sigma
     normalizer = math.sqrt(1.0 - (1.0 - cs) ** (2 * g))
     limit = (1.4 + 2.0 / (params.n + 1.0)) * expected_normal_norm(params.n)

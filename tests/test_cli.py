@@ -331,12 +331,16 @@ class TestMain:
              ["objective kind must be one of", "controller must be one of"]),
             (["--controller", "nope", "--beta", "nan", "--lambda", "1"],
              ["controller must be one of", "beta_bias must be >= 0", "lam must be >= 2"]),
+            (["--objective", "sphere,sphere"], ["objective grid entries must be distinct"]),
+            (["--n", "2,3,2"], ["dimension grid entries must be distinct"]),
+            (["--controller", "tpa,tpa"], ["controller grid entries must be distinct"]),
         ],
         ids=["lambda", "c-alpha", "beta", "tol-x", "condition", "noise-level", "lambda-c-alpha",
              "sigma0-nan", "sigma0-inf", "m0-inf", "beta-nan", "beta-inf", "target-f-nan",
              "tol-fun-nan", "condition-inf", "noise-level-nan", "budget", "budget-tol-x",
              "objective-budget", "objective-dimension", "controller", "restarts",
-             "budget-sigma0", "lambda-budget", "objective-controller", "controller-beta-lambda"],
+             "budget-sigma0", "lambda-budget", "objective-controller", "controller-beta-lambda",
+             "objective-repeated", "n-repeated", "controller-repeated"],
     )
     def test_main_rejects_invalid_run_settings_up_front(self, args, messages, tmp_path, capsys):
         def assert_listed_once(text):

@@ -36,10 +36,6 @@ class TestStallIndicator:
     def test_negative_signal_never_stalls(self):
         assert stall_indicator(-0.49, 1, DEFAULTS) == 1
 
-    def test_rejects_nonpositive_generation(self):
-        with pytest.raises(ValueError):
-            stall_indicator(0.0, 0, DEFAULTS)
-
 
 class TestUpdatePath:
     def test_zero_path_accumulates_step(self):

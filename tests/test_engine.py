@@ -280,6 +280,55 @@ def test_trace_rows_hold_python_numbers(controller, restarts):
         assert [type(value) for value in row] == [int, int] + [float] * 5
 
 
+class TestEngineOutput:
+    """The layer functions take the engine's state as given, unchecked, so
+    that state must stay valid after every generation, also under stress."""
+
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    @pytest.mark.parametrize("controller", ["tpa", "tpa_noise", "tpa_legacy", "csa"])
+    def test_state_valid_after_every_generation(self, controller, n):
+        config = RunConfig(objective=ObjectiveSpec("ellipsoid", n), controller=controller)
+        params, mode = config.build_params()
+        if n == 100:  # the factor is reused for a second generation
+            assert 1.0 < 1.0 / (10.0 * n * (params.c_1 + params.c_mu)) < 2.0
+        opt = CmaEs(params, np.full(n, 3.0), 2.0, mode=mode, rng=np.random.default_rng(n))
+        while opt.generation < 30:  # checked after every round, completed generations included
+            opt.tell(evaluate_population(config.objective, opt.ask()))
+            assert np.array_equal(opt.C, opt.C.T)
+            assert np.isfinite(opt.C).all()
+            assert math.isfinite(opt.sigma) and opt.sigma > 0.0
+            assert np.isfinite(opt.m).all()
+
+    STRESS = [
+        (condition, 1e12, sigma0, 3000)
+        for condition in (1e10, 1e14, 1e18)
+        for sigma0 in (1e-12, 1e12)
+    ] + [(1e18, 3.0, 2.0, 20_000)]  # reaches the eigenvalue floor's 1e7 axis ratio
+
+    @pytest.mark.parametrize("controller", ["tpa", "tpa_legacy", "csa"])
+    @pytest.mark.parametrize("condition,m0,sigma0,budget", STRESS)
+    def test_ill_conditioned_runs_end_cleanly(self, controller, condition, m0, sigma0, budget):
+        config = RunConfig(
+            objective=ObjectiveSpec("ellipsoid", 10, condition=condition),
+            controller=controller,
+            m0=m0,
+            sigma0=sigma0,
+            criteria=TerminationCriteria(max_evals=budget),
+        )
+        try:
+            result = run(config)
+        except RunAborted as exc:
+            assert exc.state is not None
+            return
+        assert result.termination == "max_evals"
+        columns = np.array(result.trace, dtype=float)
+        if budget == 20_000:
+            assert max(row.axis_ratio for row in result.trace) > 0.99e7
+        if controller == "csa":  # alpha_s is NaN by design
+            columns = np.delete(columns, engine.RunRecord._fields.index("alpha_s"), axis=1)
+        assert np.isfinite(columns).all()
+
+
 class TestCriteriaValidation:
     @pytest.mark.parametrize(
         "field,value",
@@ -376,17 +425,30 @@ class TestTermination:
         result = run(config)
         assert result.termination == "max_axis_ratio"
 
-    def test_nonfinite_sigma_aborts_with_snapshot(self):
-        # an absurd change factor overflows sigma after a few forced increases
-        params = replace(default_params(2), alpha_change=1000.0)
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            # sigma * exp(alpha_s) overflows after a few forced increases
+            {"alpha_change": 1000.0},
+            # the legacy mean is committed with the overflowed sigma
+            {"alpha_change": 700.0, "c_alpha": 1.0, "legacy": True},
+            # exp(alpha_s) itself overflows on the first test-point tell
+            {"alpha_change": 1000.0, "c_alpha": 1.0},
+            {"alpha_change": 1000.0, "c_alpha": 1.0, "legacy": True},
+        ],
+        ids=["sigma-overflow", "legacy-sigma-overflow", "exp-overflow", "legacy-exp-overflow"],
+    )
+    def test_nonfinite_sigma_aborts_with_snapshot(self, settings):
+        params = replace(default_params(2), **settings)
         opt = CmaEs(params, np.zeros(2), 1.0, rng=np.random.default_rng(0))
-        with pytest.raises(RunAborted, match="step-size") as exc_info:
+        with pytest.raises(RunAborted, match="step-size became inf") as exc_info:
             for _ in range(4):
                 opt.ask()
                 opt.tell(list(range(params.lam)))  # population round
                 opt.ask()
                 opt.tell([0.0, 1.0])  # upward point wins: increase branch
         assert exc_info.value.state is not None
+        assert exc_info.value.state.sigma == math.inf
 
 
 class TestDeterminism:

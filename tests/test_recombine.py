@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from tpcma.recombine import rank, update_mean, weighted_mean_step
 
@@ -19,10 +18,6 @@ class TestRank:
     def test_infeasible_ranks_last(self):
         order = rank([1.0, np.inf, 0.0])
         assert order.tolist() == [2, 0, 1]
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="map failed evaluations"):
-            rank([1.0, np.nan])
 
     def test_invariant_under_increasing_transform(self):
         rng = np.random.default_rng(2)
@@ -52,11 +47,6 @@ class TestWeightedMeanStep:
         step = weighted_mean_step(selected(ys, f, mu), np.full(mu, 1.0 / mu))
         best = ys[np.argsort(f, kind="stable")[:mu]]
         np.testing.assert_allclose(step, best.mean(axis=0), rtol=1e-12)
-
-    def test_mu_larger_than_population_rejected(self):
-        Y_sel = selected([[0.0], [1.0]], [0.0, 1.0], 3)
-        with pytest.raises(ValueError):
-            weighted_mean_step(Y_sel, np.full(3, 1 / 3))
 
 
 class TestUpdateMean:

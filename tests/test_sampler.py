@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -43,11 +41,7 @@ class TestDecompose:
         assert f.repaired
         assert np.all(f.scales > 0.0)
 
-    def test_rejects_nonfinite_and_asymmetric(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            decompose(np.array([[1.0, 0.0], [0.0, np.nan]]))
-        with pytest.raises(ValueError, match="symmetric"):
-            decompose(np.array([[1.0, 0.5], [0.1, 1.0]]))
+    def test_rejects_no_positive_eigenvalue(self):
         with pytest.raises(ValueError, match="positive"):
             decompose(np.diag([-1.0, -2.0]))
 
@@ -98,18 +92,3 @@ class TestSamplePopulation:
         X, _ = sample_population(m, 1e-300, f, 2, np.random.default_rng(0))
         for x in X:
             np.testing.assert_allclose(x, m, rtol=0, atol=1e-290)
-
-    def test_rejects_bad_sigma_and_lam(self):
-        f = decompose(np.eye(2))
-        with pytest.raises(ValueError):
-            sample_population(np.zeros(2), 0.0, f, 4, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sample_population(np.zeros(2), 1.0, f, 1, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
-    def test_rejects_nonfinite_sigma_before_drawing(self, sigma):
-        rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        with pytest.raises(ValueError, match="sigma must be positive and finite"):
-            sample_population(np.zeros(2), sigma, decompose(np.eye(2)), 4, rng)
-        assert rng.bit_generator.state == before
