@@ -1,0 +1,169 @@
+"""One generation written out from the equations, against the engine.
+
+The golden digests pin the engine against itself.  This module pins it
+against an independent transcription of one generation: two-point
+step-size adaptation as in Hansen, "CMA-ES with Two-Point Step-Size
+Adaptation" (arXiv:0805.0231) -- the test points along the realized mean
+shift, the win/lose signal, its smoothing and the legacy geometry of
+evolutionary gradient search -- and the cumulative baseline as in Hansen's
+CMA-ES tutorial (arXiv:1604.00772).  The reference uses plain loops and
+``np.outer`` and takes from the package only the strategy constants.
+
+Each generation starts from the engine's own state, so rounding differences
+cannot grow over the run.  The reference is given the engine's
+standard-normal draws and the matrix A its factor samples with (y = A z),
+either the engine's own factor or one forced to an eigendecomposition or a
+Cholesky factor of C.
+"""
+
+import copy
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from tpcma import sampler
+from tpcma.engine import CONTROLLERS, CmaEs
+from tpcma.params import StrategyParams, default_params
+
+RTOL = 1e-12
+GENERATIONS = 50
+
+
+def ellipsoid(x):
+    n = len(x)
+    total = 0.0
+    for i in range(n):
+        scale = 1e6 ** (i / (n - 1)) if n > 1 else 1.0
+        total += scale * x[i] ** 2
+    return total
+
+
+def reference_generation(p: StrategyParams, mode, state, z, A, f):
+    """The state after one generation sampled from m + sigma A z_k."""
+    m, sigma, C, p_c, alpha_s, p_sigma, g = state
+    n, lam, mu, w = p.n, p.lam, p.mu, p.weights
+
+    ys = []
+    for k in range(lam):
+        y = np.zeros(n)
+        for j in range(n):
+            y = y + A[:, j] * z[k][j]
+        ys.append(y)
+    fitness = [f(m + sigma * y) for y in ys]
+    order = sorted(range(lam), key=lambda k: fitness[k])  # stable: ties keep draw order
+    selected = [ys[k] for k in order[:mu]]
+    y_w = np.zeros(n)
+    for i in range(mu):
+        y_w = y_w + w[i] * selected[i]
+    m_new = m + sigma * y_w
+
+    if mode == "tpa":
+        if p.legacy:  # step lengths zeta sigma and sigma / zeta along y_w, from the old mean
+            zeta = 1.0 + p.alpha_test
+            x_plus, x_minus = m + zeta * sigma * y_w, m + sigma * y_w / zeta
+        else:  # symmetric about the new mean
+            step = p.alpha_test * sigma * y_w
+            x_plus, x_minus = m_new + step, m_new - step
+        if f(x_minus) < f(x_plus):
+            alpha_act = -p.alpha_change + p.beta_bias
+        else:
+            alpha_act = p.alpha_change
+        alpha_s = (1.0 - p.c_alpha) * alpha_s + p.c_alpha * alpha_act
+        sigma = sigma * math.exp(alpha_s)
+        if p.legacy:  # the mean moves with the new step-size
+            m_new = m + sigma * y_w
+        decay = 1.0 - p.c_alpha
+        threshold = (1.0 - decay**9) * (1.0 - decay ** (g + 1)) * p.alpha_change
+        h_sigma = 0 if alpha_s > threshold else 1
+    else:
+        eigenvalues, basis = np.linalg.eigh(C)  # n <= 50: C is the one sampled from
+        inv_sqrt = np.zeros((n, n))
+        for i in range(n):
+            inv_sqrt = inv_sqrt + np.outer(basis[:, i], basis[:, i]) / math.sqrt(eigenvalues[i])
+        c_s = p.c_sigma
+        p_sigma = (1.0 - c_s) * p_sigma + math.sqrt(c_s * (2.0 - c_s) * p.mu_w) * (inv_sqrt @ y_w)
+        chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
+        length = math.sqrt(sum(v * v for v in p_sigma))
+        sigma = sigma * math.exp(c_s / p.d_sigma * (length / chi_n - 1.0))
+        bias_free = length / math.sqrt(1.0 - (1.0 - c_s) ** (2 * (g + 1)))
+        h_sigma = 1 if bias_free < (1.4 + 2.0 / (n + 1.0)) * chi_n else 0
+
+    c_c, c_1, c_mu = p.c_c, p.c_1, p.c_mu
+    p_c = (1.0 - c_c) * p_c + h_sigma * math.sqrt(c_c * (2.0 - c_c) * p.mu_w) * y_w
+    C = (1.0 - c_1 - c_mu) * C + c_1 * np.outer(p_c, p_c)
+    for i in range(mu):
+        C = C + c_mu * w[i] * np.outer(selected[i], selected[i])
+    return m_new, sigma, C, p_c, alpha_s, p_sigma
+
+
+class _UnitDraws:
+    """Draws the identity matrix, so that sampling with it yields A^T."""
+
+    @staticmethod
+    def standard_normal(shape):
+        return np.eye(*shape)
+
+
+def sampling_matrix(factor, n):
+    """The matrix A with y = A z that the factor samples with."""
+    _, Y = sampler.sample_population(np.zeros(n), 1.0, factor, n, _UnitDraws())
+    return Y.T
+
+
+def forced_decompose(kind):
+    """``sampler.decompose`` with the sampling factor replaced by an
+    eigendecomposition or a Cholesky factor of C; C^(-1/2) is kept."""
+    decompose = sampler.decompose
+
+    def forced(C, **kwargs):
+        inv_sqrt = decompose(C, **kwargs).inv_sqrt
+        if kind == "cholesky":
+            A = np.linalg.cholesky(C)
+        else:
+            eigenvalues, basis = np.linalg.eigh(C)
+            A = basis * np.sqrt(eigenvalues)
+        return sampler.CovarianceFactor(basis=A, scales=np.ones(len(C)), inv_sqrt=inv_sqrt)
+
+    return forced
+
+
+def assert_close(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert np.linalg.norm(actual - expected) <= RTOL * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("kind", ["engine", "eigh", "cholesky"])
+@pytest.mark.parametrize("n", [2, 10])
+@pytest.mark.parametrize("controller", list(CONTROLLERS))
+def test_generation_matches_the_equations(controller, n, kind, monkeypatch):
+    if kind != "engine":
+        monkeypatch.setattr(sampler, "decompose", forced_decompose(kind))
+    mode, preset = CONTROLLERS[controller]
+    p = replace(default_params(n), **preset)
+    # a small start makes the step-size ramp up, which the stall gates act on
+    opt = CmaEs(p, np.full(n, 3.0), 1e-3, mode=mode, rng=np.random.default_rng(n))
+    for _ in range(GENERATIONS):
+        state = (opt.m.copy(), opt.sigma, opt.C, opt.p_c, opt.alpha_s, opt.p_sigma,
+                 opt.generation)
+        draws = copy.deepcopy(opt.rng)
+        X = opt.ask()
+        z = draws.standard_normal((p.lam, n))  # offspring-major, as sample_population draws
+        A = sampling_matrix(opt._factor, n)
+        opt.tell([ellipsoid(x) for x in X])
+        if mode == "tpa":
+            opt.tell([ellipsoid(x) for x in opt.ask()])
+
+        m, sigma, C, p_c, alpha_s, p_sigma = reference_generation(p, mode, state, z, A, ellipsoid)
+        assert_close(opt.m, m)
+        assert_close(opt.sigma, sigma)
+        assert_close(opt.C, C)
+        assert_close(opt.p_c, p_c)
+        if mode == "tpa":
+            assert_close(opt.alpha_s, alpha_s)
+            assert opt.p_sigma is None
+        else:
+            assert math.isnan(opt.alpha_s)
+            assert_close(opt.p_sigma, p_sigma)
+    assert opt.generation == GENERATIONS
