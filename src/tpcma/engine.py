@@ -205,8 +205,10 @@ class CmaEs:
     path ``p_c``, the two-point signal ``alpha_s`` (NaN in cumulative mode)
     and the cumulative path ``p_sigma`` (None in two-point mode), for
     reading.  The optimizer alone judges the values it runs on: ``m0``,
-    ``sigma0``, ``mode``, the told fitness, and sigma and C after each
-    generation; the layer functions it calls check nothing again.
+    ``sigma0``, ``mode``, the told fitness, sigma and C after each
+    generation, and every point before ``ask()`` hands it out, so a mean
+    or step-size that leaves the floating-point range ends the run in
+    ``RunAborted``; the layer functions it calls check nothing again.
 
     The eigendecomposition of C that offspring are sampled from is
     refreshed only when more than 1/(10 n (c_1 + c_mu)) generations have
@@ -324,12 +326,16 @@ class CmaEs:
             ):
                 self._factor = sampler.decompose(self.C, want_inv_sqrt=(self.mode == "csa"))
                 self._factor_generation = self.generation
-            self._pending, self._Y = sampler.sample_population(
-                self.m, self.sigma, self._factor, self.params.lam, self.rng
-            )
+            with np.errstate(over="ignore", invalid="ignore"):  # judged below
+                points, self._Y = sampler.sample_population(
+                    self.m, self.sigma, self._factor, self.params.lam, self.rng
+                )
         else:
-            self._pending = self._test_round.test_points
-        return self._pending
+            points = self._test_round.test_points
+        if not np.isfinite(points).all():
+            raise RunAborted("a point to evaluate left the floating-point range", self.state)
+        self._pending = points
+        return points
 
     def tell(self, fitnesses: Sequence[float]) -> None:
         """Feed back objective values for the points of the last ask().
@@ -380,7 +386,8 @@ class CmaEs:
             h_sigma = stepsize.csa_stall_indicator(self.p_sigma, g_next, p)
             self._finish_generation(Y_sel, mean_step, h_sigma)
         else:
-            test_points = stepsize.tpa_test_points(m_new, self.sigma, mean_step, p)
+            with np.errstate(over="ignore", invalid="ignore"):  # ask() judges them
+                test_points = stepsize.tpa_test_points(m_new, self.sigma, mean_step, p)
             self._test_round = _TestRound(Y_sel, mean_step, self.m, test_points)
             if not p.legacy:
                 self.m = m_new
@@ -397,7 +404,8 @@ class CmaEs:
         self.alpha_s, multiplier = stepsize.tpa_update(self.alpha_s, f_plus, f_minus, p)
         self.sigma *= multiplier
         if p.legacy:
-            self.m = recombine.update_mean(test_round.m_old, self.sigma, test_round.mean_step)
+            with np.errstate(over="ignore", invalid="ignore"):  # ask() judges the points
+                self.m = recombine.update_mean(test_round.m_old, self.sigma, test_round.mean_step)
         g_next = self.generation + 1
         h_sigma = cov_mod.stall_indicator(self.alpha_s, g_next, p)
         self._finish_generation(test_round.Y_sel, test_round.mean_step, h_sigma)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -449,6 +450,21 @@ class TestTermination:
                 opt.tell([0.0, 1.0])  # upward point wins: increase branch
         assert exc_info.value.state is not None
         assert exc_info.value.state.sigma == math.inf
+
+    # where the first overflow falls: the test points, a later sample, the first sample
+    @pytest.mark.parametrize("seed", [21, 0, 2])
+    def test_mean_leaving_the_float_range_aborts_before_a_point_is_handed_out(self, seed):
+        params = default_params(2)
+        opt = CmaEs(params, np.zeros(2), 1e308, rng=np.random.default_rng(seed))
+        with warnings.catch_warnings(), pytest.raises(RunAborted, match="floating-point") as exc:
+            warnings.simplefilter("error")
+            for _ in range(10):
+                assert np.isfinite(opt.ask()).all()
+                opt.tell(list(range(params.lam)))
+                assert np.isfinite(opt.ask()).all()
+                opt.tell([1.0, 0.0])  # downward point wins
+        assert exc.value.state is not None
+        assert exc.value.state.evals == opt.evals
 
 
 class TestDeterminism:
