@@ -19,22 +19,33 @@ EIGENVALUE_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class CovarianceFactor:
-    """Eigendecomposition of a covariance matrix C = basis diag(scales^2) basis^T.
+    """A factor of the covariance matrix C that offspring are sampled with.
 
-    ``scales`` are the square roots of the (floored) eigenvalues, ascending.
-    ``inv_sqrt`` holds C^(-1/2) and is populated only on request: the
-    two-point step-size controller never needs it, only the cumulative
-    baseline does.  ``repaired`` flags that at least one eigenvalue was
-    raised to the floor.
+    It is one of two kinds.  An eigendecomposition
+    C = basis diag(scales^2) basis^T samples y = basis (scales * z); the
+    cumulative controller needs it, since only it gives C^(-1/2).  A
+    Cholesky factor C = lower lower^T samples y = lower z and has no
+    ``basis``; the two-point controller uses it, as it needs no whitening.
+
+    ``scales`` are the square roots of C's eigenvalues, ascending, raised
+    to a floor of EIGENVALUE_FLOOR times the largest one, for both kinds:
+    they give the trace's axis ratio and trace, and ``max_axis_ratio``.
+    ``inv_sqrt`` holds C^(-1/2) and is populated only on request.
+    ``repaired`` flags a factor that samples from a different matrix than
+    C: an eigendecomposition whose eigenvalues were raised to the floor, or
+    the one that stands in for a Cholesky factor when C is not positive
+    definite to working precision.  A Cholesky factor samples C exactly,
+    even where its ``scales`` are floored.
 
     The engine keeps one factor for several generations at large n (see
     ``engine.CmaEs``), so it may describe a covariance a few updates old.
     """
 
-    basis: np.ndarray
+    basis: np.ndarray | None
     scales: np.ndarray
     repaired: bool = False
     inv_sqrt: np.ndarray | None = None
+    lower: np.ndarray | None = None
 
     @property
     def axis_ratio(self) -> float:
@@ -42,27 +53,44 @@ class CovarianceFactor:
         return float(self.scales[-1] / self.scales[0])
 
 
-def decompose(C: np.ndarray, *, want_inv_sqrt: bool = False) -> CovarianceFactor:
-    """Symmetric eigendecomposition of the covariance matrix.
-
-    ``C`` must be a finite symmetric float matrix; only its lower triangle
-    is read.  An indefinite or near-singular matrix is repaired by flooring
-    its eigenvalues at EIGENVALUE_FLOOR times the largest one; ``repaired``
-    is set on the result in that case.  Raises ValueError if no eigenvalue
-    is positive, as there is then nothing to floor against.
-    """
-    eigenvalues, basis = np.linalg.eigh(C)
+def _floored_scales(eigenvalues: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Square roots of ascending eigenvalues raised to the floor, and
+    whether any was raised."""
     largest = eigenvalues[-1]
     if largest <= 0.0:
         raise ValueError("covariance matrix has no positive eigenvalue")
     floor = EIGENVALUE_FLOOR * largest
-    repaired = bool(eigenvalues[0] < floor)
-    eigenvalues = np.maximum(eigenvalues, floor)
-    scales = np.sqrt(eigenvalues)
+    return np.sqrt(np.maximum(eigenvalues, floor)), bool(eigenvalues[0] < floor)
 
-    inv_sqrt = None
-    if want_inv_sqrt:
-        inv_sqrt = (basis / scales) @ basis.T
+
+def decompose(C: np.ndarray, *, want_inv_sqrt: bool = False) -> CovarianceFactor:
+    """The factor of the covariance matrix to sample with.
+
+    ``C`` must be a finite symmetric float matrix; only its lower triangle
+    is read.  With ``want_inv_sqrt`` the result is the eigendecomposition
+    with C^(-1/2); otherwise it is the Cholesky factor, with ``scales``
+    from the eigenvalues alone, which costs about a third of a full
+    eigendecomposition at n=400.  When C is not positive definite to
+    working precision, Cholesky fails and the eigendecomposition stands in
+    for it, marked ``repaired``.  An indefinite or near-singular matrix is
+    repaired by flooring its eigenvalues at EIGENVALUE_FLOOR times the
+    largest one.  Raises ValueError if no eigenvalue is positive, as there
+    is then nothing to floor against.
+    """
+    if not want_inv_sqrt:
+        try:
+            lower = np.linalg.cholesky(C)
+        except np.linalg.LinAlgError:
+            pass  # not positive definite: the floored eigendecomposition below
+        else:
+            scales, _ = _floored_scales(np.linalg.eigvalsh(C))
+            return CovarianceFactor(basis=None, scales=scales, lower=lower)
+
+    eigenvalues, basis = np.linalg.eigh(C)
+    scales, repaired = _floored_scales(eigenvalues)
+    if not want_inv_sqrt:
+        return CovarianceFactor(basis=basis, scales=scales, repaired=True)
+    inv_sqrt = (basis / scales) @ basis.T
     return CovarianceFactor(basis=basis, scales=scales, repaired=repaired, inv_sqrt=inv_sqrt)
 
 
@@ -81,5 +109,8 @@ def sample_population(
     and draw order.
     """
     z = rng.standard_normal((lam, m.shape[0]))
-    Y = (z * factor.scales) @ factor.basis.T
+    if factor.lower is not None:
+        Y = z @ factor.lower.T
+    else:
+        Y = (z * factor.scales) @ factor.basis.T
     return m + sigma * Y, Y

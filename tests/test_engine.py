@@ -330,6 +330,28 @@ class TestEngineOutput:
         assert np.isfinite(columns).all()
 
 
+    def test_two_point_factor_falls_back_to_eigh_on_a_random_fitness(self, monkeypatch):
+        # c4's run shape: with fitness independent of x, C drifts to a ratio
+        # Cholesky cannot factor, and the floored eigendecomposition stands in
+        params = default_params(2)
+        opt = CmaEs(params, np.zeros(2), 1.0, rng=np.random.default_rng(1))
+        spec = ObjectiveSpec("random_fitness", 2)
+        decompose, factors = sampler.decompose, []
+
+        def recording_decompose(C, **kwargs):
+            factors.append(decompose(C, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(sampler, "decompose", recording_decompose)
+        while opt.generation < 2000:
+            opt.tell(evaluate_population(spec, opt.ask(), opt.rng))
+        repaired = [f for f in factors if f.repaired]
+        assert repaired
+        assert all(f.lower is None and f.basis is not None for f in repaired)
+        assert all(f.lower is not None for f in factors if not f.repaired)
+        assert np.isfinite(np.array(opt.trace, dtype=float)).all()
+
+
 class TestCriteriaValidation:
     @pytest.mark.parametrize(
         "field,value",

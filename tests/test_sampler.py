@@ -10,40 +10,75 @@ def random_spd(n, rng, jitter=1e-3):
 
 
 def reconstruct(factor):
-    """The (floored) covariance matrix the factors describe."""
+    """The (floored) covariance matrix the factor samples from."""
+    if factor.lower is not None:
+        return factor.lower @ factor.lower.T
     return (factor.basis * factor.scales**2) @ factor.basis.T
 
 
+# the two kinds of factor: Cholesky (tpa) and eigendecomposition with C^(-1/2) (csa)
+KINDS = pytest.mark.parametrize("want_inv_sqrt", [False, True], ids=["cholesky", "eigh"])
+
+
 class TestDecompose:
-    def test_identity(self):
-        f = decompose(np.eye(3))
+    @KINDS
+    def test_identity(self, want_inv_sqrt):
+        f = decompose(np.eye(3), want_inv_sqrt=want_inv_sqrt)
         assert f.scales == pytest.approx([1.0, 1.0, 1.0])
         assert not f.repaired
-        assert f.inv_sqrt is None
+        assert (f.inv_sqrt is not None) == want_inv_sqrt
+        assert (f.lower is None) == want_inv_sqrt
+        assert (f.basis is None) != want_inv_sqrt
         np.testing.assert_allclose(reconstruct(f), np.eye(3), atol=1e-14)
 
-    def test_diagonal(self):
-        f = decompose(np.diag([4.0, 1.0]))
-        assert sorted(f.scales.tolist()) == pytest.approx([1.0, 2.0])
+    @KINDS
+    def test_diagonal(self, want_inv_sqrt):
+        f = decompose(np.diag([4.0, 1.0]), want_inv_sqrt=want_inv_sqrt)
+        assert f.scales.tolist() == pytest.approx([1.0, 2.0])
         assert f.axis_ratio == pytest.approx(2.0)
 
-    def test_random_spd_roundtrip(self):
+    @KINDS
+    def test_random_spd_roundtrip(self, want_inv_sqrt):
         rng = np.random.default_rng(7)
         for _ in range(10):
             C = random_spd(5, rng)
-            f = decompose(C)
+            f = decompose(C, want_inv_sqrt=want_inv_sqrt)
+            assert not f.repaired
             err = np.linalg.norm(reconstruct(f) - C) / np.linalg.norm(C)
             assert err < 1e-9
 
-    def test_indefinite_repaired(self):
-        C = np.diag([1.0, -1e-18])
-        f = decompose(C)
-        assert f.repaired
-        assert np.all(f.scales > 0.0)
+    def test_cholesky_scales_equal_eigh_scales(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 5, 30):
+            C = random_spd(n, rng)
+            cholesky, eigh = decompose(C), decompose(C, want_inv_sqrt=True)
+            np.testing.assert_array_equal(np.tril(cholesky.lower), cholesky.lower)
+            np.testing.assert_allclose(cholesky.scales, eigh.scales, rtol=1e-12)
+            assert cholesky.axis_ratio == pytest.approx(eigh.axis_ratio, rel=1e-12)
 
-    def test_rejects_no_positive_eigenvalue(self):
+    @KINDS
+    def test_indefinite_repaired(self, want_inv_sqrt):
+        # Cholesky fails, and the floored eigendecomposition stands in for it
+        C = np.diag([1.0, -1e-18])
+        f = decompose(C, want_inv_sqrt=want_inv_sqrt)
+        assert f.repaired
+        assert f.lower is None and f.basis is not None
+        assert np.all(f.scales > 0.0)
+        assert f.axis_ratio == pytest.approx(1e7)
+
+    def test_near_singular_cholesky_floors_only_the_scales(self):
+        # positive definite, so Cholesky samples C exactly; the axis ratio is capped
+        C = np.diag([1.0, 1e-20])
+        f = decompose(C)
+        assert not f.repaired
+        np.testing.assert_array_equal(f.lower, np.diag([1.0, 1e-10]))
+        assert f.axis_ratio == pytest.approx(1e7)
+        assert decompose(C, want_inv_sqrt=True).repaired
+
+    @KINDS
+    def test_rejects_no_positive_eigenvalue(self, want_inv_sqrt):
         with pytest.raises(ValueError, match="positive"):
-            decompose(np.diag([-1.0, -2.0]))
+            decompose(np.diag([-1.0, -2.0]), want_inv_sqrt=want_inv_sqrt)
 
     def test_inv_sqrt_on_request(self):
         rng = np.random.default_rng(11)
@@ -60,14 +95,25 @@ class TestSamplePopulation:
         X2, Y2 = sample_population(m, 0.7, f, 6, np.random.default_rng(42))
         assert np.array_equal(X1, X2) and np.array_equal(Y1, Y2)
 
-    def test_draw_order_offspring_major(self):
-        # y_k must equal basis @ (scales * z_k) with z drawn as one (lam, n) block
+    @KINDS
+    def test_draw_order_offspring_major(self, want_inv_sqrt):
+        # y_k must equal lower @ z_k or basis @ (scales * z_k), with z drawn
+        # as one (lam, n) block
         C = random_spd(3, np.random.default_rng(1))
-        f = decompose(C)
+        f = decompose(C, want_inv_sqrt=want_inv_sqrt)
         _, Y = sample_population(np.zeros(3), 1.0, f, 5, np.random.default_rng(99))
         z = np.random.default_rng(99).standard_normal((5, 3))
-        expected = (z * f.scales) @ f.basis.T
+        if want_inv_sqrt:
+            expected = (z * f.scales) @ f.basis.T
+        else:
+            expected = z @ f.lower.T
         np.testing.assert_array_equal(Y, expected)
+
+    def test_repaired_factor_samples_its_eigendecomposition(self):
+        f = decompose(np.diag([1.0, -1e-18]))
+        _, Y = sample_population(np.zeros(2), 1.0, f, 5, np.random.default_rng(99))
+        z = np.random.default_rng(99).standard_normal((5, 2))
+        np.testing.assert_array_equal(Y, (z * f.scales) @ f.basis.T)
 
     def test_x_is_affine_in_y(self):
         f = decompose(np.eye(2))
