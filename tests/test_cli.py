@@ -172,7 +172,7 @@ class TestRunExperiment:
         [
             # csa rows carry alpha_s = nan
             ("sphere", "csa", 0, ("2907170a8867b834", "66027f3a7b6ecc12")),
-            ("rastrigin", "tpa_legacy", 2, ("c99a8e156eed9c7c", "3756da04cbbb155e")),
+            ("rastrigin", "tpa_legacy", 2, ("daa53bfc1cd86aea", "3756da04cbbb155e")),
         ],
         ids=["csa", "tpa_legacy-restarts"],
     )

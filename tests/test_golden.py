@@ -37,37 +37,37 @@ CELLS = {
 }
 
 GOLDEN = {
-    ("sphere", "tpa"): "5608bdf6a52b2d56",
-    ("sphere", "tpa_noise"): "1906945627ad2497",
-    ("sphere", "tpa_legacy"): "00f6409c5ee71a4c",
+    ("sphere", "tpa"): "3878d2a607f05771",
+    ("sphere", "tpa_noise"): "b75495e18dd91edc",
+    ("sphere", "tpa_legacy"): "c747aac81ff51721",
     ("sphere", "csa"): "a363aa58a85292b8",
-    ("ellipsoid", "tpa"): "52785f0074042b20",
-    ("ellipsoid", "tpa_noise"): "b934a59180371dfb",
-    ("ellipsoid", "tpa_legacy"): "d139ad7e83478c1b",
+    ("ellipsoid", "tpa"): "e49c204470ab7deb",
+    ("ellipsoid", "tpa_noise"): "cc90a6eb8d6c6f13",
+    ("ellipsoid", "tpa_legacy"): "c68fd730f8d02fb0",
     ("ellipsoid", "csa"): "5605627bcdfde3b9",
-    ("rosenbrock", "tpa"): "1aa9060bfb3fbbc2",
-    ("rosenbrock", "tpa_noise"): "7a4a507c1b5ceb25",
-    ("rosenbrock", "tpa_legacy"): "cba7d5ccedccae9e",
+    ("rosenbrock", "tpa"): "36a5a1c73d48f997",
+    ("rosenbrock", "tpa_noise"): "7ec88c8141f04137",
+    ("rosenbrock", "tpa_legacy"): "a6f8b7dc9a7f34fe",
     ("rosenbrock", "csa"): "f378562f286dbdbc",
-    ("ellipsoid_n20", "tpa"): "894c7c47499421b0",
-    ("ellipsoid_n20", "tpa_noise"): "b826ea27e94d6237",
-    ("ellipsoid_n20", "tpa_legacy"): "57d02f1cfade1f8c",
+    ("ellipsoid_n20", "tpa"): "662f0887133680e9",
+    ("ellipsoid_n20", "tpa_noise"): "19fa07096a5fe3db",
+    ("ellipsoid_n20", "tpa_legacy"): "07cb900c67922060",
     ("ellipsoid_n20", "csa"): "76ae0d3b2389ad9f",
-    ("rosenbrock_n20", "tpa"): "26e04ab9271255d1",
-    ("rosenbrock_n20", "tpa_noise"): "c9418e13de75b150",
-    ("rosenbrock_n20", "tpa_legacy"): "2582273a710a6fe6",
+    ("rosenbrock_n20", "tpa"): "9814c3df49e45c5b",
+    ("rosenbrock_n20", "tpa_noise"): "ae30123e0e6967d1",
+    ("rosenbrock_n20", "tpa_legacy"): "15615e714be42d1b",
     ("rosenbrock_n20", "csa"): "9e87809c93123047",
-    ("noisy_sphere", "tpa"): "f431f382922891a3",
-    ("noisy_sphere", "tpa_noise"): "4871ada4039c5b8b",
-    ("noisy_sphere", "tpa_legacy"): "13fba9672c1a8e84",
+    ("noisy_sphere", "tpa"): "09ee845362adecd5",
+    ("noisy_sphere", "tpa_noise"): "85c5add76a947163",
+    ("noisy_sphere", "tpa_legacy"): "d34c1b51e53c93d3",
     ("noisy_sphere", "csa"): "47b705553cdbb5fa",
-    ("rastrigin_restarts", "tpa"): "c24cc04cd3bf3189",
-    ("rastrigin_restarts", "tpa_noise"): "016c4c7f07acfd9c",
-    ("rastrigin_restarts", "tpa_legacy"): "c9f13a9207f2ebcf",
+    ("rastrigin_restarts", "tpa"): "51dbee783631861f",
+    ("rastrigin_restarts", "tpa_noise"): "7f936afd71f451f4",
+    ("rastrigin_restarts", "tpa_legacy"): "cd6094bd7c549d1b",
     ("rastrigin_restarts", "csa"): "0a6ffbfedefd5a58",
-    ("bounded_restarts", "tpa"): "379bfeb2c3467d0f",
-    ("bounded_restarts", "tpa_noise"): "7bb2b61f9dbc0648",
-    ("bounded_restarts", "tpa_legacy"): "f192380eeae4791a",
+    ("bounded_restarts", "tpa"): "8bc22d58d798f303",
+    ("bounded_restarts", "tpa_noise"): "c1a952733147ec63",
+    ("bounded_restarts", "tpa_legacy"): "e974b9f488bcc151",
     ("bounded_restarts", "csa"): "552b89ad49e6d200",
 }
 
