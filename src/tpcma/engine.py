@@ -71,10 +71,13 @@ class TerminationCriteria:
     Zero / infinite values disable the respective check.  ``max_evals`` is
     a budget on function evaluations; a generation in progress is always
     completed, so the final count may overshoot by at most lam + 2.
-    ``max_axis_ratio`` reads the sampling factor, which is refreshed only
-    every 1/(10 n (c_1 + c_mu)) generations (see :class:`CmaEs`), so it
-    can fire up to that many generations, rounded up, late.  ``tol_x``
-    reads the current covariance.
+    ``max_axis_ratio`` reads the eigenvalues the sampling factor holds:
+    from ``eigvalsh`` beside a Cholesky factor (two-point mode), from the
+    eigendecomposition otherwise.  They are floored at 1e-14 of the
+    largest one, so the ratio reads at most 1e7.  The factor is refreshed
+    only every 1/(10 n (c_1 + c_mu)) generations (see :class:`CmaEs`), so
+    the check can fire up to that many generations, rounded up, late.
+    ``tol_x`` reads the current covariance.
     """
 
     max_evals: int = 100_000
@@ -210,11 +213,15 @@ class CmaEs:
     or step-size that leaves the floating-point range ends the run in
     ``RunAborted``; the layer functions it calls check nothing again.
 
-    The eigendecomposition of C that offspring are sampled from is
-    refreshed only when more than 1/(10 n (c_1 + c_mu)) generations have
-    passed since it was taken, as C moves by about c_1 + c_mu per
-    generation.  That interval is below one generation for n <= 50.
-    Sampling, the cumulative controller's C^(-1/2), the trace's
+    Offspring are sampled from a factor of C (see ``sampler.decompose``):
+    in two-point mode its Cholesky factor, or the floored
+    eigendecomposition, marked ``repaired``, where C is not positive
+    definite to working precision; in cumulative mode the
+    eigendecomposition with the C^(-1/2) the controller whitens with.  The
+    factor is refreshed only when more than 1/(10 n (c_1 + c_mu))
+    generations have passed since it was taken, as C moves by about
+    c_1 + c_mu per generation.  That interval is below one generation for
+    n <= 50.  Sampling, the cumulative controller's C^(-1/2), the trace's
     ``axis_ratio``/``trace_C`` and ``max_axis_ratio`` all read this factor;
     the covariance and path updates and ``tol_x`` read the current C.
     """

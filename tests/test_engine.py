@@ -329,7 +329,6 @@ class TestEngineOutput:
             columns = np.delete(columns, engine.RunRecord._fields.index("alpha_s"), axis=1)
         assert np.isfinite(columns).all()
 
-
     def test_two_point_factor_falls_back_to_eigh_on_a_random_fitness(self, monkeypatch):
         # c4's run shape: with fitness independent of x, C drifts to a ratio
         # Cholesky cannot factor, and the floored eigendecomposition stands in
