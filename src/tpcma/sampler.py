@@ -69,7 +69,7 @@ def decompose(C: np.ndarray, *, want_inv_sqrt: bool = False) -> CovarianceFactor
     ``C`` must be a finite symmetric float matrix; only its lower triangle
     is read.  With ``want_inv_sqrt`` the result is the eigendecomposition
     with C^(-1/2); otherwise it is the Cholesky factor, with ``scales``
-    from the eigenvalues alone, which costs about a third of a full
+    from the eigenvalues alone, which costs about half of a full
     eigendecomposition at n=400.  When C is not positive definite to
     working precision, Cholesky fails and the eigendecomposition stands in
     for it, marked ``repaired``.  An indefinite or near-singular matrix is
