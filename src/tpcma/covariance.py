@@ -41,18 +41,18 @@ def update_path(
 def update_covariance(
     C: np.ndarray, p_c: np.ndarray, Y_sel: np.ndarray, params: StrategyParams
 ) -> np.ndarray:
-    """Rank-one plus rank-mu covariance update, re-symmetrized.
+    """Rank-one plus rank-mu covariance update.
 
     C' = (1 - c_1 - c_mu) C + c_1 p_c p_c^T + c_mu Y_sel^T diag(w) Y_sel,
     where ``Y_sel`` holds the mu best sampled steps as rows, best first,
     and w is ``params.weights``.  ``p_c`` must already be this
-    generation's path.  Returns C' as a new array.
+    generation's path.  The dyads are one product V^T V of the rows
+    sqrt(c_1) p_c and sqrt(c_mu w_i) y_i, which BLAS ``syrk`` computes in
+    one triangle and mirrors, so C' is a new, exactly symmetric array.
     """
-    rank_mu = (Y_sel * params.weights[:, None]).T @ Y_sel
-    # accumulated in place into one new array; C is never written
-    C_new = (1.0 - params.c_1 - params.c_mu) * C
-    C_new += params.c_1 * (p_c[:, None] * p_c)
-    C_new += params.c_mu * rank_mu
-    C_new += C_new.T  # exactly symmetric, as sampler.decompose assumes
-    C_new *= 0.5
+    V = np.empty((len(Y_sel) + 1, len(p_c)))
+    V[0] = math.sqrt(params.c_1) * p_c
+    np.multiply(np.sqrt(params.c_mu * params.weights)[:, None], Y_sel, out=V[1:])
+    C_new = V.T @ V
+    C_new += (1.0 - params.c_1 - params.c_mu) * C
     return C_new

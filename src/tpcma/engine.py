@@ -130,7 +130,7 @@ class RunRecord(NamedTuple):
 class EvolutionState:
     """Snapshot of the mutable optimizer state (see :class:`CmaEs`).  ``C``,
     ``p_c`` and ``p_sigma`` are the optimizer's own arrays, not copies: every
-    update returns new arrays and none is written in place."""
+    update returns new arrays (C exactly symmetric) and writes none in place."""
 
     m: np.ndarray
     sigma: float
@@ -217,11 +217,11 @@ class CmaEs:
     in two-point mode its Cholesky factor, or the floored
     eigendecomposition, marked ``repaired``, where C is not positive
     definite to working precision; in cumulative mode the
-    eigendecomposition with the C^(-1/2) the controller whitens with.  The
+    eigendecomposition, which the controller also whitens with.  The
     factor is refreshed only when more than 1/(10 n (c_1 + c_mu))
     generations have passed since it was taken, as C moves by about
     c_1 + c_mu per generation.  That interval is below one generation for
-    n <= 50.  Sampling, the cumulative controller's C^(-1/2), the trace's
+    n <= 50.  Sampling, the cumulative controller's whitening, the trace's
     ``axis_ratio``/``trace_C`` and ``max_axis_ratio`` all read this factor;
     the covariance and path updates and ``tol_x`` read the current C.
     """
@@ -331,7 +331,7 @@ class CmaEs:
                 self._factor is None
                 or self.generation - self._factor_generation > self._refresh_interval
             ):
-                self._factor = sampler.decompose(self.C, want_inv_sqrt=(self.mode == "csa"))
+                self._factor = sampler.decompose(self.C, want_eigh=(self.mode == "csa"))
                 self._factor_generation = self.generation
             with np.errstate(over="ignore", invalid="ignore"):  # judged below
                 points, self._Y = sampler.sample_population(
@@ -386,7 +386,7 @@ class CmaEs:
         if self.mode == "csa":
             self.m = m_new
             self.p_sigma, multiplier = stepsize.csa_update(
-                self.p_sigma, mean_step, self._factor.inv_sqrt, p
+                self.p_sigma, mean_step, self._factor, p
             )
             self.sigma *= multiplier
             g_next = self.generation + 1

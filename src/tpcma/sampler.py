@@ -23,14 +23,15 @@ class CovarianceFactor:
 
     It is one of two kinds.  An eigendecomposition
     C = basis diag(scales^2) basis^T samples y = basis (scales * z); the
-    cumulative controller needs it, since only it gives C^(-1/2).  A
-    Cholesky factor C = lower lower^T samples y = lower z and has no
-    ``basis``; the two-point controller uses it, as it needs no whitening.
+    cumulative controller needs it, since it whitens with
+    C^(-1/2) = basis diag(1/scales) basis^T, applied as two matrix-vector
+    products and never formed.  A Cholesky factor C = lower lower^T samples
+    y = lower z and has no ``basis``; the two-point controller uses it, as
+    it needs no whitening.
 
     ``scales`` are the square roots of C's eigenvalues, ascending, raised
     to a floor of EIGENVALUE_FLOOR times the largest one, for both kinds:
     they give the trace's axis ratio and trace, and ``max_axis_ratio``.
-    ``inv_sqrt`` holds C^(-1/2) and is populated only on request.
     ``repaired`` flags a factor that samples from a different matrix than
     C: an eigendecomposition whose eigenvalues were raised to the floor, or
     the one that stands in for a Cholesky factor when C is not positive
@@ -44,7 +45,6 @@ class CovarianceFactor:
     basis: np.ndarray | None
     scales: np.ndarray
     repaired: bool = False
-    inv_sqrt: np.ndarray | None = None
     lower: np.ndarray | None = None
 
     @property
@@ -63,21 +63,21 @@ def _floored_scales(eigenvalues: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.sqrt(np.maximum(eigenvalues, floor)), bool(eigenvalues[0] < floor)
 
 
-def decompose(C: np.ndarray, *, want_inv_sqrt: bool = False) -> CovarianceFactor:
+def decompose(C: np.ndarray, *, want_eigh: bool = False) -> CovarianceFactor:
     """The factor of the covariance matrix to sample with.
 
     ``C`` must be a finite symmetric float matrix; only its lower triangle
-    is read.  With ``want_inv_sqrt`` the result is the eigendecomposition
-    with C^(-1/2); otherwise it is the Cholesky factor, with ``scales``
-    from the eigenvalues alone, which costs about half of a full
-    eigendecomposition at n=400.  When C is not positive definite to
-    working precision, Cholesky fails and the eigendecomposition stands in
-    for it, marked ``repaired``.  An indefinite or near-singular matrix is
-    repaired by flooring its eigenvalues at EIGENVALUE_FLOOR times the
-    largest one.  Raises ValueError if no eigenvalue is positive, as there
-    is then nothing to floor against.
+    is read.  With ``want_eigh`` the result is the eigendecomposition;
+    otherwise it is the Cholesky factor, with ``scales`` from the
+    eigenvalues alone, which costs about half of a full eigendecomposition
+    at n=400.  When C is not positive definite to working precision,
+    Cholesky fails and the eigendecomposition stands in for it, marked
+    ``repaired``.  An indefinite or near-singular matrix is repaired by
+    flooring its eigenvalues at EIGENVALUE_FLOOR times the largest one.
+    Raises ValueError if no eigenvalue is positive, as there is then
+    nothing to floor against.
     """
-    if not want_inv_sqrt:
+    if not want_eigh:
         try:
             lower = np.linalg.cholesky(C)
         except np.linalg.LinAlgError:
@@ -88,10 +88,7 @@ def decompose(C: np.ndarray, *, want_inv_sqrt: bool = False) -> CovarianceFactor
 
     eigenvalues, basis = np.linalg.eigh(C)
     scales, repaired = _floored_scales(eigenvalues)
-    if not want_inv_sqrt:
-        return CovarianceFactor(basis=basis, scales=scales, repaired=True)
-    inv_sqrt = (basis / scales) @ basis.T
-    return CovarianceFactor(basis=basis, scales=scales, repaired=repaired, inv_sqrt=inv_sqrt)
+    return CovarianceFactor(basis=basis, scales=scales, repaired=repaired or not want_eigh)
 
 
 def sample_population(

@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from .params import StrategyParams
+from .sampler import CovarianceFactor
 
 __all__ = [
     "tpa_test_points",
@@ -89,17 +90,19 @@ def expected_normal_norm(n: int) -> float:
 
 
 def csa_update(
-    p_sigma: np.ndarray, mean_step: np.ndarray, inv_sqrt: np.ndarray, params: StrategyParams
+    p_sigma: np.ndarray, mean_step: np.ndarray, factor: CovarianceFactor, params: StrategyParams
 ) -> tuple[np.ndarray, float]:
     """Cumulative step-size update (baseline controller).
 
     ``p_sigma`` is the whitened evolution path, which starts at zero;
-    ``inv_sqrt`` must be C^(-1/2) of the covariance the population was
-    sampled from.  Returns the new path, as a new array, and the sigma
-    multiplier exp((c_sigma/d_sigma) (||p|| / E||N(0,I)|| - 1)).
+    ``factor`` must be the eigendecomposition the population was sampled
+    with; the mean step is whitened by C^(-1/2) = basis diag(1/scales)
+    basis^T as two matrix-vector products.  Returns the new path, as a new
+    array, and the sigma multiplier exp((c_sigma/d_sigma) (||p|| / E||N(0,I)|| - 1)).
     """
+    whitened = factor.basis @ ((factor.basis.T @ mean_step) / factor.scales)
     cs = params.c_sigma
-    p = (1.0 - cs) * p_sigma + math.sqrt(cs * (2.0 - cs) * params.mu_w) * (inv_sqrt @ mean_step)
+    p = (1.0 - cs) * p_sigma + math.sqrt(cs * (2.0 - cs) * params.mu_w) * whitened
     ratio = math.sqrt(p.dot(p)) / expected_normal_norm(params.n)
     multiplier = math.exp((cs / params.d_sigma) * (ratio - 1.0))
     return p, multiplier

@@ -95,21 +95,44 @@ class TestUpdateCovariance:
         )
         assert np.trace(new) == pytest.approx(oracle, rel=1e-10)
 
-    def test_equals_reference_formula_exactly(self):
-        rng = np.random.default_rng(5)
-        p = default_params(7)
-        a = rng.standard_normal((7, 7))
-        C, p_c = a @ a.T, rng.standard_normal(7)
-        Y_sel = rng.standard_normal((p.mu, 7))
+    @staticmethod
+    def _inputs(n, lam, seed):
+        rng = np.random.default_rng(seed)
+        p = default_params(n, lam=lam)
+        a = rng.standard_normal((n, n))
+        C, p_c = a @ a.T, rng.standard_normal(n)
+        return p, C, p_c, rng.standard_normal((p.mu, n))
+
+    def test_equals_stacked_formula_exactly(self):
+        p, C, p_c, Y_sel = self._inputs(7, None, 5)
         inputs_before = [x.copy() for x in (C, p_c, Y_sel)]
+        new = update_covariance(C, p_c, Y_sel, p)
+        V = np.vstack([math.sqrt(p.c_1) * p_c, np.sqrt(p.c_mu * p.weights)[:, None] * Y_sel])
+        np.testing.assert_array_equal(new, V.T @ V + (1.0 - p.c_1 - p.c_mu) * C)
+        for x, before in zip((C, p_c, Y_sel), inputs_before):  # no input is written
+            np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("n,lam", [(2, None), (7, None), (10, 80), (100, None)])
+    def test_agrees_with_three_term_formula(self, n, lam):
+        p, C, p_c, Y_sel = self._inputs(n, lam, n)
         new = update_covariance(C, p_c, Y_sel, p)
         reference = (
             (1.0 - p.c_1 - p.c_mu) * C
             + p.c_1 * np.outer(p_c, p_c)
             + p.c_mu * (Y_sel * p.weights[:, None]).T @ Y_sel
         )
-        np.testing.assert_array_equal(new, (reference + reference.T) / 2.0)
-        for x, before in zip((C, p_c, Y_sel), inputs_before):  # no input is written
+        assert np.linalg.norm(new - reference) <= 1e-14 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 400])
+    @pytest.mark.parametrize("lam", [None, 320])  # 320: the widest rastrigin_restarts batch
+    def test_exactly_symmetric_and_inputs_kept(self, n, lam):
+        p, C, p_c, Y_sel = self._inputs(n, lam, 11)
+        C = (C + C.T) / 2.0  # exactly symmetric, as the engine's C always is
+        inputs_before = [x.copy() for x in (C, p_c, Y_sel)]
+        new = update_covariance(C, p_c, Y_sel, p)
+        assert new is not C
+        np.testing.assert_array_equal(new, new.T)
+        for x, before in zip((C, p_c, Y_sel), inputs_before):
             np.testing.assert_array_equal(x, before)
 
     def test_symmetric_output(self):

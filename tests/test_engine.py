@@ -166,14 +166,14 @@ class TestAskTellProtocol:
         for _ in range(10):
             xs = opt.ask()
             opt.tell(evaluate_population(spec, np.asarray(xs)))
-            assert opt._factor.inv_sqrt is None
+            assert opt._factor.lower is not None and opt._factor.basis is None
 
     def test_csa_mode_whitens(self):
         opt = CmaEs(default_params(3), np.zeros(3), 1.0, mode="csa", rng=np.random.default_rng(2))
         spec = ObjectiveSpec("sphere", 3)
         xs = opt.ask()
         opt.tell(evaluate_population(spec, np.asarray(xs)))
-        assert opt._factor.inv_sqrt is not None
+        assert opt._factor.basis is not None and opt._factor.lower is None
 
 
 class TestSnapshot:
@@ -216,9 +216,9 @@ class TestFactorRefresh:
             sampled_with.append(factor)
             return sample(m, sigma, factor, lam, rng)
 
-        def recording_csa_update(p_sigma, mean_step, inv_sqrt, params):
-            whitened_with.append(inv_sqrt)
-            return csa_update(p_sigma, mean_step, inv_sqrt, params)
+        def recording_csa_update(p_sigma, mean_step, factor, params):
+            whitened_with.append(factor)
+            return csa_update(p_sigma, mean_step, factor, params)
 
         monkeypatch.setattr(sampler, "decompose", counting_decompose)
         monkeypatch.setattr(sampler, "sample_population", recording_sample)
@@ -246,7 +246,7 @@ class TestFactorRefresh:
         assert [row.axis_ratio for row in opt.trace] == [f.axis_ratio for f in sampled_with]
         if mode == "csa":
             assert len(whitened_with) == 10
-            assert all(w is f.inv_sqrt for w, f in zip(whitened_with, sampled_with))
+            assert all(w is f for w, f in zip(whitened_with, sampled_with))
 
 
 @pytest.mark.parametrize("controller", ["tpa", "csa"])
@@ -285,15 +285,18 @@ class TestEngineOutput:
     """The layer functions take the engine's state as given, unchecked, so
     that state must stay valid after every generation, also under stress."""
 
-    @pytest.mark.parametrize("n", [2, 10, 100])
+    @pytest.mark.parametrize("n", [2, 10, 100, 400])
     @pytest.mark.parametrize("controller", ["tpa", "tpa_noise", "tpa_legacy", "csa"])
     def test_state_valid_after_every_generation(self, controller, n):
         config = RunConfig(objective=ObjectiveSpec("ellipsoid", n), controller=controller)
         params, mode = config.build_params()
+        interval = 1.0 / (10.0 * n * (params.c_1 + params.c_mu))
         if n == 100:  # the factor is reused for a second generation
-            assert 1.0 < 1.0 / (10.0 * n * (params.c_1 + params.c_mu)) < 2.0
+            assert 1.0 < interval < 2.0
+        if n == 400:  # and up to a fourth, beside the covariance update at full size
+            assert 3.0 < interval < 4.0
         opt = CmaEs(params, np.full(n, 3.0), 2.0, mode=mode, rng=np.random.default_rng(n))
-        while opt.generation < 30:  # checked after every round, completed generations included
+        while opt.generation < (10 if n == 400 else 30):  # checked after every round
             opt.tell(evaluate_population(config.objective, opt.ask()))
             assert np.array_equal(opt.C, opt.C.T)
             assert np.isfinite(opt.C).all()

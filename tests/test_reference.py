@@ -113,18 +113,18 @@ def sampling_matrix(factor, n):
 
 
 def forced_decompose(kind):
-    """``sampler.decompose`` with the sampling factor replaced by an
-    eigendecomposition or a Cholesky factor of C; C^(-1/2) is kept."""
+    """``sampler.decompose`` with the sampling matrix replaced by an
+    eigendecomposition or a Cholesky factor of C, given as ``lower``; the
+    engine's ``basis`` and ``scales`` are kept for whitening."""
     decompose = sampler.decompose
 
     def forced(C, **kwargs):
-        inv_sqrt = decompose(C, **kwargs).inv_sqrt
         if kind == "cholesky":
             A = np.linalg.cholesky(C)
         else:
             eigenvalues, basis = np.linalg.eigh(C)
             A = basis * np.sqrt(eigenvalues)
-        return sampler.CovarianceFactor(basis=A, scales=np.ones(len(C)), inv_sqrt=inv_sqrt)
+        return replace(decompose(C, **kwargs), lower=A)
 
     return forced
 

@@ -16,33 +16,32 @@ def reconstruct(factor):
     return (factor.basis * factor.scales**2) @ factor.basis.T
 
 
-# the two kinds of factor: Cholesky (tpa) and eigendecomposition with C^(-1/2) (csa)
-KINDS = pytest.mark.parametrize("want_inv_sqrt", [False, True], ids=["cholesky", "eigh"])
+# the two kinds of factor: Cholesky (tpa) and eigendecomposition (csa)
+KINDS = pytest.mark.parametrize("want_eigh", [False, True], ids=["cholesky", "eigh"])
 
 
 class TestDecompose:
     @KINDS
-    def test_identity(self, want_inv_sqrt):
-        f = decompose(np.eye(3), want_inv_sqrt=want_inv_sqrt)
+    def test_identity(self, want_eigh):
+        f = decompose(np.eye(3), want_eigh=want_eigh)
         assert f.scales == pytest.approx([1.0, 1.0, 1.0])
         assert not f.repaired
-        assert (f.inv_sqrt is not None) == want_inv_sqrt
-        assert (f.lower is None) == want_inv_sqrt
-        assert (f.basis is None) != want_inv_sqrt
+        assert (f.lower is None) == want_eigh
+        assert (f.basis is None) != want_eigh
         np.testing.assert_allclose(reconstruct(f), np.eye(3), atol=1e-14)
 
     @KINDS
-    def test_diagonal(self, want_inv_sqrt):
-        f = decompose(np.diag([4.0, 1.0]), want_inv_sqrt=want_inv_sqrt)
+    def test_diagonal(self, want_eigh):
+        f = decompose(np.diag([4.0, 1.0]), want_eigh=want_eigh)
         assert f.scales.tolist() == pytest.approx([1.0, 2.0])
         assert f.axis_ratio == pytest.approx(2.0)
 
     @KINDS
-    def test_random_spd_roundtrip(self, want_inv_sqrt):
+    def test_random_spd_roundtrip(self, want_eigh):
         rng = np.random.default_rng(7)
         for _ in range(10):
             C = random_spd(5, rng)
-            f = decompose(C, want_inv_sqrt=want_inv_sqrt)
+            f = decompose(C, want_eigh=want_eigh)
             assert not f.repaired
             err = np.linalg.norm(reconstruct(f) - C) / np.linalg.norm(C)
             assert err < 1e-9
@@ -51,16 +50,16 @@ class TestDecompose:
         rng = np.random.default_rng(8)
         for n in (1, 2, 5, 30):
             C = random_spd(n, rng)
-            cholesky, eigh = decompose(C), decompose(C, want_inv_sqrt=True)
+            cholesky, eigh = decompose(C), decompose(C, want_eigh=True)
             np.testing.assert_array_equal(np.tril(cholesky.lower), cholesky.lower)
             np.testing.assert_allclose(cholesky.scales, eigh.scales, rtol=1e-12)
             assert cholesky.axis_ratio == pytest.approx(eigh.axis_ratio, rel=1e-12)
 
     @KINDS
-    def test_indefinite_repaired(self, want_inv_sqrt):
+    def test_indefinite_repaired(self, want_eigh):
         # Cholesky fails, and the floored eigendecomposition stands in for it
         C = np.diag([1.0, -1e-18])
-        f = decompose(C, want_inv_sqrt=want_inv_sqrt)
+        f = decompose(C, want_eigh=want_eigh)
         assert f.repaired
         assert f.lower is None and f.basis is not None
         assert np.all(f.scales > 0.0)
@@ -73,18 +72,20 @@ class TestDecompose:
         assert not f.repaired
         np.testing.assert_array_equal(f.lower, np.diag([1.0, 1e-10]))
         assert f.axis_ratio == pytest.approx(1e7)
-        assert decompose(C, want_inv_sqrt=True).repaired
+        assert decompose(C, want_eigh=True).repaired
 
     @KINDS
-    def test_rejects_no_positive_eigenvalue(self, want_inv_sqrt):
+    def test_rejects_no_positive_eigenvalue(self, want_eigh):
         with pytest.raises(ValueError, match="positive"):
-            decompose(np.diag([-1.0, -2.0]), want_inv_sqrt=want_inv_sqrt)
+            decompose(np.diag([-1.0, -2.0]), want_eigh=want_eigh)
 
-    def test_inv_sqrt_on_request(self):
+    def test_eigh_factor_whitens_C(self):
+        # basis diag(1/scales) basis^T is C^(-1/2), which csa_update applies
         rng = np.random.default_rng(11)
         C = random_spd(4, rng)
-        f = decompose(C, want_inv_sqrt=True)
-        np.testing.assert_allclose(f.inv_sqrt @ C @ f.inv_sqrt, np.eye(4), atol=1e-9)
+        f = decompose(C, want_eigh=True)
+        whiten = f.basis / f.scales
+        np.testing.assert_allclose(whiten.T @ C @ whiten, np.eye(4), atol=1e-9)
 
 
 class TestSamplePopulation:
@@ -96,14 +97,14 @@ class TestSamplePopulation:
         assert np.array_equal(X1, X2) and np.array_equal(Y1, Y2)
 
     @KINDS
-    def test_draw_order_offspring_major(self, want_inv_sqrt):
+    def test_draw_order_offspring_major(self, want_eigh):
         # y_k must equal lower @ z_k or basis @ (scales * z_k), with z drawn
         # as one (lam, n) block
         C = random_spd(3, np.random.default_rng(1))
-        f = decompose(C, want_inv_sqrt=want_inv_sqrt)
+        f = decompose(C, want_eigh=want_eigh)
         _, Y = sample_population(np.zeros(3), 1.0, f, 5, np.random.default_rng(99))
         z = np.random.default_rng(99).standard_normal((5, 3))
-        if want_inv_sqrt:
+        if want_eigh:
             expected = (z * f.scales) @ f.basis.T
         else:
             expected = z @ f.lower.T
