@@ -171,8 +171,8 @@ class TestRunExperiment:
         "objective,controller,restarts,digests",
         [
             # csa rows carry alpha_s = nan
-            ("sphere", "csa", 0, ("2907170a8867b834", "66027f3a7b6ecc12")),
-            ("rastrigin", "tpa_legacy", 2, ("daa53bfc1cd86aea", "3756da04cbbb155e")),
+            ("sphere", "csa", 0, ("e56a269f84848d8b", "66027f3a7b6ecc12")),
+            ("rastrigin", "tpa_legacy", 2, ("5eb8e860652fdc6f", "3756da04cbbb155e")),
         ],
         ids=["csa", "tpa_legacy-restarts"],
     )

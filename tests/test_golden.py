@@ -37,38 +37,38 @@ CELLS = {
 }
 
 GOLDEN = {
-    ("sphere", "tpa"): "3878d2a607f05771",
-    ("sphere", "tpa_noise"): "b75495e18dd91edc",
-    ("sphere", "tpa_legacy"): "c747aac81ff51721",
-    ("sphere", "csa"): "a363aa58a85292b8",
-    ("ellipsoid", "tpa"): "e49c204470ab7deb",
-    ("ellipsoid", "tpa_noise"): "cc90a6eb8d6c6f13",
-    ("ellipsoid", "tpa_legacy"): "c68fd730f8d02fb0",
-    ("ellipsoid", "csa"): "5605627bcdfde3b9",
-    ("rosenbrock", "tpa"): "36a5a1c73d48f997",
-    ("rosenbrock", "tpa_noise"): "7ec88c8141f04137",
-    ("rosenbrock", "tpa_legacy"): "a6f8b7dc9a7f34fe",
-    ("rosenbrock", "csa"): "f378562f286dbdbc",
-    ("ellipsoid_n20", "tpa"): "662f0887133680e9",
-    ("ellipsoid_n20", "tpa_noise"): "19fa07096a5fe3db",
-    ("ellipsoid_n20", "tpa_legacy"): "07cb900c67922060",
-    ("ellipsoid_n20", "csa"): "76ae0d3b2389ad9f",
-    ("rosenbrock_n20", "tpa"): "9814c3df49e45c5b",
-    ("rosenbrock_n20", "tpa_noise"): "ae30123e0e6967d1",
-    ("rosenbrock_n20", "tpa_legacy"): "15615e714be42d1b",
-    ("rosenbrock_n20", "csa"): "9e87809c93123047",
-    ("noisy_sphere", "tpa"): "09ee845362adecd5",
-    ("noisy_sphere", "tpa_noise"): "85c5add76a947163",
-    ("noisy_sphere", "tpa_legacy"): "d34c1b51e53c93d3",
-    ("noisy_sphere", "csa"): "47b705553cdbb5fa",
-    ("rastrigin_restarts", "tpa"): "51dbee783631861f",
-    ("rastrigin_restarts", "tpa_noise"): "7f936afd71f451f4",
-    ("rastrigin_restarts", "tpa_legacy"): "cd6094bd7c549d1b",
-    ("rastrigin_restarts", "csa"): "0a6ffbfedefd5a58",
-    ("bounded_restarts", "tpa"): "8bc22d58d798f303",
-    ("bounded_restarts", "tpa_noise"): "c1a952733147ec63",
-    ("bounded_restarts", "tpa_legacy"): "e974b9f488bcc151",
-    ("bounded_restarts", "csa"): "552b89ad49e6d200",
+    ("sphere", "tpa"): "56ce09990bb937e3",
+    ("sphere", "tpa_noise"): "a8f3c9c039e8d8fb",
+    ("sphere", "tpa_legacy"): "1292389bd7a0ab5f",
+    ("sphere", "csa"): "be6d5eae209342f7",
+    ("ellipsoid", "tpa"): "64abc716a0669e2f",
+    ("ellipsoid", "tpa_noise"): "526c5369cdae5b75",
+    ("ellipsoid", "tpa_legacy"): "eeebd8e5d5f6c6b7",
+    ("ellipsoid", "csa"): "2c5c8ff5b8e76dbc",
+    ("rosenbrock", "tpa"): "f3624136d5689506",
+    ("rosenbrock", "tpa_noise"): "26bf961e82714d04",
+    ("rosenbrock", "tpa_legacy"): "dd768ffe6ee970b2",
+    ("rosenbrock", "csa"): "3f41531b802312a3",
+    ("ellipsoid_n20", "tpa"): "8979009c76a8cab2",
+    ("ellipsoid_n20", "tpa_noise"): "d83efeae89ae6f87",
+    ("ellipsoid_n20", "tpa_legacy"): "562f0fd1217c3745",
+    ("ellipsoid_n20", "csa"): "35cf12dbabf4f6a3",
+    ("rosenbrock_n20", "tpa"): "6a868a430abb7ca2",
+    ("rosenbrock_n20", "tpa_noise"): "ffe1f822a88f7abb",
+    ("rosenbrock_n20", "tpa_legacy"): "f4243f2ab0dddbeb",
+    ("rosenbrock_n20", "csa"): "eb7dd63aed54ebba",
+    ("noisy_sphere", "tpa"): "5b100754db17998f",
+    ("noisy_sphere", "tpa_noise"): "ac1d66e43ec5e2ed",
+    ("noisy_sphere", "tpa_legacy"): "630e4d117f3734fa",
+    ("noisy_sphere", "csa"): "b4c391a938cf31bc",
+    ("rastrigin_restarts", "tpa"): "794c58a1cae9aa2d",
+    ("rastrigin_restarts", "tpa_noise"): "66d0c84a816db596",
+    ("rastrigin_restarts", "tpa_legacy"): "efb112cefd15bd16",
+    ("rastrigin_restarts", "csa"): "00cbb9218e3adf41",
+    ("bounded_restarts", "tpa"): "b06d37e2bf27fe4f",
+    ("bounded_restarts", "tpa_noise"): "579654de7b1da46a",
+    ("bounded_restarts", "tpa_legacy"): "967caa8f242feb8f",
+    ("bounded_restarts", "csa"): "66cc7e483eaa6b54",
 }
 
 
