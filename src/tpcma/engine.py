@@ -68,25 +68,20 @@ class RunAborted(RuntimeError):
 class TerminationCriteria:
     """Stop conditions, checked between generations.
 
-    Zero / infinite values disable the respective check.  ``max_evals`` is
-    a budget on function evaluations; a generation in progress is always
-    completed, so the final count may overshoot by at most lam + 2.
-    ``max_axis_ratio`` reads the eigenvalues the sampling factor holds:
-    from ``eigvalsh`` beside a Cholesky factor (two-point mode), from the
-    eigendecomposition otherwise.  They are floored at 1e-14 of the
-    largest one, so the ratio reads at most 1e7.  The factor is refreshed
-    only every 1/(10 n (c_1 + c_mu)) generations (see :class:`CmaEs`), so
-    the check can fire up to that many generations, rounded up, late.
-    ``tol_x`` reads the current covariance.
+    ``max_evals`` is a budget on function evaluations and is always
+    checked: 0 stops before any evaluation.  A generation in progress is
+    always completed, so the final count may overshoot by at most lam + 2.
+    ``target_f`` stops once the best fitness is below it; -inf turns it
+    off.  ``tol_x`` stops once sigma times the square root of the largest
+    diagonal entry of the current C is below it, and ``tol_fun`` once the
+    generation-best fitnesses of the last 10 + ceil(30 n / lam)
+    generations span less than it; 0 turns either off.
     """
 
     max_evals: int = 100_000
     target_f: float = -math.inf
     tol_x: float = 0.0
     tol_fun: float = 0.0
-    sigma_ratio_min: float = 0.0
-    sigma_ratio_max: float = math.inf
-    max_axis_ratio: float = math.inf
 
     def __post_init__(self):
         # each bound is written so that NaN fails it
@@ -95,12 +90,9 @@ class TerminationCriteria:
             problems.append(f"max_evals must be >= 0, got {self.max_evals}")
         if not self.target_f < math.inf:
             problems.append(f"target_f must be finite or -inf, got {self.target_f}")
-        for name in ("tol_x", "tol_fun", "sigma_ratio_min"):
+        for name in ("tol_x", "tol_fun"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 problems.append(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        for name in ("sigma_ratio_max", "max_axis_ratio"):
-            if not getattr(self, name) > 0.0:
-                problems.append(f"{name} must be positive, got {getattr(self, name)}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -178,10 +170,6 @@ class RunResult:
     trace: list[RunRecord]
     segments: list[RestartSegment] = field(default_factory=list)
 
-    @property
-    def restarts(self) -> int:
-        return max(0, len(self.segments) - 1)
-
 
 def _start_problems(m0: np.ndarray, sigma0: float, n: int) -> list[str]:
     """What is wrong with an initial mean and step-size in dimension n."""
@@ -221,9 +209,9 @@ class CmaEs:
     factor is refreshed only when more than 1/(10 n (c_1 + c_mu))
     generations have passed since it was taken, as C moves by about
     c_1 + c_mu per generation.  That interval is below one generation for
-    n <= 50.  Sampling, the cumulative controller's whitening, the trace's
-    ``axis_ratio``/``trace_C`` and ``max_axis_ratio`` all read this factor;
-    the covariance and path updates and ``tol_x`` read the current C.
+    n <= 50.  Sampling, the cumulative controller's whitening and the
+    trace's ``axis_ratio``/``trace_C`` all read this factor; the covariance
+    and path updates and ``tol_x`` read the current C.
     """
 
     def __init__(
@@ -249,7 +237,6 @@ class CmaEs:
 
         self.m = m0
         self.sigma = float(sigma0)
-        self.sigma0 = float(sigma0)
         self.C = np.eye(params.n)
         self.p_c = np.zeros(params.n)
         self.alpha_s = 0.0 if mode == "tpa" else math.nan
@@ -302,10 +289,6 @@ class CmaEs:
             reason = "target_f"
         elif self.evals >= c.max_evals:
             reason = "max_evals"
-        elif self.sigma < c.sigma_ratio_min * self.sigma0:
-            reason = "sigma_min"
-        elif self.sigma > c.sigma_ratio_max * self.sigma0:
-            reason = "sigma_max"
         elif c.tol_x > 0.0 and self.sigma * math.sqrt(float(np.max(np.diag(self.C)))) < c.tol_x:
             reason = "tol_x"
         elif (
@@ -314,8 +297,6 @@ class CmaEs:
             and max(self._gen_best) - min(self._gen_best) < c.tol_fun
         ):
             reason = "tol_fun"
-        elif self._factor is not None and self._factor.axis_ratio > c.max_axis_ratio:
-            reason = "max_axis_ratio"
         self._stop_reason = reason
         return reason
 
@@ -354,8 +335,9 @@ class CmaEs:
         if self._pending is None:
             raise RuntimeError("tell() called without a pending ask()")
         fitness = np.asarray(fitnesses, dtype=float)
-        if fitness.shape != (len(self._pending),):
-            raise ValueError(f"expected {len(self._pending)} fitness values, got {fitness.size}")
+        expected = (len(self._pending),)
+        if fitness.shape != expected:
+            raise ValueError(f"expected fitness shape {expected}, got {fitness.shape}")
         if np.isnan(fitness).any():
             raise ValueError("NaN fitness; map failed evaluations to +inf instead")
         if self._test_round is None:
@@ -499,29 +481,13 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RestartPolicy:
-    """Restart schedule: double lam on every restart, up to a limit.
-
-    ``bounds`` (lower, upper arrays) trigger a fresh uniform initial mean
-    per restart; without bounds the configured initial mean is reused.
-    They are stored as float arrays; a run checks their length.
-    """
+    """Restart schedule: double lam on each of up to ``max_restarts`` restarts."""
 
     max_restarts: int = 0
-    bounds: tuple[Sequence[float], Sequence[float]] | None = None
 
     def __post_init__(self):
-        problems = []
         if not self.max_restarts >= 0:
-            problems.append(f"max_restarts must be >= 0, got {self.max_restarts}")
-        if self.bounds is not None:
-            lower, upper = bounds = tuple(np.array(b, dtype=float) for b in self.bounds)
-            object.__setattr__(self, "bounds", bounds)
-            if not (lower.ndim == 1 and lower.shape == upper.shape
-                    and np.isfinite(bounds).all() and (lower <= upper).all()):
-                problems.append("bounds must be two finite 1-D arrays of one length, "
-                                "lower <= upper")
-        if problems:
-            raise ValueError("; ".join(problems))
+            raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
 
 
 def run(config: RunConfig) -> RunResult:
@@ -532,15 +498,13 @@ def run(config: RunConfig) -> RunResult:
 def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
     """Run with restarts at increasing population size.
 
-    Each non-target termination restarts from a fresh state (mean per
-    policy, unit covariance, zeroed paths and signals) with lam doubled;
-    the evaluation budget is global across restarts.  The random stream
-    continues across segments.  The result's termination is that of the
-    last segment.
+    Each non-target termination restarts from a fresh state (the
+    configured initial mean and sigma0, unit covariance, zeroed paths and
+    signals) with lam doubled; the evaluation budget is global across
+    restarts.  The random stream continues across segments.  The result's
+    termination is that of the last segment.
     """
     spec = config.objective
-    if policy.bounds is not None and policy.bounds[0].shape != (spec.n,):
-        raise ValueError(f"restart bounds must have length {spec.n}, got {policy.bounds[0].size}")
     rng = np.random.default_rng(config.seed)
     budget = config.criteria.max_evals
     lam = config.lam
@@ -553,14 +517,10 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
     generations = 0
 
     for attempt in range(policy.max_restarts + 1):
-        if attempt == 0 or policy.bounds is None:
-            m0 = config.initial_mean()
-        else:
-            m0 = rng.uniform(*policy.bounds, size=spec.n)
         params, mode = config.build_params(lam)
         opt = CmaEs(
             params,
-            m0,
+            config.initial_mean(),
             config.sigma0,
             mode=mode,
             criteria=replace(config.criteria, max_evals=budget - evals),

@@ -31,7 +31,7 @@ class CovarianceFactor:
 
     ``scales`` are the square roots of C's eigenvalues, ascending, raised
     to a floor of EIGENVALUE_FLOOR times the largest one, for both kinds:
-    they give the trace's axis ratio and trace, and ``max_axis_ratio``.
+    they give the trace's axis ratio and trace.
     ``repaired`` flags a factor that samples from a different matrix than
     C: an eigendecomposition whose eigenvalues were raised to the floor, or
     the one that stands in for a Cholesky factor when C is not positive

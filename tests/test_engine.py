@@ -100,11 +100,20 @@ class TestAskTellProtocol:
         with pytest.raises(RuntimeError):
             opt.ask()
 
-    def test_wrong_fitness_count_rejected(self):
+    @pytest.mark.parametrize(
+        "fitness,message",
+        [
+            ([1.0, 2.0], r"shape \(6,\), got \(2,\)"),
+            # the right number of values in the wrong shape
+            (np.zeros((6, 1)), r"shape \(6,\), got \(6, 1\)"),
+        ],
+        ids=["too-few", "column"],
+    )
+    def test_wrong_fitness_count_rejected(self, fitness, message):
         opt = CmaEs(default_params(2), np.zeros(2), 1.0, rng=np.random.default_rng(0))
         opt.ask()
-        with pytest.raises(ValueError):
-            opt.tell([1.0, 2.0])
+        with pytest.raises(ValueError, match=message):
+            opt.tell(fitness)
 
     def test_too_many_infeasible_aborts_with_snapshot(self):
         params = default_params(2)  # lam 6, mu 3
@@ -365,10 +374,6 @@ class TestCriteriaValidation:
             ("tol_x", -1.0),
             ("tol_x", math.nan),
             ("tol_fun", math.inf),
-            ("sigma_ratio_min", math.nan),
-            ("sigma_ratio_max", 0.0),
-            ("sigma_ratio_max", math.nan),
-            ("max_axis_ratio", math.nan),
         ],
     )
     def test_rejects_bad_field(self, field, value):
@@ -405,16 +410,6 @@ class TestTermination:
         assert result.best_f < 1e-10
         assert result.evals < 10_000
 
-    def test_sigma_ratio_bounds(self):
-        config = RunConfig(
-            objective=ObjectiveSpec("sphere", 4),
-            m0=3.0,
-            sigma0=2.0,
-            criteria=TerminationCriteria(max_evals=100_000, sigma_ratio_min=1e-3),
-        )
-        result = run(config)
-        assert result.termination == "sigma_min"
-
     def test_tol_fun_detects_stagnation(self):
         # a trapped rastrigin run freezes its best fitness
         config = RunConfig(
@@ -426,29 +421,6 @@ class TestTermination:
         )
         result = run(config)
         assert result.termination in ("tol_fun", "target_f")
-
-    def test_sigma_max_bound(self):
-        # starting far below the optimal step length forces sigma to inflate
-        config = RunConfig(
-            objective=ObjectiveSpec("sphere", 4),
-            m0=3.0,
-            sigma0=1e-6,
-            criteria=TerminationCriteria(max_evals=100_000, sigma_ratio_max=100.0),
-        )
-        result = run(config)
-        assert result.termination == "sigma_max"
-
-    def test_max_axis_ratio_bound(self):
-        # adapting to a badly conditioned ellipsoid stretches the covariance
-        config = RunConfig(
-            objective=ObjectiveSpec("ellipsoid", 3, condition=1e6),
-            seed=1,
-            m0=3.0,
-            sigma0=2.0,
-            criteria=TerminationCriteria(max_evals=100_000, max_axis_ratio=10.0),
-        )
-        result = run(config)
-        assert result.termination == "max_axis_ratio"
 
     @pytest.mark.parametrize(
         "settings",
@@ -588,42 +560,6 @@ class TestRestarts:
         best = [row.best_f for row in result.trace]
         assert best == sorted(best, reverse=True)
         assert best[-1] == result.best_f
-
-    def test_restart_mean_redraw_within_bounds(self):
-        config = RunConfig(
-            objective=ObjectiveSpec("sphere", 3),
-            seed=2,
-            m0=3.0,
-            sigma0=1.0,
-            criteria=TerminationCriteria(max_evals=100_000, target_f=-1.0, tol_fun=1e-10),
-        )
-        policy = RestartPolicy(max_restarts=1, bounds=(np.full(3, -5.0), np.full(3, 5.0)))
-        result = run_with_restarts(config, policy)
-        assert len(result.segments) == 2
-
-    @pytest.mark.parametrize(
-        "bounds,message",
-        [
-            ((np.zeros((2, 3)), np.ones((2, 3))), "1-D"),
-            ((np.zeros(3), np.ones(2)), "1-D"),
-            ((np.full(3, np.nan), np.ones(3)), "finite"),
-            ((np.zeros(3), np.full(3, np.inf)), "finite"),
-            ((np.ones(3), np.zeros(3)), "lower <= upper"),
-        ],
-        ids=["2-D", "unequal-length", "nan", "inf", "lower-above-upper"],
-    )
-    def test_rejects_bad_bounds(self, bounds, message):
-        with pytest.raises(ValueError, match=message):
-            RestartPolicy(max_restarts=2, bounds=bounds)
-
-    def test_bounds_length_checked_before_any_segment(self, monkeypatch):
-        def no_segment(*args, **kwargs):
-            raise AssertionError("a segment started")
-
-        monkeypatch.setattr(engine, "CmaEs", no_segment)
-        policy = RestartPolicy(max_restarts=2, bounds=(np.full(2, -5.0), np.full(2, 5.0)))
-        with pytest.raises(ValueError, match="restart bounds must have length 3, got 2"):
-            run_with_restarts(sphere_config(3), policy)
 
     def test_restarts_solve_rastrigin_more_often(self):
         # paired-seed comparison on a multimodal function

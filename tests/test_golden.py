@@ -28,12 +28,6 @@ CELLS = {
     "rastrigin_restarts": (
         ObjectiveSpec("rastrigin", 5), 3000, 1e-8, RestartPolicy(max_restarts=3),
     ),
-    "bounded_restarts": (
-        ObjectiveSpec("sphere", 3),
-        1500,
-        -1.0,
-        RestartPolicy(max_restarts=2, bounds=(np.full(3, -5.0), np.full(3, 5.0))),
-    ),
 }
 
 GOLDEN = {
@@ -65,10 +59,6 @@ GOLDEN = {
     ("rastrigin_restarts", "tpa_noise"): "66d0c84a816db596",
     ("rastrigin_restarts", "tpa_legacy"): "efb112cefd15bd16",
     ("rastrigin_restarts", "csa"): "00cbb9218e3adf41",
-    ("bounded_restarts", "tpa"): "b06d37e2bf27fe4f",
-    ("bounded_restarts", "tpa_noise"): "579654de7b1da46a",
-    ("bounded_restarts", "tpa_legacy"): "967caa8f242feb8f",
-    ("bounded_restarts", "csa"): "66cc7e483eaa6b54",
 }
 
 
