@@ -86,8 +86,8 @@ class TerminationCriteria:
     def __post_init__(self):
         # each bound is written so that NaN fails it
         problems = []
-        if not self.max_evals >= 0:
-            problems.append(f"max_evals must be >= 0, got {self.max_evals}")
+        if not (isinstance(self.max_evals, (int, np.integer)) and self.max_evals >= 0):
+            problems.append(f"max_evals must be an integer >= 0, got {self.max_evals!r}")
         if not self.target_f < math.inf:
             problems.append(f"target_f must be finite or -inf, got {self.target_f}")
         for name in ("tol_x", "tol_fun"):
@@ -486,8 +486,8 @@ class RestartPolicy:
     max_restarts: int = 0
 
     def __post_init__(self):
-        if not self.max_restarts >= 0:
-            raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
+        if not (isinstance(self.max_restarts, (int, np.integer)) and self.max_restarts >= 0):
+            raise ValueError(f"max_restarts must be an integer >= 0, got {self.max_restarts!r}")
 
 
 def run(config: RunConfig) -> RunResult:

@@ -316,17 +316,19 @@ class TestMain:
             (["--condition", "inf"], ["condition must be positive and finite"]),
             (["--objective", "noisy_sphere", "--noise-level", "nan"],
              ["noise_level must be >= 0 and finite"]),
-            (["--budget", "-1"], ["max_evals must be >= 0, got -1"]),
-            (["--budget", "-5", "--tol-x", "-1"], ["max_evals must be >= 0", "tol_x must be >= 0"]),
+            (["--budget", "-1"], ["max_evals must be an integer >= 0, got -1"]),
+            (["--budget", "-5", "--tol-x", "-1"],
+             ["max_evals must be an integer >= 0", "tol_x must be >= 0"]),
             (["--objective", "wat", "--budget", "-1"],
-             ["objective kind must be one of", "max_evals must be >= 0"]),
+             ["objective kind must be one of", "max_evals must be an integer >= 0"]),
             (["--objective", "wat,sphere", "--n", "0"],
              ["objective kind must be one of", "dimension must be >= 1, got 0"]),
             (["--controller", "nope"], ["controller must be one of"]),
-            (["--restarts", "-1"], ["max_restarts must be >= 0"]),
+            (["--restarts", "-1"], ["max_restarts must be an integer >= 0"]),
             (["--budget", "-1", "--sigma0", "0"],
-             ["max_evals must be >= 0", "sigma0 must be positive and finite"]),
-            (["--lambda", "1", "--budget", "-1"], ["lam must be >= 2", "max_evals must be >= 0"]),
+             ["max_evals must be an integer >= 0", "sigma0 must be positive and finite"]),
+            (["--lambda", "1", "--budget", "-1"],
+             ["lam must be >= 2", "max_evals must be an integer >= 0"]),
             (["--objective", "wat", "--controller", "nope"],
              ["objective kind must be one of", "controller must be one of"]),
             (["--controller", "nope", "--beta", "nan", "--lambda", "1"],

@@ -104,10 +104,14 @@ class TestAskTellProtocol:
         "fitness,message",
         [
             ([1.0, 2.0], r"shape \(6,\), got \(2,\)"),
+            ([1.0] * 7, r"shape \(6,\), got \(7,\)"),
+            ([], r"shape \(6,\), got \(0,\)"),
+            (1.0, r"shape \(6,\), got \(\)"),
             # the right number of values in the wrong shape
             (np.zeros((6, 1)), r"shape \(6,\), got \(6, 1\)"),
+            (np.zeros((1, 6)), r"shape \(6,\), got \(1, 6\)"),
         ],
-        ids=["too-few", "column"],
+        ids=["too-few", "too-many", "empty", "scalar", "column", "row"],
     )
     def test_wrong_fitness_count_rejected(self, fitness, message):
         opt = CmaEs(default_params(2), np.zeros(2), 1.0, rng=np.random.default_rng(0))
@@ -369,10 +373,15 @@ class TestCriteriaValidation:
         [
             ("max_evals", -1),
             ("max_evals", math.nan),
+            ("max_evals", math.inf),
+            ("max_evals", 2.5),
             ("target_f", math.nan),
             ("target_f", math.inf),
             ("tol_x", -1.0),
             ("tol_x", math.nan),
+            ("tol_x", math.inf),
+            ("tol_fun", -1.0),
+            ("tol_fun", math.nan),
             ("tol_fun", math.inf),
         ],
     )
@@ -384,6 +393,10 @@ class TestCriteriaValidation:
         with pytest.raises(ValueError) as info:
             TerminationCriteria(max_evals=-5, tol_x=-1.0)
         assert "max_evals" in str(info.value) and "tol_x" in str(info.value)
+
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(TerminationCriteria)]
+        assert names == ["max_evals", "target_f", "tol_x", "tol_fun"]
 
 
 class TestTermination:
@@ -403,6 +416,15 @@ class TestTermination:
         result = run(config)
         assert result.termination == "tol_x"
         assert result.evals == 0
+
+    @pytest.mark.parametrize("controller", ["tpa", "tpa_noise", "tpa_legacy", "csa"])
+    def test_default_criteria_run_the_whole_budget(self, controller):
+        # target_f=-inf, tol_x=0 and tol_fun=0 stay off even where each would fire
+        config = replace(sphere_config(4, max_evals=3000), controller=controller)
+        result = run(config)
+        assert result.termination == "max_evals"
+        assert 3000 <= result.evals <= 3000 + config.build_params(config.lam)[0].lam + 2
+        assert result.best_f < 1e-12
 
     def test_sphere_reaches_target(self):
         result = run(sphere_config(10, max_evals=100_000, target_f=1e-10))
@@ -560,6 +582,37 @@ class TestRestarts:
         best = [row.best_f for row in result.trace]
         assert best == sorted(best, reverse=True)
         assert best[-1] == result.best_f
+
+    @pytest.mark.parametrize("m0", [3.0, [1.0, -2.0, 0.5]], ids=["scalar", "vector"])
+    def test_every_segment_starts_from_the_configured_start(self, monkeypatch, m0):
+        starts = []
+
+        class Recorded(CmaEs):
+            def __init__(self, params, m0, sigma0, **kwargs):
+                starts.append((m0.copy(), sigma0))
+                super().__init__(params, m0, sigma0, **kwargs)
+
+        monkeypatch.setattr(engine, "CmaEs", Recorded)
+        config = RunConfig(
+            objective=ObjectiveSpec("rastrigin", 3),
+            seed=0,
+            m0=m0,
+            sigma0=2.0,
+            criteria=TerminationCriteria(max_evals=20_000, target_f=-1.0, tol_fun=1e-10),
+        )
+        result = run_with_restarts(config, RestartPolicy(max_restarts=3))
+        assert len(starts) == len(result.segments) == 4
+        for start, sigma0 in starts:
+            np.testing.assert_array_equal(start, config.initial_mean())
+            assert sigma0 == 2.0
+
+    @pytest.mark.parametrize("value", [-1, 1.5, math.nan], ids=["negative", "fraction", "nan"])
+    def test_rejects_bad_max_restarts(self, value):
+        with pytest.raises(ValueError, match="max_restarts must be an integer >= 0"):
+            RestartPolicy(max_restarts=value)
+
+    def test_policy_fields(self):
+        assert [f.name for f in dataclasses.fields(RestartPolicy)] == ["max_restarts"]
 
     def test_restarts_solve_rastrigin_more_often(self):
         # paired-seed comparison on a multimodal function
