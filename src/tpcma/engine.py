@@ -103,7 +103,7 @@ class RunRecord(NamedTuple):
     ``sigma``, ``alpha_s`` and ``best_f`` are the values after the
     generation's updates; ``axis_ratio`` and ``trace_C`` describe the
     covariance the generation was sampled from, that is the factor as last
-    refreshed (every generation for n <= 50, see :class:`CmaEs`).
+    refreshed (every generation for n < 2 lam, see :class:`CmaEs`).
     ``alpha_s`` is NaN in cumulative mode.  In a restart run,
     ``generation``, ``evals`` and ``best_f`` count over the whole run, not
     the segment.  The field order is the trace CSV's column order.
@@ -206,12 +206,12 @@ class CmaEs:
     eigendecomposition, marked ``repaired``, where C is not positive
     definite to working precision; in cumulative mode the
     eigendecomposition, which the controller also whitens with.  The
-    factor is refreshed only when more than 1/(10 n (c_1 + c_mu))
-    generations have passed since it was taken, as C moves by about
-    c_1 + c_mu per generation.  That interval is below one generation for
-    n <= 50.  Sampling, the cumulative controller's whitening and the
-    trace's ``axis_ratio``/``trace_C`` all read this factor; the covariance
-    and path updates and ``tol_x`` read the current C.
+    factor is refreshed every gap = max(1, n // lam) generations, about once
+    per n offspring, so its O(n^3) cost is O(n^2) per offspring; for n < 2 lam
+    that is every generation.  The factor then lags C by at most
+    (gap - 1)(c_1 + c_mu), under 1%.  Sampling, the cumulative controller's
+    whitening and the trace's ``axis_ratio``/``trace_C`` all read this
+    factor; the covariance and path updates and ``tol_x`` read the current C.
     """
 
     def __init__(
@@ -250,8 +250,8 @@ class CmaEs:
         self._pending: np.ndarray | None = None  # the points of an untold ask()
         self._factor: sampler.CovarianceFactor | None = None
         self._factor_generation = 0  # the generation self._factor was taken at
-        # every generation for n <= 50, every 4th at n=400
-        self._refresh_interval = 1.0 / (10.0 * params.n * (params.c_1 + params.c_mu))
+        # every generation for n < 2 lam, every 19th at n=400 (lam 21)
+        self._refresh_gap = max(1, params.n // params.lam)
         self._Y: np.ndarray | None = None  # the steps of the last sampled population
         self._test_round: _TestRound | None = None  # set between the two tpa rounds
         window = 10 + int(math.ceil(30.0 * params.n / params.lam))
@@ -310,7 +310,7 @@ class CmaEs:
         if self._test_round is None:
             if (
                 self._factor is None
-                or self.generation - self._factor_generation > self._refresh_interval
+                or self.generation - self._factor_generation >= self._refresh_gap
             ):
                 self._factor = sampler.decompose(self.C, want_eigh=(self.mode == "csa"))
                 self._factor_generation = self.generation

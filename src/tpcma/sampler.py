@@ -38,8 +38,8 @@ class CovarianceFactor:
     definite to working precision.  A Cholesky factor samples C exactly,
     even where its ``scales`` are floored.
 
-    The engine keeps one factor for several generations at large n (see
-    ``engine.CmaEs``), so it may describe a covariance a few updates old.
+    The engine keeps one factor for n // lam generations (see
+    ``engine.CmaEs``), so it may lag C by up to n // lam - 1 updates.
     """
 
     basis: np.ndarray | None

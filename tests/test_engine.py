@@ -209,7 +209,8 @@ class TestSnapshot:
 
 
 class TestFactorRefresh:
-    """C is decomposed only every 1/(10 n (c_1 + c_mu)) generations."""
+    """C is decomposed once every max(1, n // lam) generations, about once
+    per n offspring."""
 
     @staticmethod
     def _run(monkeypatch, params, mode, generations):
@@ -247,18 +248,24 @@ class TestFactorRefresh:
         assert refreshed_at == list(range(12))
 
     @pytest.mark.parametrize("mode", ["tpa", "csa"])
-    def test_every_third_generation_at_n200(self, monkeypatch, mode):
+    @pytest.mark.parametrize("n, gap", [(19, 1), (20, 2)])
+    def test_gap_starts_at_twice_lam(self, monkeypatch, mode, n, gap):
+        _, refreshed_at, *_ = self._run(monkeypatch, default_params(n, lam=10), mode, 6)
+        assert refreshed_at == list(range(0, 6, gap))
+
+    @pytest.mark.parametrize("mode", ["tpa", "csa"])
+    def test_every_tenth_generation_at_n200(self, monkeypatch, mode):
         params = default_params(200)
-        assert 2.0 < 1.0 / (10.0 * 200 * (params.c_1 + params.c_mu)) < 3.0
+        assert params.lam == 19
         opt, refreshed_at, factors, sampled_with, whitened_with = self._run(
-            monkeypatch, params, mode, 10
+            monkeypatch, params, mode, 25
         )
-        assert refreshed_at == [0, 3, 6, 9]
-        assert all(sampled_with[g] is factors[g // 3] for g in range(10))
+        assert refreshed_at == [0, 10, 20]
+        assert all(sampled_with[g] is factors[g // 10] for g in range(25))
         # the trace and csa's whitening read the factor that sampled the generation
         assert [row.axis_ratio for row in opt.trace] == [f.axis_ratio for f in sampled_with]
         if mode == "csa":
-            assert len(whitened_with) == 10
+            assert len(whitened_with) == 25
             assert all(w is f for w, f in zip(whitened_with, sampled_with))
 
 
@@ -431,6 +438,15 @@ class TestTermination:
         assert result.termination == "target_f"
         assert result.best_f < 1e-10
         assert result.evals < 10_000
+
+    @pytest.mark.parametrize("controller", ["tpa", "tpa_noise", "tpa_legacy", "csa"])
+    def test_sphere_reaches_target_with_a_reused_factor(self, controller):
+        config = replace(sphere_config(60, max_evals=20_000, target_f=1e-9), controller=controller)
+        params = config.build_params()[0]
+        assert params.n // params.lam == 3  # each factor samples three generations
+        result = run(config)
+        assert result.termination == "target_f"
+        assert result.best_f < 1e-9
 
     def test_tol_fun_detects_stagnation(self):
         # a trapped rastrigin run freezes its best fitness

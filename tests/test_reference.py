@@ -78,7 +78,7 @@ def reference_generation(p: StrategyParams, mode, state, z, A, f):
         threshold = (1.0 - decay**9) * (1.0 - decay ** (g + 1)) * p.alpha_change
         h_sigma = 0 if alpha_s > threshold else 1
     else:
-        eigenvalues, basis = np.linalg.eigh(C)  # n <= 50: C is the one sampled from
+        eigenvalues, basis = np.linalg.eigh(C)  # n < 2 lam: C is the one sampled from
         inv_sqrt = np.zeros((n, n))
         for i in range(n):
             inv_sqrt = inv_sqrt + np.outer(basis[:, i], basis[:, i]) / math.sqrt(eigenvalues[i])
