@@ -201,17 +201,17 @@ class CmaEs:
     or step-size that leaves the floating-point range ends the run in
     ``RunAborted``; the layer functions it calls check nothing again.
 
-    Offspring are sampled from a factor of C (see ``sampler.decompose``):
-    in two-point mode its Cholesky factor, or the floored
-    eigendecomposition, marked ``repaired``, where C is not positive
-    definite to working precision; in cumulative mode the
-    eigendecomposition, which the controller also whitens with.  The
-    factor is refreshed every gap = max(1, n // lam) generations, about once
+    Offspring are sampled as y = A z from a factor of C (see
+    ``sampler.decompose``) in both modes: its Cholesky factor, or the
+    floored eigendecomposition, marked ``repaired``, where C is not positive
+    definite to working precision.  The cumulative controller whitens the
+    mean step as the weighted mean of the selected draws z, which is
+    A^(-1) <y> and needs no second factorization.  The factor is refreshed every gap = max(1, n // lam) generations, about once
     per n offspring, so its O(n^3) cost is O(n^2) per offspring; for n < 2 lam
     that is every generation.  The factor then lags C by at most
-    (gap - 1)(c_1 + c_mu), under 1%.  Sampling, the cumulative controller's
-    whitening and the trace's ``axis_ratio``/``trace_C`` all read this
-    factor; the covariance and path updates and ``tol_x`` read the current C.
+    (gap - 1)(c_1 + c_mu), under 1%.  Sampling, and so the cumulative
+    controller's whitening, and the trace's ``axis_ratio``/``trace_C`` all
+    read this factor; the covariance and path updates and ``tol_x`` read the current C.
     """
 
     def __init__(
@@ -253,6 +253,7 @@ class CmaEs:
         # every generation for n < 2 lam, every 19th at n=400 (lam 21)
         self._refresh_gap = max(1, params.n // params.lam)
         self._Y: np.ndarray | None = None  # the steps of the last sampled population
+        self._Z: np.ndarray | None = None  # and the standard-normal draws they came from
         self._test_round: _TestRound | None = None  # set between the two tpa rounds
         window = 10 + int(math.ceil(30.0 * params.n / params.lam))
         self._gen_best: deque[float] = deque(maxlen=window)
@@ -312,10 +313,10 @@ class CmaEs:
                 self._factor is None
                 or self.generation - self._factor_generation >= self._refresh_gap
             ):
-                self._factor = sampler.decompose(self.C, want_eigh=(self.mode == "csa"))
+                self._factor = sampler.decompose(self.C)
                 self._factor_generation = self.generation
             with np.errstate(over="ignore", invalid="ignore"):  # judged below
-                points, self._Y = sampler.sample_population(
+                points, self._Y, self._Z = sampler.sample_population(
                     self.m, self.sigma, self._factor, self.params.lam, self.rng
                 )
         else:
@@ -361,15 +362,15 @@ class CmaEs:
         self._gen_best.append(float(fitness[best]))
         self._note_best(X[best], fitness[best])
 
-        Y_sel = self._Y[order[: p.mu]]
+        selected = order[: p.mu]
+        Y_sel = self._Y[selected]
         mean_step = recombine.weighted_mean_step(Y_sel, p.weights)
         m_new = recombine.update_mean(self.m, self.sigma, mean_step)
 
         if self.mode == "csa":
             self.m = m_new
-            self.p_sigma, multiplier = stepsize.csa_update(
-                self.p_sigma, mean_step, self._factor, p
-            )
+            mean_z = recombine.weighted_mean_step(self._Z[selected], p.weights)
+            self.p_sigma, multiplier = stepsize.csa_update(self.p_sigma, mean_z, p)
             self.sigma *= multiplier
             g_next = self.generation + 1
             h_sigma = stepsize.csa_stall_indicator(self.p_sigma, g_next, p)

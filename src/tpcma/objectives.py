@@ -42,8 +42,8 @@ class ObjectiveSpec:
         problems = []
         if self.kind not in OBJECTIVE_KINDS:
             problems.append(f"objective kind must be one of {OBJECTIVE_KINDS}, got {self.kind!r}")
-        if not self.n >= 1:
-            problems.append(f"dimension must be >= 1, got {self.n}")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+            problems.append(f"dimension must be an integer >= 1, got {self.n!r}")
         if not 0.0 <= self.noise_level < math.inf:
             problems.append(f"noise_level must be >= 0 and finite, got {self.noise_level}")
         if not 0.0 < self.condition < math.inf:
@@ -74,6 +74,8 @@ def evaluate_population(
     identically.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if xs.ndim != 2:
+        raise ValueError(f"points must be a (k, n) batch, got shape {xs.shape}")
     if xs.shape[1] != spec.n:
         raise ValueError(f"points have dimension {xs.shape[1]}, objective expects {spec.n}")
     if not np.isfinite(xs).all():

@@ -76,10 +76,10 @@ class StrategyParams:
     def __post_init__(self):
         # the float bounds are written so that NaN fails them
         problems = []
-        if self.n < 1:
-            problems.append(f"n must be >= 1, got {self.n}")
-        if self.lam < 2:
-            problems.append(f"lam must be >= 2, got {self.lam}")
+        for name, low in (("n", 1), ("lam", 2)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                problems.append(f"{name} must be an integer >= {low}, got {value!r}")
         if not 0.0 < self.alpha_test < math.inf:
             problems.append(f"alpha_test must be positive and finite, got {self.alpha_test}")
         if not 0.0 <= self.alpha_change < math.inf:

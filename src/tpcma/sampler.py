@@ -19,33 +19,26 @@ EIGENVALUE_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class CovarianceFactor:
-    """A factor of the covariance matrix C that offspring are sampled with.
+    """The matrix A that offspring are sampled with, y = A z.
 
-    It is one of two kinds.  An eigendecomposition
-    C = basis diag(scales^2) basis^T samples y = basis (scales * z); the
-    cumulative controller needs it, since it whitens with
-    C^(-1/2) = basis diag(1/scales) basis^T, applied as two matrix-vector
-    products and never formed.  A Cholesky factor C = lower lower^T samples
-    y = lower z and has no ``basis``; the two-point controller uses it, as
-    it needs no whitening.
+    ``transform`` is A: C's Cholesky factor, so that A A^T = C exactly, even
+    where ``scales`` are floored; or, for a ``repaired`` factor,
+    ``basis * scales`` from C's eigendecomposition with its eigenvalues
+    raised to the floor, which samples from that floored matrix.  For
+    either kind A^(-1) is the inverse square root of A A^T up to a
+    rotation, so the cumulative controller whitens a step A z as z.
 
     ``scales`` are the square roots of C's eigenvalues, ascending, raised
-    to a floor of EIGENVALUE_FLOOR times the largest one, for both kinds:
-    they give the trace's axis ratio and trace.
-    ``repaired`` flags a factor that samples from a different matrix than
-    C: an eigendecomposition whose eigenvalues were raised to the floor, or
-    the one that stands in for a Cholesky factor when C is not positive
-    definite to working precision.  A Cholesky factor samples C exactly,
-    even where its ``scales`` are floored.
+    to a floor of EIGENVALUE_FLOOR times the largest one: they give the
+    trace's axis ratio and trace.
 
     The engine keeps one factor for n // lam generations (see
     ``engine.CmaEs``), so it may lag C by up to n // lam - 1 updates.
     """
 
-    basis: np.ndarray | None
+    transform: np.ndarray
     scales: np.ndarray
     repaired: bool = False
-    lower: np.ndarray | None = None
 
     @property
     def axis_ratio(self) -> float:
@@ -53,42 +46,33 @@ class CovarianceFactor:
         return float(self.scales[-1] / self.scales[0])
 
 
-def _floored_scales(eigenvalues: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Square roots of ascending eigenvalues raised to the floor, and
-    whether any was raised."""
+def _floored_scales(eigenvalues: np.ndarray) -> np.ndarray:
+    """Square roots of ascending eigenvalues raised to the floor."""
     largest = eigenvalues[-1]
     if largest <= 0.0:
         raise ValueError("covariance matrix has no positive eigenvalue")
-    floor = EIGENVALUE_FLOOR * largest
-    return np.sqrt(np.maximum(eigenvalues, floor)), bool(eigenvalues[0] < floor)
+    return np.sqrt(np.maximum(eigenvalues, EIGENVALUE_FLOOR * largest))
 
 
-def decompose(C: np.ndarray, *, want_eigh: bool = False) -> CovarianceFactor:
+def decompose(C: np.ndarray) -> CovarianceFactor:
     """The factor of the covariance matrix to sample with.
 
     ``C`` must be a finite symmetric float matrix; only its lower triangle
-    is read.  With ``want_eigh`` the result is the eigendecomposition;
-    otherwise it is the Cholesky factor, with ``scales`` from the
+    is read.  The result is the Cholesky factor, with ``scales`` from the
     eigenvalues alone, which costs about half of a full eigendecomposition
     at n=400.  When C is not positive definite to working precision,
-    Cholesky fails and the eigendecomposition stands in for it, marked
-    ``repaired``.  An indefinite or near-singular matrix is repaired by
-    flooring its eigenvalues at EIGENVALUE_FLOOR times the largest one.
-    Raises ValueError if no eigenvalue is positive, as there is then
-    nothing to floor against.
+    Cholesky fails and the eigendecomposition stands in for it, with its
+    eigenvalues floored at EIGENVALUE_FLOOR times the largest one, marked
+    ``repaired``.  Raises ValueError if no eigenvalue is positive, as there
+    is then nothing to floor against.
     """
-    if not want_eigh:
-        try:
-            lower = np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
-            pass  # not positive definite: the floored eigendecomposition below
-        else:
-            scales, _ = _floored_scales(np.linalg.eigvalsh(C))
-            return CovarianceFactor(basis=None, scales=scales, lower=lower)
-
-    eigenvalues, basis = np.linalg.eigh(C)
-    scales, repaired = _floored_scales(eigenvalues)
-    return CovarianceFactor(basis=basis, scales=scales, repaired=repaired or not want_eigh)
+    try:
+        lower = np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:  # not positive definite: repair
+        eigenvalues, basis = np.linalg.eigh(C)
+        scales = _floored_scales(eigenvalues)
+        return CovarianceFactor(transform=basis * scales, scales=scales, repaired=True)
+    return CovarianceFactor(transform=lower, scales=_floored_scales(np.linalg.eigvalsh(C)))
 
 
 def sample_population(
@@ -97,17 +81,13 @@ def sample_population(
     factor: CovarianceFactor,
     lam: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw lam offspring x_k = m + sigma * y_k with y_k ~ N(0, C).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw lam offspring x_k = m + sigma * y_k with y_k = A z_k ~ N(0, C).
 
-    Returns the (lam, n) matrices X and Y, one offspring per row.  The
-    underlying standard-normal variates are drawn offspring-major,
-    coordinate-minor, so trajectories are reproducible for a given seed
-    and draw order.
+    Returns the (lam, n) matrices X, Y and Z, one offspring per row.  The
+    standard-normal variates Z are drawn offspring-major, coordinate-minor,
+    so trajectories are reproducible for a given seed and draw order.
     """
-    z = rng.standard_normal((lam, m.shape[0]))
-    if factor.lower is not None:
-        Y = z @ factor.lower.T
-    else:
-        Y = (z * factor.scales) @ factor.basis.T
-    return m + sigma * Y, Y
+    Z = rng.standard_normal((lam, m.shape[0]))
+    Y = Z @ factor.transform.T
+    return m + sigma * Y, Y, Z

@@ -9,7 +9,8 @@ Two controllers are provided:
   downward point, no smoothing, mean updated with the new sigma) is the
   ``tpa_legacy`` entry of ``engine.CONTROLLERS``.
 * cumulative adaptation (baseline): the classic whitened evolution path
-  whose length is compared against its expectation under random selection.
+  whose length is compared against its expectation under random selection;
+  it is whitened with the selected standard-normal draws.
 
 Like the other layer modules, these functions take values that
 ``engine.CmaEs`` has already checked and do not check them again.
@@ -23,7 +24,6 @@ import math
 import numpy as np
 
 from .params import StrategyParams
-from .sampler import CovarianceFactor
 
 __all__ = [
     "tpa_test_points",
@@ -90,19 +90,21 @@ def expected_normal_norm(n: int) -> float:
 
 
 def csa_update(
-    p_sigma: np.ndarray, mean_step: np.ndarray, factor: CovarianceFactor, params: StrategyParams
+    p_sigma: np.ndarray, mean_z: np.ndarray, params: StrategyParams
 ) -> tuple[np.ndarray, float]:
     """Cumulative step-size update (baseline controller).
 
-    ``p_sigma`` is the whitened evolution path, which starts at zero;
-    ``factor`` must be the eigendecomposition the population was sampled
-    with; the mean step is whitened by C^(-1/2) = basis diag(1/scales)
-    basis^T as two matrix-vector products.  Returns the new path, as a new
-    array, and the sigma multiplier exp((c_sigma/d_sigma) (||p|| / E||N(0,I)|| - 1)).
+    ``p_sigma`` is the whitened evolution path, which starts at zero.
+    ``mean_z`` is the whitened mean step sum_i w_i z_(i), the weighted mean
+    of the selected standard-normal draws: A^(-1) <y> for the sampling
+    matrix A of ``sampler.CovarianceFactor``.  It differs from
+    C^(-1/2) <y> by a rotation only, so the path length and its expectation
+    under random selection are those of the textbook rule.  Returns the new
+    path, as a new array, and the sigma multiplier
+    exp((c_sigma/d_sigma) (||p|| / E||N(0,I)|| - 1)).
     """
-    whitened = factor.basis @ ((factor.basis.T @ mean_step) / factor.scales)
     cs = params.c_sigma
-    p = (1.0 - cs) * p_sigma + math.sqrt(cs * (2.0 - cs) * params.mu_w) * whitened
+    p = (1.0 - cs) * p_sigma + math.sqrt(cs * (2.0 - cs) * params.mu_w) * mean_z
     ratio = math.sqrt(p.dot(p)) / expected_normal_norm(params.n)
     multiplier = math.exp((cs / params.d_sigma) * (ratio - 1.0))
     return p, multiplier

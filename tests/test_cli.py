@@ -299,13 +299,13 @@ class TestMain:
     @pytest.mark.parametrize(
         "args,messages",
         [
-            (["--lambda", "1"], ["lam must be >= 2"]),
+            (["--lambda", "1"], ["lam must be an integer >= 2"]),
             (["--c-alpha", "2"], ["c_alpha must be in"]),
             (["--beta", "-1"], ["beta_bias must be >= 0"]),
             (["--tol-x", "-1"], ["tol_x must be >= 0"]),
             (["--condition", "0"], ["condition must be positive"]),
             (["--objective", "noisy_sphere", "--noise-level", "-1"], ["noise_level must be >= 0"]),
-            (["--lambda", "1", "--c-alpha", "2"], ["lam must be >= 2", "c_alpha must be in"]),
+            (["--lambda", "1", "--c-alpha", "2"], ["lam must be an integer >= 2", "c_alpha must be in"]),
             (["--sigma0", "nan"], ["sigma0 must be positive and finite"]),
             (["--sigma0", "inf"], ["sigma0 must be positive and finite"]),
             (["--m0", "inf"], ["m0 must be finite"]),
@@ -322,17 +322,17 @@ class TestMain:
             (["--objective", "wat", "--budget", "-1"],
              ["objective kind must be one of", "max_evals must be an integer >= 0"]),
             (["--objective", "wat,sphere", "--n", "0"],
-             ["objective kind must be one of", "dimension must be >= 1, got 0"]),
+             ["objective kind must be one of", "dimension must be an integer >= 1, got 0"]),
             (["--controller", "nope"], ["controller must be one of"]),
             (["--restarts", "-1"], ["max_restarts must be an integer >= 0"]),
             (["--budget", "-1", "--sigma0", "0"],
              ["max_evals must be an integer >= 0", "sigma0 must be positive and finite"]),
             (["--lambda", "1", "--budget", "-1"],
-             ["lam must be >= 2", "max_evals must be an integer >= 0"]),
+             ["lam must be an integer >= 2", "max_evals must be an integer >= 0"]),
             (["--objective", "wat", "--controller", "nope"],
              ["objective kind must be one of", "controller must be one of"]),
             (["--controller", "nope", "--beta", "nan", "--lambda", "1"],
-             ["controller must be one of", "beta_bias must be >= 0", "lam must be >= 2"]),
+             ["controller must be one of", "beta_bias must be >= 0", "lam must be an integer >= 2"]),
             (["--objective", "sphere,sphere"], ["objective grid entries must be distinct"]),
             (["--n", "2,3,2"], ["dimension grid entries must be distinct"]),
             (["--controller", "tpa,tpa"], ["controller grid entries must be distinct"]),

@@ -173,20 +173,17 @@ class TestAskTellProtocol:
         np.testing.assert_array_equal(opt.ask(), ref.ask())
         assert opt.evals == ref.evals == 7
 
-    def test_tpa_mode_never_whitens(self):
-        opt = CmaEs(default_params(3), np.zeros(3), 1.0, rng=np.random.default_rng(2))
+    @pytest.mark.parametrize("mode", ["tpa", "csa"])
+    def test_both_modes_sample_from_the_cholesky_factor(self, mode):
+        opt = CmaEs(default_params(3), np.zeros(3), 1.0, mode=mode, rng=np.random.default_rng(2))
         spec = ObjectiveSpec("sphere", 3)
         for _ in range(10):
             xs = opt.ask()
             opt.tell(evaluate_population(spec, np.asarray(xs)))
-            assert opt._factor.lower is not None and opt._factor.basis is None
-
-    def test_csa_mode_whitens(self):
-        opt = CmaEs(default_params(3), np.zeros(3), 1.0, mode="csa", rng=np.random.default_rng(2))
-        spec = ObjectiveSpec("sphere", 3)
-        xs = opt.ask()
-        opt.tell(evaluate_population(spec, np.asarray(xs)))
-        assert opt._factor.basis is not None and opt._factor.lower is None
+            if mode == "tpa":
+                opt.tell(evaluate_population(spec, opt.ask()))
+            assert not opt._factor.repaired
+            np.testing.assert_array_equal(np.tril(opt._factor.transform), opt._factor.transform)
 
 
 class TestSnapshot:
@@ -216,31 +213,35 @@ class TestFactorRefresh:
     def _run(monkeypatch, params, mode, generations):
         n = params.n
         opt = CmaEs(params, np.zeros(n), 1.0, mode=mode, rng=np.random.default_rng(3))
-        refreshed_at, factors, sampled_with, whitened_with = [], [], [], []
+        refreshed_at, factors, sampled_with, whitened = [], [], [], []
         decompose, sample, csa_update = (
             sampler.decompose, sampler.sample_population, stepsize.csa_update
         )
 
-        def counting_decompose(C, **kwargs):
+        def counting_decompose(C):
             refreshed_at.append(opt.generation)
-            factors.append(decompose(C, **kwargs))
+            factors.append(decompose(C))
             return factors[-1]
 
         def recording_sample(m, sigma, factor, lam, rng):
             sampled_with.append(factor)
             return sample(m, sigma, factor, lam, rng)
 
-        def recording_csa_update(p_sigma, mean_step, factor, params):
-            whitened_with.append(factor)
-            return csa_update(p_sigma, mean_step, factor, params)
+        def recording_csa_update(p_sigma, mean_z, params):
+            # the whitened step and the mean step it whitens
+            whitened.append((mean_z, (opt.m - m_before[-1]) / sigma_before[-1]))
+            return csa_update(p_sigma, mean_z, params)
 
         monkeypatch.setattr(sampler, "decompose", counting_decompose)
         monkeypatch.setattr(sampler, "sample_population", recording_sample)
         monkeypatch.setattr(stepsize, "csa_update", recording_csa_update)
         spec = ObjectiveSpec("ellipsoid", n)
+        m_before, sigma_before = [], []
         while opt.generation < generations:
+            m_before.append(opt.m)
+            sigma_before.append(opt.sigma)
             opt.tell(evaluate_population(spec, opt.ask()))
-        return opt, refreshed_at, factors, sampled_with, whitened_with
+        return opt, refreshed_at, factors, sampled_with, whitened
 
     @pytest.mark.parametrize("mode", ["tpa", "csa"])
     def test_every_generation_at_n10(self, monkeypatch, mode):
@@ -257,7 +258,7 @@ class TestFactorRefresh:
     def test_every_tenth_generation_at_n200(self, monkeypatch, mode):
         params = default_params(200)
         assert params.lam == 19
-        opt, refreshed_at, factors, sampled_with, whitened_with = self._run(
+        opt, refreshed_at, factors, sampled_with, whitened = self._run(
             monkeypatch, params, mode, 25
         )
         assert refreshed_at == [0, 10, 20]
@@ -265,8 +266,10 @@ class TestFactorRefresh:
         # the trace and csa's whitening read the factor that sampled the generation
         assert [row.axis_ratio for row in opt.trace] == [f.axis_ratio for f in sampled_with]
         if mode == "csa":
-            assert len(whitened_with) == 25
-            assert all(w is f for w, f in zip(whitened_with, sampled_with))
+            assert len(whitened) == 25
+            for (mean_z, mean_step), factor in zip(whitened, sampled_with):
+                np.testing.assert_allclose(factor.transform @ mean_z, mean_step, rtol=1e-9,
+                                           atol=1e-12 * np.abs(mean_step).max())
 
 
 @pytest.mark.parametrize("controller", ["tpa", "csa"])
@@ -360,8 +363,8 @@ class TestEngineOutput:
         spec = ObjectiveSpec("random_fitness", 2)
         decompose, factors = sampler.decompose, []
 
-        def recording_decompose(C, **kwargs):
-            factors.append(decompose(C, **kwargs))
+        def recording_decompose(C):
+            factors.append(decompose(C))
             return factors[-1]
 
         monkeypatch.setattr(sampler, "decompose", recording_decompose)
@@ -369,8 +372,8 @@ class TestEngineOutput:
             opt.tell(evaluate_population(spec, opt.ask(), opt.rng))
         repaired = [f for f in factors if f.repaired]
         assert repaired
-        assert all(f.lower is None and f.basis is not None for f in repaired)
-        assert all(f.lower is not None for f in factors if not f.repaired)
+        for f in factors:  # a Cholesky factor is lower triangular, a repaired one is not
+            assert np.array_equal(np.tril(f.transform), f.transform) != f.repaired
         assert np.isfinite(np.array(opt.trace, dtype=float)).all()
 
 
@@ -513,6 +516,24 @@ class TestDeterminism:
         a = run(sphere_config(5, seed=1, max_evals=2000))
         b = run(sphere_config(5, seed=2, max_evals=2000))
         assert a.trace != b.trace
+
+    @pytest.mark.parametrize("mode", ["tpa", "csa"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_ulp_in_C_moves_the_population_by_rounding_only(self, mode, seed):
+        # a factor whose basis follows the last bit of C (eigh's, for nearly
+        # equal eigenvalues) would send the next population elsewhere
+        spec = ObjectiveSpec("sphere", 10)
+        populations = []
+        for scale in (1.0, 1.0 + 2.2e-16):
+            opt = CmaEs(default_params(10), np.full(10, 3.0), 2.0, mode=mode,
+                        rng=np.random.default_rng(seed))
+            while opt.generation < 1:
+                opt.tell(evaluate_population(spec, opt.ask()))
+            opt.C = opt.C * scale
+            populations.append(opt.ask() - opt.m)
+        assert not np.array_equal(*populations)
+        moved = np.linalg.norm(populations[1] - populations[0])
+        assert moved <= 1e-14 * np.linalg.norm(populations[0])
 
 
 class TestInvariance:
@@ -678,6 +699,11 @@ class TestRunConfig:
                       lam=1, beta_bias=math.nan, c_alpha=2.0)
         problems = [problem.split()[0] for problem in str(info.value).split("; ")]
         assert problems == ["sigma0", "controller", "lam", "beta_bias", "c_alpha"]
+
+    @pytest.mark.parametrize("controller", ["tpa", "csa"])
+    def test_rejects_non_integer_lambda(self, controller):
+        with pytest.raises(ValueError, match="lam must be an integer >= 2, got 6.5"):
+            RunConfig(objective=ObjectiveSpec("sphere", 4), controller=controller, lam=6.5)
 
     def test_controller_aliases(self):
         base = RunConfig(objective=ObjectiveSpec("sphere", 2))

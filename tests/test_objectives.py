@@ -28,6 +28,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             ObjectiveSpec("noisy_sphere", 3, **{field: value})
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0)])
+    def test_rejects_non_integer_dimension(self, n):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
+            ObjectiveSpec("sphere", n)
+
+    def test_accepts_numpy_integer_dimension(self):
+        assert evaluate(ObjectiveSpec("sphere", np.int64(2)), np.ones(2)) == 2.0
+
     def test_names_every_bad_field(self):
         with pytest.raises(ValueError) as info:
             ObjectiveSpec("banana", 0)
@@ -133,3 +141,8 @@ class TestBatchEvaluation:
             evaluate_population(spec, np.zeros((2, 4)))
         with pytest.raises(ValueError):
             evaluate_population(spec, np.array([[1.0, np.inf, 0.0]]))
+
+    def test_rejects_a_batch_of_more_than_two_dimensions(self):
+        # a (2, 3, 5) stack used to come back as a (2, 5) array
+        with pytest.raises(ValueError, match=r"\(k, n\) batch, got shape \(2, 3, 5\)"):
+            evaluate_population(ObjectiveSpec("sphere", 3), np.zeros((2, 3, 5)))

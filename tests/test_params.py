@@ -48,6 +48,24 @@ class TestDefaults:
         with pytest.raises(ValueError):
             default_params(5, lam=1)
 
+    @pytest.mark.parametrize(
+        "n,lam,message",
+        [
+            (2.5, None, "n must be an integer >= 1, got 2.5"),
+            (4.0, None, "n must be an integer >= 1, got 4.0"),
+            (4, 6.5, "lam must be an integer >= 2, got 6.5"),
+            (4, math.nan, "lam must be an integer >= 2, got nan"),
+        ],
+    )
+    def test_rejects_non_integer_dimension_and_lambda(self, n, lam, message):
+        # these used to construct, then fail with TypeError in ask() or np.full
+        with pytest.raises(ValueError, match=message):
+            default_params(n, lam=lam)
+
+    def test_accepts_numpy_integers(self):
+        p = default_params(np.int64(4), lam=np.int32(6))
+        assert (p.n, p.lam) == (4, 6)
+
     def test_overrides_validated_not_clamped(self):
         p = replace(default_params(10), beta_bias=0.1, c_alpha=0.5)
         assert p.beta_bias == 0.1

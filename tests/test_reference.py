@@ -6,14 +6,18 @@ step-size adaptation as in Hansen, "CMA-ES with Two-Point Step-Size
 Adaptation" (arXiv:0805.0231) -- the test points along the realized mean
 shift, the win/lose signal, its smoothing and the legacy geometry of
 evolutionary gradient search -- and the cumulative baseline as in Hansen's
-CMA-ES tutorial (arXiv:1604.00772).  The reference uses plain loops and
-``np.outer`` and takes from the package only the strategy constants.
+CMA-ES tutorial (arXiv:1604.00772).  The reference uses plain loops,
+one matrix-vector product per offspring and ``np.outer``, and takes from
+the package only the strategy constants.
 
 Each generation starts from the engine's own state, so rounding differences
 cannot grow over the run.  The reference is given the engine's
-standard-normal draws and the matrix A its factor samples with (y = A z),
-either the engine's own factor or one forced to an eigendecomposition or a
-Cholesky factor of C.
+standard-normal draws and the matrix A its factor samples with (y = A z):
+the engine's own factor, or one forced to an eigendecomposition, a Cholesky
+factor or a floored eigendecomposition of C.  The cumulative baseline
+whitens the mean step with that A, A^(-1) <y>.  At n=60 (lam 16) the
+factor is refreshed every third generation, so A comes from the last
+refresh while the update acts on the current C.
 """
 
 import copy
@@ -34,9 +38,9 @@ GENERATIONS = 50
 def ellipsoid(x):
     n = len(x)
     total = 0.0
-    for i in range(n):
+    for i, value in enumerate(x.tolist()):
         scale = 1e6 ** (i / (n - 1)) if n > 1 else 1.0
-        total += scale * x[i] ** 2
+        total += scale * value**2
     return total
 
 
@@ -45,12 +49,7 @@ def reference_generation(p: StrategyParams, mode, state, z, A, f):
     m, sigma, C, p_c, alpha_s, p_sigma, g = state
     n, lam, mu, w = p.n, p.lam, p.mu, p.weights
 
-    ys = []
-    for k in range(lam):
-        y = np.zeros(n)
-        for j in range(n):
-            y = y + A[:, j] * z[k][j]
-        ys.append(y)
+    ys = [A @ z[k] for k in range(lam)]
     fitness = [f(m + sigma * y) for y in ys]
     order = sorted(range(lam), key=lambda k: fitness[k])  # stable: ties keep draw order
     selected = [ys[k] for k in order[:mu]]
@@ -78,12 +77,11 @@ def reference_generation(p: StrategyParams, mode, state, z, A, f):
         threshold = (1.0 - decay**9) * (1.0 - decay ** (g + 1)) * p.alpha_change
         h_sigma = 0 if alpha_s > threshold else 1
     else:
-        eigenvalues, basis = np.linalg.eigh(C)  # n < 2 lam: C is the one sampled from
-        inv_sqrt = np.zeros((n, n))
-        for i in range(n):
-            inv_sqrt = inv_sqrt + np.outer(basis[:, i], basis[:, i]) / math.sqrt(eigenvalues[i])
+        # whitened with the matrix sampled from, which may lag C: A^(-1) is
+        # (A A^T)^(-1/2) up to a rotation, so the path length is unchanged
         c_s = p.c_sigma
-        p_sigma = (1.0 - c_s) * p_sigma + math.sqrt(c_s * (2.0 - c_s) * p.mu_w) * (inv_sqrt @ y_w)
+        whitened = np.linalg.solve(A, y_w)
+        p_sigma = (1.0 - c_s) * p_sigma + math.sqrt(c_s * (2.0 - c_s) * p.mu_w) * whitened
         chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
         length = math.sqrt(sum(v * v for v in p_sigma))
         sigma = sigma * math.exp(c_s / p.d_sigma * (length / chi_n - 1.0))
@@ -108,23 +106,25 @@ class _UnitDraws:
 
 def sampling_matrix(factor, n):
     """The matrix A with y = A z that the factor samples with."""
-    _, Y = sampler.sample_population(np.zeros(n), 1.0, factor, n, _UnitDraws())
+    _, Y, _ = sampler.sample_population(np.zeros(n), 1.0, factor, n, _UnitDraws())
     return Y.T
 
 
 def forced_decompose(kind):
     """``sampler.decompose`` with the sampling matrix replaced by an
-    eigendecomposition or a Cholesky factor of C, given as ``lower``; the
-    engine's ``basis`` and ``scales`` are kept for whitening."""
+    eigendecomposition, a Cholesky factor or, marked ``repaired``, an
+    eigendecomposition whose eigenvalues are raised to their median, a floor
+    that bites whenever C is not isotropic."""
     decompose = sampler.decompose
 
-    def forced(C, **kwargs):
+    def forced(C):
         if kind == "cholesky":
-            A = np.linalg.cholesky(C)
-        else:
-            eigenvalues, basis = np.linalg.eigh(C)
-            A = basis * np.sqrt(eigenvalues)
-        return replace(decompose(C, **kwargs), lower=A)
+            return replace(decompose(C), transform=np.linalg.cholesky(C))
+        eigenvalues, basis = np.linalg.eigh(C)
+        if kind == "floored":
+            eigenvalues = np.maximum(eigenvalues, np.median(eigenvalues))
+        A = basis * np.sqrt(eigenvalues)
+        return replace(decompose(C), transform=A, repaired=kind == "floored")
 
     return forced
 
@@ -134,8 +134,8 @@ def assert_close(actual, expected):
     assert np.linalg.norm(actual - expected) <= RTOL * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("kind", ["engine", "eigh", "cholesky"])
-@pytest.mark.parametrize("n", [2, 10])
+@pytest.mark.parametrize("kind", ["engine", "eigh", "cholesky", "floored"])
+@pytest.mark.parametrize("n", [2, 10, 60])
 @pytest.mark.parametrize("controller", list(CONTROLLERS))
 def test_generation_matches_the_equations(controller, n, kind, monkeypatch):
     if kind != "engine":
@@ -144,6 +144,7 @@ def test_generation_matches_the_equations(controller, n, kind, monkeypatch):
     p = replace(default_params(n), **preset)
     # a small start makes the step-size ramp up, which the stall gates act on
     opt = CmaEs(p, np.full(n, 3.0), 1e-3, mode=mode, rng=np.random.default_rng(n))
+    factors = []
     for _ in range(GENERATIONS):
         state = (opt.m.copy(), opt.sigma, opt.C, opt.p_c, opt.alpha_s, opt.p_sigma,
                  opt.generation)
@@ -151,6 +152,7 @@ def test_generation_matches_the_equations(controller, n, kind, monkeypatch):
         X = opt.ask()
         z = draws.standard_normal((p.lam, n))  # offspring-major, as sample_population draws
         A = sampling_matrix(opt._factor, n)
+        factors.append(opt._factor)
         opt.tell([ellipsoid(x) for x in X])
         if mode == "tpa":
             opt.tell([ellipsoid(x) for x in opt.ask()])
@@ -167,3 +169,8 @@ def test_generation_matches_the_equations(controller, n, kind, monkeypatch):
             assert math.isnan(opt.alpha_s)
             assert_close(opt.p_sigma, p_sigma)
     assert opt.generation == GENERATIONS
+    # one factor per gap of max(1, n // lam) generations, each sampling them all
+    gap = max(1, n // p.lam)
+    assert [id(f) for f in factors] == [id(factors[g - g % gap]) for g in range(GENERATIONS)]
+    assert len({id(f) for f in factors}) == math.ceil(GENERATIONS / gap)
+    assert any(f.repaired for f in factors) == (kind == "floored")

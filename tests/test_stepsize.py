@@ -6,7 +6,7 @@ import pytest
 
 from tpcma.engine import CONTROLLERS
 from tpcma.params import default_params
-from tpcma.sampler import EIGENVALUE_FLOOR, CovarianceFactor, decompose
+from tpcma.sampler import EIGENVALUE_FLOOR, decompose, sample_population
 from tpcma.stepsize import (
     csa_stall_indicator,
     csa_update,
@@ -17,7 +17,6 @@ from tpcma.stepsize import (
 
 DEFAULTS = default_params(10)
 LEGACY = replace(DEFAULTS, **CONTROLLERS["tpa_legacy"][1])
-UNIT = CovarianceFactor(basis=np.eye(10), scales=np.ones(10))  # whitens with C^(-1/2) = I
 
 
 class TestTestPoints:
@@ -139,7 +138,7 @@ class TestLegacyParams:
 class TestCsa:
     def test_zero_path_zero_step_shrinks(self):
         p = DEFAULTS
-        p_sigma, mult = csa_update(np.zeros(10), np.zeros(10), UNIT, p)
+        p_sigma, mult = csa_update(np.zeros(10), np.zeros(10), p)
         np.testing.assert_array_equal(p_sigma, np.zeros(10))
         assert mult == pytest.approx(math.exp(-p.c_sigma / p.d_sigma), rel=1e-14)
         assert mult < 1.0
@@ -147,64 +146,57 @@ class TestCsa:
     def test_stationary_at_expected_norm(self):
         p = DEFAULTS
         target = expected_normal_norm(10) / (1.0 - p.c_sigma)
-        _, mult = csa_update(np.r_[target, np.zeros(9)], np.zeros(10), UNIT, p)
+        _, mult = csa_update(np.r_[target, np.zeros(9)], np.zeros(10), p)
         assert mult == pytest.approx(1.0, abs=1e-12)
 
     def test_path_formula_single_parent(self):
         p = default_params(10, lam=2)  # mu_w = 1
         step = np.r_[1.0, np.zeros(9)]
-        p_sigma, _ = csa_update(np.zeros(10), step, UNIT, p)
+        p_sigma, _ = csa_update(np.zeros(10), step, p)
         expected = math.sqrt(p.c_sigma * (2.0 - p.c_sigma))
         np.testing.assert_allclose(p_sigma, expected * step, rtol=1e-14)
 
     def test_path_norm_equals_linalg_norm_exactly(self):
         rng = np.random.default_rng(12)
         p = DEFAULTS
-        new, mult = csa_update(rng.standard_normal(10), rng.standard_normal(10), UNIT, p)
+        new, mult = csa_update(rng.standard_normal(10), rng.standard_normal(10), p)
         ratio = float(np.linalg.norm(new)) / expected_normal_norm(10)
         assert mult == math.exp((p.c_sigma / p.d_sigma) * (ratio - 1.0))
 
-    def test_whitening_divides_by_the_scales(self):
-        p = default_params(3, lam=2)
-        factor = CovarianceFactor(basis=np.eye(3), scales=np.array([2.0, 1.0, 0.5]))
-        step = np.array([1.0, 1.0, 1.0])
-        p_sigma, _ = csa_update(np.zeros(3), step, factor, p)
-        coeff = math.sqrt(p.c_sigma * (2.0 - p.c_sigma))
-        np.testing.assert_allclose(p_sigma, coeff * np.array([0.5, 1.0, 2.0]), rtol=1e-14)
-
     @pytest.mark.parametrize("n", [2, 10, 50])
-    @pytest.mark.parametrize("floored", [False, True], ids=["spd", "repaired"])
-    def test_whitening_equals_inverse_square_root(self, n, floored):
-        # the factor's two mat-vecs against C^(-1/2) formed from eigh, floor included
+    @pytest.mark.parametrize("floored", [False, True], ids=["cholesky", "repaired"])
+    def test_path_length_equals_inverse_square_root_whitening(self, n, floored):
+        # the mean of the selected draws is A^(-1) <y>, a rotation of
+        # C^(-1/2) <y> with C = A A^T, so the path length is the textbook one
         rng = np.random.default_rng(n)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         eigenvalues = np.geomspace(1e-6, 1.0, n)
         if floored:
-            eigenvalues[0] = -1e-18
+            eigenvalues[0] = -1e-6
         C = (q * eigenvalues) @ q.T
         C = (C + C.T) / 2.0
-        factor = decompose(C, want_eigh=True)
+        factor = decompose(C)
         assert factor.repaired == floored
+        p = default_params(n)
+        _, Y, Z = sample_population(np.zeros(n), 1.0, factor, p.lam, rng)
+        mean_z, mean_y = p.weights @ Z[: p.mu], p.weights @ Y[: p.mu]
+        # C^(-1/2) of the matrix sampled from, floor included, formed from eigh
         values, basis = np.linalg.eigh(C)
-        scales = np.sqrt(np.maximum(values, EIGENVALUE_FLOOR * values[-1]))
-        inv_sqrt = (basis / scales) @ basis.T
-        # a short step, so that the whitened floored axis stays about unit length
-        step = 2.0**-24 * rng.standard_normal(n)
-        p, p_sigma = default_params(n), rng.standard_normal(n)
-        new, mult = csa_update(p_sigma, step, factor, p)
+        inv_sqrt = (basis / np.sqrt(np.maximum(values, EIGENVALUE_FLOOR * values[-1]))) @ basis.T
+        solved = np.linalg.solve(factor.transform, mean_y)
+        assert np.linalg.norm(solved - mean_z) <= 1e-8 * np.linalg.norm(mean_z)
+        new, mult = csa_update(np.zeros(n), mean_z, p)
         cs = p.c_sigma
-        expected = (1.0 - cs) * p_sigma + math.sqrt(cs * (2.0 - cs) * p.mu_w) * (inv_sqrt @ step)
-        assert np.linalg.norm(new - expected) <= 1e-12 * np.linalg.norm(expected)
+        expected = math.sqrt(cs * (2.0 - cs) * p.mu_w) * (inv_sqrt @ mean_y)
+        assert np.linalg.norm(new) == pytest.approx(np.linalg.norm(expected), rel=1e-8)
         ratio = float(np.linalg.norm(expected)) / expected_normal_norm(n)
-        assert mult == pytest.approx(math.exp((cs / p.d_sigma) * (ratio - 1.0)), rel=1e-12)
+        assert mult == pytest.approx(math.exp((cs / p.d_sigma) * (ratio - 1.0)), rel=1e-8)
 
     def test_inputs_not_written(self):
         rng = np.random.default_rng(4)
-        a = rng.standard_normal((10, 10))
-        factor = decompose(a @ a.T, want_eigh=True)
-        inputs = (rng.standard_normal(10), rng.standard_normal(10), factor.basis, factor.scales)
+        inputs = (rng.standard_normal(10), rng.standard_normal(10))
         inputs_before = [x.copy() for x in inputs]
-        new, _ = csa_update(inputs[0], inputs[1], factor, DEFAULTS)
+        new, _ = csa_update(inputs[0], inputs[1], DEFAULTS)
         assert new is not inputs[0]
         for x, before in zip(inputs, inputs_before):
             np.testing.assert_array_equal(x, before)
