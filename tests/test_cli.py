@@ -171,7 +171,7 @@ class TestRunExperiment:
         "objective,controller,restarts,digests",
         [
             # csa rows carry alpha_s = nan
-            ("sphere", "csa", 0, ("e56a269f84848d8b", "66027f3a7b6ecc12")),
+            ("sphere", "csa", 0, ("87b977251b5e66ac", "8ede01b2dfcd4746")),
             ("rastrigin", "tpa_legacy", 2, ("5eb8e860652fdc6f", "3756da04cbbb155e")),
         ],
         ids=["csa", "tpa_legacy-restarts"],

@@ -34,31 +34,31 @@ GOLDEN = {
     ("sphere", "tpa"): "56ce09990bb937e3",
     ("sphere", "tpa_noise"): "a8f3c9c039e8d8fb",
     ("sphere", "tpa_legacy"): "1292389bd7a0ab5f",
-    ("sphere", "csa"): "be6d5eae209342f7",
+    ("sphere", "csa"): "22d136fde7fa0a6e",
     ("ellipsoid", "tpa"): "64abc716a0669e2f",
     ("ellipsoid", "tpa_noise"): "526c5369cdae5b75",
     ("ellipsoid", "tpa_legacy"): "eeebd8e5d5f6c6b7",
-    ("ellipsoid", "csa"): "2c5c8ff5b8e76dbc",
+    ("ellipsoid", "csa"): "66e3ca3070b5ff4d",
     ("rosenbrock", "tpa"): "f3624136d5689506",
     ("rosenbrock", "tpa_noise"): "26bf961e82714d04",
     ("rosenbrock", "tpa_legacy"): "dd768ffe6ee970b2",
-    ("rosenbrock", "csa"): "3f41531b802312a3",
+    ("rosenbrock", "csa"): "1b7d94dd0876063f",
     ("ellipsoid_n20", "tpa"): "8979009c76a8cab2",
     ("ellipsoid_n20", "tpa_noise"): "d83efeae89ae6f87",
     ("ellipsoid_n20", "tpa_legacy"): "562f0fd1217c3745",
-    ("ellipsoid_n20", "csa"): "35cf12dbabf4f6a3",
+    ("ellipsoid_n20", "csa"): "e8c378b424e33d9b",
     ("rosenbrock_n20", "tpa"): "6a868a430abb7ca2",
     ("rosenbrock_n20", "tpa_noise"): "ffe1f822a88f7abb",
     ("rosenbrock_n20", "tpa_legacy"): "f4243f2ab0dddbeb",
-    ("rosenbrock_n20", "csa"): "eb7dd63aed54ebba",
+    ("rosenbrock_n20", "csa"): "0b858ced070b415a",
     ("noisy_sphere", "tpa"): "5b100754db17998f",
     ("noisy_sphere", "tpa_noise"): "ac1d66e43ec5e2ed",
     ("noisy_sphere", "tpa_legacy"): "630e4d117f3734fa",
-    ("noisy_sphere", "csa"): "b4c391a938cf31bc",
+    ("noisy_sphere", "csa"): "1ae2cd80e143b9fd",
     ("rastrigin_restarts", "tpa"): "794c58a1cae9aa2d",
     ("rastrigin_restarts", "tpa_noise"): "66d0c84a816db596",
     ("rastrigin_restarts", "tpa_legacy"): "efb112cefd15bd16",
-    ("rastrigin_restarts", "csa"): "00cbb9218e3adf41",
+    ("rastrigin_restarts", "csa"): "12ba584fb785db0f",
 }
 
 
