@@ -206,12 +206,13 @@ class CmaEs:
     floored eigendecomposition, marked ``repaired``, where C is not positive
     definite to working precision.  The cumulative controller whitens the
     mean step as the weighted mean of the selected draws z, which is
-    A^(-1) <y> and needs no second factorization.  The factor is refreshed every gap = max(1, n // lam) generations, about once
-    per n offspring, so its O(n^3) cost is O(n^2) per offspring; for n < 2 lam
-    that is every generation.  The factor then lags C by at most
-    (gap - 1)(c_1 + c_mu), under 1%.  Sampling, and so the cumulative
-    controller's whitening, and the trace's ``axis_ratio``/``trace_C`` all
-    read this factor; the covariance and path updates and ``tol_x`` read the current C.
+    A^(-1) <y> and needs no second factorization.  The factor is refreshed
+    every gap = max(1, n // lam) generations, about once per n offspring,
+    so its O(n^3) cost is O(n^2) per offspring; for n < 2 lam that is every
+    generation.  The factor then lags C by at most (gap - 1)(c_1 + c_mu),
+    under 1%.  Sampling, and so the cumulative controller's whitening, and
+    the trace's ``axis_ratio``/``trace_C`` all read this factor; the
+    covariance and path updates and ``tol_x`` read the current C.
     """
 
     def __init__(

@@ -25,7 +25,8 @@ def weighted_mean_step(Y_sel: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted mean of the selected steps, sum_i w_i y_(i).
 
     ``Y_sel`` holds the mu best sampled steps as rows, best first, one per
-    weight.
+    weight.  Given their standard-normal draws instead, it returns the
+    whitened mean step of the cumulative controller.
     """
     return weights @ Y_sel
 
