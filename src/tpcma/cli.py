@@ -64,7 +64,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A grid of runs plus shared run settings and output options."""
+    """A grid of runs plus shared run settings and output options.
+
+    Construction raises ConfigError listing every problem.  The grid and
+    worker rules are the CLI's own; every run setting, each seed included,
+    is judged by the library objects that a cell builds from it.
+    """
 
     objectives: tuple[str, ...] = ("sphere",)
     dimensions: tuple[int, ...] = (10,)
@@ -86,10 +91,7 @@ class ExperimentConfig:
     workers: int = 1
     timestamp: bool = True
 
-    def validate(self) -> None:
-        """Raise ConfigError listing every problem.  The grid, seed and
-        worker rules are the CLI's own; every run setting is judged by the
-        library objects that a cell builds from it."""
+    def __post_init__(self):
         lists = {"objective grid": self.objectives, "dimension grid": self.dimensions,
                  "controller grid": self.controllers, "seed list": self.seeds}
         problems = [f"{name} is empty" for name, values in lists.items() if not values]
@@ -113,10 +115,11 @@ class ExperimentConfig:
         for kind, n in itertools.product(self.objectives, self.dimensions):
             check(lambda: _objective_for(self, kind, n))
         # RunConfig's rules do not depend on the objective kind: a sphere of
-        # dimension n (1 where n is bad) stands in
-        for n, controller in itertools.product(self.dimensions, self.controllers):
+        # dimension n (1 where n is bad) stands in; an empty seed list is reported above
+        seeds = self.seeds or (0,)
+        for n, controller, seed in itertools.product(self.dimensions, self.controllers, seeds):
             sphere = ObjectiveSpec("sphere", max(n, 1))
-            check(lambda: _run_config(self, sphere, controller, criteria))
+            check(lambda: _run_config(self, sphere, controller, criteria, seed))
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -157,7 +160,7 @@ def _objective_for(cfg: ExperimentConfig, kind: str, n: int) -> ObjectiveSpec:
 
 
 def _run_config(cfg: ExperimentConfig, objective: ObjectiveSpec, controller: str,
-                criteria: TerminationCriteria, seed: int = 0) -> RunConfig:
+                criteria: TerminationCriteria, seed: int) -> RunConfig:
     return RunConfig(objective=objective, controller=controller, seed=seed, m0=cfg.m0,
                      sigma0=cfg.sigma0, lam=cfg.lam, beta_bias=cfg.beta, c_alpha=cfg.c_alpha,
                      criteria=criteria)
@@ -237,7 +240,6 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
     group).  Failed runs count at budget in the evaluation statistics and
     are tallied in the ``failed`` column.
     """
-    config.validate()
     out_dir = Path(config.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -399,7 +401,6 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     values.update(flags)
 
     config = ExperimentConfig(**values)
-    config.validate()
     ignored = [flag for flag, value in (("--beta", config.beta), ("--c-alpha", config.c_alpha))
                if value is not None]
     if ignored and any(CONTROLLERS[c][0] == "csa" for c in config.controllers):

@@ -21,12 +21,11 @@ import numpy as np
 from . import covariance as cov_mod
 from . import objectives as obj_mod
 from . import recombine, sampler, stepsize
-from .params import StrategyParams, default_params
+from .params import StrategyParams, default_params, is_integer
 
 __all__ = [
     "CONTROLLERS",
     "CmaEs",
-    "EvolutionState",
     "TerminationCriteria",
     "RunRecord",
     "RunResult",
@@ -56,12 +55,14 @@ CONTROLLERS: dict[str, tuple[str, dict[str, object]]] = {
 class RunAborted(RuntimeError):
     """A run hit a numerically or semantically unrecoverable condition.
 
-    Carries a diagnostic snapshot of the optimizer state at abort time.
+    ``optimizer`` is the :class:`CmaEs` that raised it, as the abort left it:
+    its state attributes, trace and best point so far.  In a restart run it
+    is the optimizer of the segment that aborted.
     """
 
-    def __init__(self, message: str, state: "EvolutionState | None" = None):
+    def __init__(self, message: str, optimizer: CmaEs | None = None):
         super().__init__(message)
-        self.state = state
+        self.optimizer = optimizer
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class TerminationCriteria:
     def __post_init__(self):
         # each bound is written so that NaN fails it
         problems = []
-        if not (isinstance(self.max_evals, (int, np.integer)) and self.max_evals >= 0):
+        if not (is_integer(self.max_evals) and self.max_evals >= 0):
             problems.append(f"max_evals must be an integer >= 0, got {self.max_evals!r}")
         if not self.target_f < math.inf:
             problems.append(f"target_f must be finite or -inf, got {self.target_f}")
@@ -119,24 +120,6 @@ class RunRecord(NamedTuple):
 
 
 @dataclass(frozen=True)
-class EvolutionState:
-    """Snapshot of the mutable optimizer state (see :class:`CmaEs`).  ``C``,
-    ``p_c`` and ``p_sigma`` are the optimizer's own arrays, not copies: every
-    update returns new arrays (C exactly symmetric) and writes none in place."""
-
-    m: np.ndarray
-    sigma: float
-    C: np.ndarray
-    p_c: np.ndarray
-    alpha_s: float
-    p_sigma: np.ndarray | None
-    g: int
-    evals: int
-    best_x: np.ndarray | None
-    best_f: float
-
-
-@dataclass(frozen=True)
 class RestartSegment:
     """Summary of one (re)start within a run."""
 
@@ -149,12 +132,11 @@ class RestartSegment:
 
 class _TestRound(NamedTuple):
     """What a two-point generation carries from its population round to its
-    test-point round: the selected steps, their weighted mean, the mean
-    before the update and the two test points as a (2, n) matrix."""
+    test-point round: the selected steps, their weighted mean and the two
+    test points as a (2, n) matrix."""
 
     Y_sel: np.ndarray
     mean_step: np.ndarray
-    m_old: np.ndarray
     test_points: np.ndarray
 
 
@@ -195,10 +177,11 @@ class CmaEs:
     The state is held in plain attributes: ``m``, ``sigma``, ``C`` and its
     path ``p_c``, the two-point signal ``alpha_s`` (NaN in cumulative mode)
     and the cumulative path ``p_sigma`` (None in two-point mode), for
-    reading.  The optimizer alone judges the values it runs on: ``m0``,
-    ``sigma0``, ``mode``, the told fitness, sigma and C after each
-    generation, and every point before ``ask()`` hands it out, so a mean
-    or step-size that leaves the floating-point range ends the run in
+    reading.  They are the state's only record: a ``RunAborted`` carries
+    the optimizer itself.  The optimizer alone judges the values it runs
+    on: ``m0``, ``sigma0``, ``mode``, the told fitness, sigma and C after
+    each generation, and every point before ``ask()`` hands it out, so a
+    mean or step-size that leaves the floating-point range ends the run in
     ``RunAborted``; the layer functions it calls check nothing again.
 
     Offspring are sampled as y = A z from a factor of C (see
@@ -250,8 +233,7 @@ class CmaEs:
 
         self._pending: np.ndarray | None = None  # the points of an untold ask()
         self._factor: sampler.CovarianceFactor | None = None
-        self._factor_generation = 0  # the generation self._factor was taken at
-        # every generation for n < 2 lam, every 19th at n=400 (lam 21)
+        # refreshed every generation for n < 2 lam, every 19th at n=400 (lam 21)
         self._refresh_gap = max(1, params.n // params.lam)
         self._Y: np.ndarray | None = None  # the steps of the last sampled population
         self._Z: np.ndarray | None = None  # and the standard-normal draws they came from
@@ -259,23 +241,6 @@ class CmaEs:
         window = 10 + int(math.ceil(30.0 * params.n / params.lam))
         self._gen_best: deque[float] = deque(maxlen=window)
         self._stop_reason: str | None = None
-
-    # -- state & diagnostics ------------------------------------------------
-
-    @property
-    def state(self) -> EvolutionState:
-        return EvolutionState(
-            m=self.m.copy(),
-            sigma=self.sigma,
-            C=self.C,
-            p_c=self.p_c,
-            alpha_s=self.alpha_s,
-            p_sigma=self.p_sigma,
-            g=self.generation,
-            evals=self.evals,
-            best_x=None if self.best_x is None else self.best_x.copy(),
-            best_f=self.best_f,
-        )
 
     # -- termination ---------------------------------------------------------
 
@@ -310,12 +275,8 @@ class CmaEs:
         if self._pending is not None:
             raise RuntimeError("ask() called twice without tell()")
         if self._test_round is None:
-            if (
-                self._factor is None
-                or self.generation - self._factor_generation >= self._refresh_gap
-            ):
+            if self.generation % self._refresh_gap == 0:
                 self._factor = sampler.decompose(self.C)
-                self._factor_generation = self.generation
             with np.errstate(over="ignore", invalid="ignore"):  # judged below
                 points, self._Y, self._Z = sampler.sample_population(
                     self.m, self.sigma, self._factor, self.params.lam, self.rng
@@ -323,7 +284,7 @@ class CmaEs:
         else:
             points = self._test_round.test_points
         if not np.isfinite(points).all():
-            raise RunAborted("a point to evaluate left the floating-point range", self.state)
+            raise RunAborted("a point to evaluate left the floating-point range", self)
         self._pending = points
         return points
 
@@ -355,7 +316,7 @@ class CmaEs:
             raise RunAborted(
                 f"{n_infeasible} of {p.lam} evaluations infeasible; "
                 f"selection needs at least {p.mu} finite values",
-                self.state,
+                self,
             )
         X, self._pending = self._pending, None
         self.evals += p.lam
@@ -379,7 +340,7 @@ class CmaEs:
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # ask() judges them
                 test_points = stepsize.tpa_test_points(m_new, self.sigma, mean_step, p)
-            self._test_round = _TestRound(Y_sel, mean_step, self.m, test_points)
+            self._test_round = _TestRound(Y_sel, mean_step, test_points)
             if not p.legacy:
                 self.m = m_new
 
@@ -396,7 +357,8 @@ class CmaEs:
         self.sigma *= multiplier
         if p.legacy:
             with np.errstate(over="ignore", invalid="ignore"):  # ask() judges the points
-                self.m = recombine.update_mean(test_round.m_old, self.sigma, test_round.mean_step)
+                # self.m is still the mean before the update
+                self.m = recombine.update_mean(self.m, self.sigma, test_round.mean_step)
         g_next = self.generation + 1
         h_sigma = cov_mod.stall_indicator(self.alpha_s, g_next, p)
         self._finish_generation(test_round.Y_sel, test_round.mean_step, h_sigma)
@@ -412,9 +374,9 @@ class CmaEs:
         self.C = cov_mod.update_covariance(self.C, self.p_c, Y_sel, p)
         self.generation += 1
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise RunAborted(f"step-size became {self.sigma}", self.state)
+            raise RunAborted(f"step-size became {self.sigma}", self)
         if not np.isfinite(self.C).all():
-            raise RunAborted("covariance matrix became non-finite", self.state)
+            raise RunAborted("covariance matrix became non-finite", self)
         self.trace.append(
             RunRecord(
                 generation=self.generation,
@@ -451,6 +413,8 @@ class RunConfig:
 
     def __post_init__(self):
         problems = _start_problems(self.initial_mean(), self.sigma0, self.objective.n)
+        if not (is_integer(self.seed) and self.seed >= 0):
+            problems.append(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.controller not in CONTROLLERS:
             problems.append(
                 f"controller must be one of {tuple(CONTROLLERS)}, got {self.controller!r}"
@@ -488,7 +452,7 @@ class RestartPolicy:
     max_restarts: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.max_restarts, (int, np.integer)) and self.max_restarts >= 0):
+        if not (is_integer(self.max_restarts) and self.max_restarts >= 0):
             raise ValueError(f"max_restarts must be an integer >= 0, got {self.max_restarts!r}")
 
 

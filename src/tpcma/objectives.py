@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import is_integer
+
 __all__ = ["ObjectiveSpec", "OBJECTIVE_KINDS", "evaluate", "evaluate_population"]
 
 OBJECTIVE_KINDS = (
@@ -42,7 +44,7 @@ class ObjectiveSpec:
         problems = []
         if self.kind not in OBJECTIVE_KINDS:
             problems.append(f"objective kind must be one of {OBJECTIVE_KINDS}, got {self.kind!r}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if not (is_integer(self.n) and self.n >= 1):
             problems.append(f"dimension must be an integer >= 1, got {self.n!r}")
         if not 0.0 <= self.noise_level < math.inf:
             problems.append(f"noise_level must be >= 0 and finite, got {self.noise_level}")

@@ -78,7 +78,7 @@ class StrategyParams:
         problems = []
         for name, low in (("n", 1), ("lam", 2)):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= low):
+            if not (is_integer(value) and value >= low):
                 problems.append(f"{name} must be an integer >= {low}, got {value!r}")
         if not 0.0 < self.alpha_test < math.inf:
             problems.append(f"alpha_test must be positive and finite, got {self.alpha_test}")
@@ -112,6 +112,11 @@ class StrategyParams:
                        c_1=c_1, c_mu=c_mu, c_sigma=c_sigma, d_sigma=d_sigma)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+
+def is_integer(value: object) -> bool:
+    """Whether value is an int or a numpy integer; a bool is neither."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def default_lambda(n: int) -> int:

@@ -336,13 +336,18 @@ class TestMain:
             (["--objective", "sphere,sphere"], ["objective grid entries must be distinct"]),
             (["--n", "2,3,2"], ["dimension grid entries must be distinct"]),
             (["--controller", "tpa,tpa"], ["controller grid entries must be distinct"]),
+            (["--seeds", "-1"], ["seed must be an integer >= 0, got -1"]),
+            (["--seeds", "0,-1,-2", "--lambda", "1"],
+             ["seed must be an integer >= 0, got -1", "seed must be an integer >= 0, got -2",
+              "lam must be an integer >= 2"]),
         ],
         ids=["lambda", "c-alpha", "beta", "tol-x", "condition", "noise-level", "lambda-c-alpha",
              "sigma0-nan", "sigma0-inf", "m0-inf", "beta-nan", "beta-inf", "target-f-nan",
              "tol-fun-nan", "condition-inf", "noise-level-nan", "budget", "budget-tol-x",
              "objective-budget", "objective-dimension", "controller", "restarts",
              "budget-sigma0", "lambda-budget", "objective-controller", "controller-beta-lambda",
-             "objective-repeated", "n-repeated", "controller-repeated"],
+             "objective-repeated", "n-repeated", "controller-repeated", "seed",
+             "seeds-lambda"],
     )
     def test_main_rejects_invalid_run_settings_up_front(self, args, messages, tmp_path, capsys):
         def assert_listed_once(text):
@@ -361,6 +366,11 @@ class TestMain:
         assert err.startswith("error: ")
         assert_listed_once(err.removeprefix("error: ").rstrip("\n"))
         assert not (tmp_path / "out").exists()  # no cell ran
+
+    @pytest.mark.parametrize("seeds", [(0, 1.5), (True,)], ids=["fraction", "bool"])
+    def test_config_is_judged_when_built(self, seeds):
+        with pytest.raises(ConfigError, match=f"seed must be an integer >= 0, got {seeds[-1]!r}"):
+            ExperimentConfig(seeds=seeds)
 
     def test_main_timestamp_header_present_by_default(self, tmp_path):
         cli.main(

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -119,14 +120,35 @@ class TestAskTellProtocol:
         with pytest.raises(ValueError, match=message):
             opt.tell(fitness)
 
-    def test_too_many_infeasible_aborts_with_snapshot(self):
+    def test_too_many_infeasible_aborts_with_the_optimizer(self):
         params = default_params(2)  # lam 6, mu 3
         opt = CmaEs(params, np.zeros(2), 1.0, rng=np.random.default_rng(0))
         opt.ask()
         with pytest.raises(RunAborted) as exc_info:
             opt.tell([math.inf] * 4 + [1.0, 2.0])
-        assert exc_info.value.state is not None
-        assert exc_info.value.state.g == 0
+        assert exc_info.value.optimizer is opt
+        assert opt.generation == opt.evals == 0
+
+    def test_aborted_run_carries_its_optimizer(self, monkeypatch):
+        # from the fourth batch on every evaluation fails: the third
+        # generation's population has no finite value to select
+        spec = ObjectiveSpec("sphere", 2)  # lam 6
+        batches = []
+
+        def failing_from_the_fourth_batch(objective, X, rng=None):
+            batches.append(len(X))
+            f = evaluate_population(objective, X, rng)
+            return f if len(batches) < 4 else np.full(len(X), math.inf)
+
+        monkeypatch.setattr(engine.obj_mod, "evaluate_population", failing_from_the_fourth_batch)
+        with pytest.raises(RunAborted, match="6 of 6 evaluations infeasible") as exc_info:
+            run(sphere_config(2, seed=3))
+        opt = exc_info.value.optimizer
+        assert batches == [6, 2, 6, 2, 6]
+        assert opt.generation == len(opt.trace) == 2
+        assert opt.evals == opt.trace[-1].evals == 16
+        assert opt.best_f == opt.trace[-1].best_f == evaluate_population(spec, opt.best_x[None])[0]
+        assert opt.C.shape == (2, 2) and np.isfinite(opt.C).all()
 
     def test_minus_infinite_fitness_is_not_infeasible(self):
         params = default_params(4)  # lam 8, mu 4
@@ -184,25 +206,6 @@ class TestAskTellProtocol:
                 opt.tell(evaluate_population(spec, opt.ask()))
             assert not opt._factor.repaired
             np.testing.assert_array_equal(np.tril(opt._factor.transform), opt._factor.transform)
-
-
-class TestSnapshot:
-    @pytest.mark.parametrize("controller", ["tpa", "tpa_legacy", "csa"])
-    def test_state_taken_mid_run_is_unchanged_by_later_generations(self, controller):
-        # the snapshot shares C, p_c and p_sigma with the optimizer, so no
-        # update may write those arrays in place
-        spec = ObjectiveSpec("ellipsoid", 4)
-        params, mode = RunConfig(objective=spec, controller=controller).build_params()
-        opt = CmaEs(params, np.ones(4), 0.5, mode=mode, rng=np.random.default_rng(6))
-        while opt.generation < 5:
-            opt.tell(evaluate_population(spec, opt.ask()))
-        state = opt.state
-        before = copy.deepcopy(state)
-        while opt.generation < 10:
-            opt.tell(evaluate_population(spec, opt.ask()))
-        for field in dataclasses.fields(state):
-            np.testing.assert_array_equal(getattr(state, field.name), getattr(before, field.name))
-        assert not np.array_equal(opt.C, state.C)
 
 
 class TestFactorRefresh:
@@ -345,7 +348,7 @@ class TestEngineOutput:
         try:
             result = run(config)
         except RunAborted as exc:
-            assert exc.state is not None
+            assert isinstance(exc.optimizer, CmaEs)
             return
         assert result.termination == "max_evals"
         columns = np.array(result.trace, dtype=float)
@@ -385,6 +388,7 @@ class TestCriteriaValidation:
             ("max_evals", math.nan),
             ("max_evals", math.inf),
             ("max_evals", 2.5),
+            ("max_evals", True),
             ("target_f", math.nan),
             ("target_f", math.inf),
             ("tol_x", -1.0),
@@ -476,7 +480,7 @@ class TestTermination:
         ],
         ids=["sigma-overflow", "legacy-sigma-overflow", "exp-overflow", "legacy-exp-overflow"],
     )
-    def test_nonfinite_sigma_aborts_with_snapshot(self, settings):
+    def test_nonfinite_sigma_aborts_with_the_optimizer(self, settings):
         params = replace(default_params(2), **settings)
         opt = CmaEs(params, np.zeros(2), 1.0, rng=np.random.default_rng(0))
         with pytest.raises(RunAborted, match="step-size became inf") as exc_info:
@@ -485,8 +489,8 @@ class TestTermination:
                 opt.tell(list(range(params.lam)))  # population round
                 opt.ask()
                 opt.tell([0.0, 1.0])  # upward point wins: increase branch
-        assert exc_info.value.state is not None
-        assert exc_info.value.state.sigma == math.inf
+        assert exc_info.value.optimizer is opt
+        assert opt.sigma == math.inf
 
     # where the first overflow falls: the test points, a later sample, the first sample
     @pytest.mark.parametrize("seed", [21, 0, 2])
@@ -500,8 +504,7 @@ class TestTermination:
                 opt.tell(list(range(params.lam)))
                 assert np.isfinite(opt.ask()).all()
                 opt.tell([1.0, 0.0])  # downward point wins
-        assert exc.value.state is not None
-        assert exc.value.state.evals == opt.evals
+        assert exc.value.optimizer is opt
 
 
 class TestDeterminism:
@@ -620,18 +623,22 @@ class TestRestarts:
         assert best == sorted(best, reverse=True)
         assert best[-1] == result.best_f
 
+    @pytest.mark.parametrize("controller", ["tpa", "csa"])
     @pytest.mark.parametrize("m0", [3.0, [1.0, -2.0, 0.5]], ids=["scalar", "vector"])
-    def test_every_segment_starts_from_the_configured_start(self, monkeypatch, m0):
+    def test_every_segment_starts_from_the_configured_start(self, monkeypatch, m0, controller):
         starts = []
 
         class Recorded(CmaEs):
-            def __init__(self, params, m0, sigma0, **kwargs):
-                starts.append((m0.copy(), sigma0))
-                super().__init__(params, m0, sigma0, **kwargs)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                start = {name: copy.deepcopy(getattr(self, name))
+                         for name in ("m", "sigma", "C", "p_c", "alpha_s", "p_sigma")}
+                starts.append((start, self.params.lam, self.rng, self.rng.bit_generator.state))
 
         monkeypatch.setattr(engine, "CmaEs", Recorded)
         config = RunConfig(
             objective=ObjectiveSpec("rastrigin", 3),
+            controller=controller,
             seed=0,
             m0=m0,
             sigma0=2.0,
@@ -639,11 +646,26 @@ class TestRestarts:
         )
         result = run_with_restarts(config, RestartPolicy(max_restarts=3))
         assert len(starts) == len(result.segments) == 4
-        for start, sigma0 in starts:
-            np.testing.assert_array_equal(start, config.initial_mean())
-            assert sigma0 == 2.0
+        lam0 = config.build_params()[0].lam
+        run_rng = starts[0][2]
+        assert starts[0][3] == np.random.default_rng(config.seed).bit_generator.state
+        for k, (start, lam, rng, _) in enumerate(starts):
+            np.testing.assert_array_equal(start["m"], config.initial_mean())
+            assert start["sigma"] == 2.0
+            np.testing.assert_array_equal(start["C"], np.eye(3))
+            np.testing.assert_array_equal(start["p_c"], np.zeros(3))
+            if controller == "tpa":
+                assert start["alpha_s"] == 0.0 and start["p_sigma"] is None
+            else:
+                assert math.isnan(start["alpha_s"])
+                np.testing.assert_array_equal(start["p_sigma"], np.zeros(3))
+            assert lam == result.segments[k].lam == lam0 * 2**k
+            # one generator for the whole run: each segment draws on where the last stopped
+            assert rng is run_rng
 
-    @pytest.mark.parametrize("value", [-1, 1.5, math.nan], ids=["negative", "fraction", "nan"])
+    @pytest.mark.parametrize(
+        "value", [-1, 1.5, math.nan, True], ids=["negative", "fraction", "nan", "bool"]
+    )
     def test_rejects_bad_max_restarts(self, value):
         with pytest.raises(ValueError, match="max_restarts must be an integer >= 0"):
             RestartPolicy(max_restarts=value)
@@ -699,6 +721,17 @@ class TestRunConfig:
                       lam=1, beta_bias=math.nan, c_alpha=2.0)
         problems = [problem.split()[0] for problem in str(info.value).split("; ")]
         assert problems == ["sigma0", "controller", "lam", "beta_bias", "c_alpha"]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, True, np.float64(2.0)])
+    def test_rejects_bad_seed(self, seed):
+        # these used to construct, then fail in np.random.default_rng
+        message = re.escape(f"seed must be an integer >= 0, got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            RunConfig(objective=ObjectiveSpec("sphere", 2), seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        config = sphere_config(2, seed=np.int64(5), max_evals=100)
+        assert run(config).trace == run(sphere_config(2, seed=5, max_evals=100)).trace
 
     @pytest.mark.parametrize("controller", ["tpa", "csa"])
     def test_rejects_non_integer_lambda(self, controller):

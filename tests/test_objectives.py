@@ -28,7 +28,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             ObjectiveSpec("noisy_sphere", 3, **{field: value})
 
-    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0)])
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True])
     def test_rejects_non_integer_dimension(self, n):
         with pytest.raises(ValueError, match="dimension must be an integer >= 1"):
             ObjectiveSpec("sphere", n)

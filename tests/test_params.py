@@ -55,6 +55,8 @@ class TestDefaults:
             (4.0, None, "n must be an integer >= 1, got 4.0"),
             (4, 6.5, "lam must be an integer >= 2, got 6.5"),
             (4, math.nan, "lam must be an integer >= 2, got nan"),
+            (True, None, "n must be an integer >= 1, got True"),
+            (4, True, "lam must be an integer >= 2, got True"),
         ],
     )
     def test_rejects_non_integer_dimension_and_lambda(self, n, lam, message):
