@@ -36,6 +36,7 @@ from .engine import (
     run_with_restarts,
 )
 from .objectives import OBJECTIVE_KINDS, ObjectiveSpec
+from .params import is_integer
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run_experiment", "main"]
 
@@ -97,8 +98,8 @@ class ExperimentConfig:
         problems = [f"{name} is empty" for name, values in lists.items() if not values]
         problems += [f"{name} entries must be distinct, got {values}"
                      for name, values in lists.items() if len(set(values)) != len(values)]
-        if self.workers < 1:
-            problems.append(f"workers must be >= 1, got {self.workers}")
+        if not (is_integer(self.workers) and self.workers >= 1):
+            problems.append(f"workers must be an integer >= 1, got {self.workers!r}")
 
         def check(build):
             try:

@@ -14,6 +14,8 @@ from .params import StrategyParams
 
 __all__ = ["stall_indicator", "update_path", "update_covariance"]
 
+_BLOCK_ENTRIES = 32_768  # 256 KB of float64: one block for every n <= 181
+
 
 def stall_indicator(alpha_s: float, g: int, params: StrategyParams) -> int:
     """Gate for the evolution-path update in two-point mode.
@@ -49,10 +51,15 @@ def update_covariance(
     generation's path.  The dyads are one product V^T V of the rows
     sqrt(c_1) p_c and sqrt(c_mu w_i) y_i, which BLAS ``syrk`` computes in
     one triangle and mirrors, so C' is a new, exactly symmetric array.
+    The decayed C is added in row blocks, so C' is the only n x n array
+    allocated (a freed one is given back to the system and faulted in
+    again), and each entry is still rounded as v + ((1 - c_1 - c_mu) c).
     """
     V = np.empty((len(Y_sel) + 1, len(p_c)))
     V[0] = math.sqrt(params.c_1) * p_c
     np.multiply(np.sqrt(params.c_mu * params.weights)[:, None], Y_sel, out=V[1:])
     C_new = V.T @ V
-    C_new += (1.0 - params.c_1 - params.c_mu) * C
+    decay, rows = 1.0 - params.c_1 - params.c_mu, max(1, _BLOCK_ENTRIES // len(p_c))
+    for start in range(0, len(p_c), rows):
+        C_new[start : start + rows] += decay * C[start : start + rows]
     return C_new

@@ -372,6 +372,14 @@ class TestMain:
         with pytest.raises(ConfigError, match=f"seed must be an integer >= 0, got {seeds[-1]!r}"):
             ExperimentConfig(seeds=seeds)
 
+    @pytest.mark.parametrize("workers", [2.5, True], ids=["fraction", "bool"])
+    def test_non_integer_workers_rejected_before_any_run(self, workers, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"workers must be an integer >= 1, got {workers!r}"):
+            run_experiment(ExperimentConfig(dimensions=(2,), seeds=(0,), budget=50,
+                                            out=str(out), workers=workers))
+        assert not out.exists()
+
     def test_main_timestamp_header_present_by_default(self, tmp_path):
         cli.main(
             [

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tpcma import covariance
 from tpcma.covariance import stall_indicator, update_covariance, update_path
 from tpcma.params import default_params
 from tpcma.recombine import rank
 
 DEFAULTS = default_params(10)
+# the largest n whose decayed C is added in one block
+SINGLE_BLOCK = math.isqrt(covariance._BLOCK_ENTRIES)
 
 
 def selected_from(ys, fitnesses, mu):
@@ -103,14 +107,29 @@ class TestUpdateCovariance:
         C, p_c = a @ a.T, rng.standard_normal(n)
         return p, C, p_c, rng.standard_normal((p.mu, n))
 
-    def test_equals_stacked_formula_exactly(self):
-        p, C, p_c, Y_sel = self._inputs(7, None, 5)
+    @pytest.mark.parametrize("n", [1, 7, SINGLE_BLOCK - 1, SINGLE_BLOCK, SINGLE_BLOCK + 1, 300, 400])
+    @pytest.mark.parametrize("lam", [None, 320])
+    def test_equals_stacked_formula_exactly(self, n, lam):
+        p, C, p_c, Y_sel = self._inputs(n, lam, 5)
         inputs_before = [x.copy() for x in (C, p_c, Y_sel)]
         new = update_covariance(C, p_c, Y_sel, p)
         V = np.vstack([math.sqrt(p.c_1) * p_c, np.sqrt(p.c_mu * p.weights)[:, None] * Y_sel])
         np.testing.assert_array_equal(new, V.T @ V + (1.0 - p.c_1 - p.c_mu) * C)
         for x, before in zip((C, p_c, Y_sel), inputs_before):  # no input is written
             np.testing.assert_array_equal(x, before)
+
+    def test_allocates_only_the_result(self):
+        # the decayed C is added in blocks, so no second n x n array is made
+        n = 400
+        p, C, p_c, Y_sel = self._inputs(n, None, 3)
+        update_covariance(C, p_c, Y_sel, p)  # warm-up
+        tracemalloc.start()
+        try:
+            update_covariance(C, p_c, Y_sel, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
 
     @pytest.mark.parametrize("n,lam", [(2, None), (7, None), (10, 80), (100, None)])
     def test_agrees_with_three_term_formula(self, n, lam):

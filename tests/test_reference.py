@@ -16,11 +16,13 @@ standard-normal draws and the matrix A its factor samples with (y = A z):
 the engine's own factor, or one forced to an eigendecomposition, a Cholesky
 factor or a floored eigendecomposition of C.  The cumulative baseline
 whitens the mean step with that A, A^(-1) <y>.  At n=60 (lam 16) the
-factor is refreshed every third generation, so A comes from the last
-refresh while the update acts on the current C.
+factor is refreshed every third generation and at n=400 (lam 21) every
+19th, so A comes from the last refresh while the update acts on the
+current C.
 """
 
 import copy
+import functools
 import math
 from dataclasses import replace
 
@@ -35,11 +37,14 @@ RTOL = 1e-12
 GENERATIONS = 50
 
 
+@functools.cache
+def ellipsoid_scales(n):
+    return tuple(1e6 ** (i / (n - 1)) if n > 1 else 1.0 for i in range(n))
+
+
 def ellipsoid(x):
-    n = len(x)
     total = 0.0
-    for i, value in enumerate(x.tolist()):
-        scale = 1e6 ** (i / (n - 1)) if n > 1 else 1.0
+    for scale, value in zip(ellipsoid_scales(len(x)), x.tolist()):
         total += scale * value**2
     return total
 
@@ -134,24 +139,21 @@ def assert_close(actual, expected):
     assert np.linalg.norm(actual - expected) <= RTOL * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("kind", ["engine", "eigh", "cholesky", "floored"])
-@pytest.mark.parametrize("n", [2, 10, 60])
-@pytest.mark.parametrize("controller", list(CONTROLLERS))
-def test_generation_matches_the_equations(controller, n, kind, monkeypatch):
-    if kind != "engine":
-        monkeypatch.setattr(sampler, "decompose", forced_decompose(kind))
+def check_generations(controller, n, kind, generations):
+    """Run the engine ``generations`` generations against the reference."""
     mode, preset = CONTROLLERS[controller]
     p = replace(default_params(n), **preset)
     # a small start makes the step-size ramp up, which the stall gates act on
     opt = CmaEs(p, np.full(n, 3.0), 1e-3, mode=mode, rng=np.random.default_rng(n))
     factors = []
-    for _ in range(GENERATIONS):
+    for _ in range(generations):
         state = (opt.m.copy(), opt.sigma, opt.C, opt.p_c, opt.alpha_s, opt.p_sigma,
                  opt.generation)
         draws = copy.deepcopy(opt.rng)
         X = opt.ask()
         z = draws.standard_normal((p.lam, n))  # offspring-major, as sample_population draws
-        A = sampling_matrix(opt._factor, n)
+        if not factors or opt._factor is not factors[-1]:  # A changes at a refresh only
+            A = sampling_matrix(opt._factor, n)
         factors.append(opt._factor)
         opt.tell([ellipsoid(x) for x in X])
         if mode == "tpa":
@@ -168,9 +170,25 @@ def test_generation_matches_the_equations(controller, n, kind, monkeypatch):
         else:
             assert math.isnan(opt.alpha_s)
             assert_close(opt.p_sigma, p_sigma)
-    assert opt.generation == GENERATIONS
+    assert opt.generation == generations
     # one factor per gap of max(1, n // lam) generations, each sampling them all
     gap = max(1, n // p.lam)
-    assert [id(f) for f in factors] == [id(factors[g - g % gap]) for g in range(GENERATIONS)]
-    assert len({id(f) for f in factors}) == math.ceil(GENERATIONS / gap)
+    assert [id(f) for f in factors] == [id(factors[g - g % gap]) for g in range(generations)]
+    assert len({id(f) for f in factors}) == math.ceil(generations / gap)
     assert any(f.repaired for f in factors) == (kind == "floored")
+
+
+@pytest.mark.parametrize("kind", ["engine", "eigh", "cholesky", "floored"])
+@pytest.mark.parametrize("n", [2, 10, 60])
+@pytest.mark.parametrize("controller", list(CONTROLLERS))
+def test_generation_matches_the_equations(controller, n, kind, monkeypatch):
+    if kind != "engine":
+        monkeypatch.setattr(sampler, "decompose", forced_decompose(kind))
+    check_generations(controller, n, kind, GENERATIONS)
+
+
+@pytest.mark.parametrize("controller", list(CONTROLLERS))
+def test_generation_matches_the_equations_at_n400(controller):
+    # lam 21: the factor is refreshed at generations 0 and 19, and the
+    # covariance update adds the decayed C in more than one block
+    check_generations(controller, 400, "engine", 25)
