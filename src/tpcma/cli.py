@@ -420,10 +420,6 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
 def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         summary = run_experiment(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

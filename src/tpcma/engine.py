@@ -240,32 +240,27 @@ class CmaEs:
         self._test_round: _TestRound | None = None  # set between the two tpa rounds
         window = 10 + int(math.ceil(30.0 * params.n / params.lam))
         self._gen_best: deque[float] = deque(maxlen=window)
-        self._stop_reason: str | None = None
 
     # -- termination ---------------------------------------------------------
 
     def should_stop(self) -> str | None:
         """Reason to stop, or None.  Only fires between generations."""
-        if self._stop_reason is not None:
-            return self._stop_reason
         if self._test_round is not None:
             return None
         c = self.criteria
-        reason = None
         if self.best_f < c.target_f:
-            reason = "target_f"
-        elif self.evals >= c.max_evals:
-            reason = "max_evals"
-        elif c.tol_x > 0.0 and self.sigma * math.sqrt(float(np.max(np.diag(self.C)))) < c.tol_x:
-            reason = "tol_x"
-        elif (
+            return "target_f"
+        if self.evals >= c.max_evals:
+            return "max_evals"
+        if c.tol_x > 0.0 and self.sigma * math.sqrt(float(np.max(np.diag(self.C)))) < c.tol_x:
+            return "tol_x"
+        if (
             c.tol_fun > 0.0
             and len(self._gen_best) == self._gen_best.maxlen
             and max(self._gen_best) - min(self._gen_best) < c.tol_fun
         ):
-            reason = "tol_fun"
-        self._stop_reason = reason
-        return reason
+            return "tol_fun"
+        return None
 
     # -- ask/tell ------------------------------------------------------------
 
@@ -420,7 +415,7 @@ class RunConfig:
                 f"controller must be one of {tuple(CONTROLLERS)}, got {self.controller!r}"
             )
         try:  # with no preset when the controller is unknown
-            self._params(CONTROLLERS.get(self.controller, ("", {}))[1])
+            self.build_params()
         except ValueError as exc:
             problems.append(str(exc))
         if problems:
@@ -435,14 +430,11 @@ class RunConfig:
     def build_params(self, lam: int | None = None) -> tuple[StrategyParams, str]:
         """Resolve the controller into (params, engine mode); ``lam``
         overrides the configured population size."""
-        mode, preset = CONTROLLERS[self.controller]
-        return self._params(preset, lam), mode
-
-    def _params(self, preset: dict[str, object], lam: int | None = None) -> StrategyParams:
+        mode, preset = CONTROLLERS.get(self.controller, ("", {}))
         settings = (("lam", self.lam if lam is None else lam), ("beta_bias", self.beta_bias),
                     ("c_alpha", self.c_alpha))
         explicit = {name: value for name, value in settings if value is not None}
-        return replace(default_params(self.objective.n), **{**preset, **explicit})
+        return replace(default_params(self.objective.n), **{**preset, **explicit}), mode
 
 
 @dataclass(frozen=True)

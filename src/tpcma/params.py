@@ -92,7 +92,8 @@ class StrategyParams:
         if problems:
             raise ValueError("; ".join(problems))
 
-        n, lam = self.n, self.lam
+        # stored as ints: a numpy integer would make every derived constant a numpy scalar
+        n, lam = int(self.n), int(self.lam)
         mu_prime = lam / 2.0
         # ceil(lam/2 - 0.5) < mu' + 0.5, so every weight is positive
         mu = int(math.ceil(mu_prime - 0.5))
@@ -110,7 +111,7 @@ class StrategyParams:
 
         derived = dict(mu_prime=mu_prime, mu=mu, weights=weights, mu_w=mu_w, c_c=c_c,
                        c_1=c_1, c_mu=c_mu, c_sigma=c_sigma, d_sigma=d_sigma)
-        for name, value in derived.items():
+        for name, value in dict(n=n, lam=lam, **derived).items():
             object.__setattr__(self, name, value)
 
 

@@ -168,18 +168,20 @@ class TestRunExperiment:
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
 
     @pytest.mark.parametrize(
-        "objective,controller,restarts,digests",
+        "objective,n,controller,restarts,digests",
         [
             # csa rows carry alpha_s = nan
-            ("sphere", "csa", 0, ("87b977251b5e66ac", "8ede01b2dfcd4746")),
-            ("rastrigin", "tpa_legacy", 2, ("5eb8e860652fdc6f", "3756da04cbbb155e")),
+            ("sphere", 3, "csa", 0, ("87b977251b5e66ac", "8ede01b2dfcd4746")),
+            # a numpy integer writes the same bytes as an int
+            ("sphere", np.int64(3), "csa", 0, ("87b977251b5e66ac", "8ede01b2dfcd4746")),
+            ("rastrigin", 3, "tpa_legacy", 2, ("5eb8e860652fdc6f", "3756da04cbbb155e")),
         ],
-        ids=["csa", "tpa_legacy-restarts"],
+        ids=["csa", "csa-numpy-n", "tpa_legacy-restarts"],
     )
-    def test_csv_bytes_are_pinned(self, objective, controller, restarts, digests, tmp_path):
+    def test_csv_bytes_are_pinned(self, objective, n, controller, restarts, digests, tmp_path):
         config = ExperimentConfig(
             objectives=(objective,),
-            dimensions=(3,),
+            dimensions=(n,),
             controllers=(controller,),
             seeds=(2,),
             budget=3000,

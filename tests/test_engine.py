@@ -440,6 +440,21 @@ class TestTermination:
         assert 3000 <= result.evals <= 3000 + config.build_params(config.lam)[0].lam + 2
         assert result.best_f < 1e-12
 
+    @pytest.mark.parametrize("controller", ["tpa", "tpa_legacy"])
+    def test_a_reported_stop_fires_only_between_generations(self, controller):
+        config = replace(sphere_config(3, max_evals=30), controller=controller)
+        params, mode = config.build_params()
+        opt = CmaEs(params, config.initial_mean(), config.sigma0, mode=mode,
+                    criteria=config.criteria, rng=np.random.default_rng(0))
+        spec = config.objective
+        while opt.should_stop() is None:
+            opt.tell(evaluate_population(spec, opt.ask()))
+        assert opt.should_stop() == "max_evals"
+        opt.tell(evaluate_population(spec, opt.ask()))  # a caller going on past the stop
+        assert opt.should_stop() is None  # while the test round is pending
+        opt.tell(evaluate_population(spec, opt.ask()))
+        assert opt.should_stop() == "max_evals"
+
     def test_sphere_reaches_target(self):
         result = run(sphere_config(10, max_evals=100_000, target_f=1e-10))
         assert result.termination == "target_f"

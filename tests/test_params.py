@@ -68,6 +68,13 @@ class TestDefaults:
         p = default_params(np.int64(4), lam=np.int32(6))
         assert (p.n, p.lam) == (4, 6)
 
+    def test_numpy_integers_derive_python_numbers(self):
+        # an np.float64 constant would print as "np.float64(...)" in a trace CSV header
+        p = default_params(np.int64(10), lam=np.int64(6))
+        assert [type(getattr(p, name)) for name in ("n", "lam", "mu")] == [int] * 3
+        floats = [name for name in DERIVED if name not in ("mu", "weights")]
+        assert [type(getattr(p, name)) for name in floats] == [float] * len(floats)
+
     def test_overrides_validated_not_clamped(self):
         p = replace(default_params(10), beta_bias=0.1, c_alpha=0.5)
         assert p.beta_bias == 0.1
