@@ -251,7 +251,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         raise ConfigError(f"output path {config.out!r} is not writable: {exc}") from exc
 
     cells = [
-        _Cell(objective=kind, n=n, controller=controller, seed=seed, config=config)
+        _Cell(objective=kind, n=int(n), controller=controller, seed=seed, config=config)
         for kind in config.objectives
         for n in config.dimensions
         for controller in config.controllers

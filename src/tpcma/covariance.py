@@ -43,23 +43,30 @@ def update_path(
 def update_covariance(
     C: np.ndarray, p_c: np.ndarray, Y_sel: np.ndarray, params: StrategyParams
 ) -> np.ndarray:
-    """Rank-one plus rank-mu covariance update.
+    """Rank-one plus rank-mu covariance update, over one generation or k.
 
-    C' = (1 - c_1 - c_mu) C + c_1 p_c p_c^T + c_mu Y_sel^T diag(w) Y_sel,
-    where ``Y_sel`` holds the mu best sampled steps as rows, best first,
-    and w is ``params.weights``.  ``p_c`` must already be this
-    generation's path.  The dyads are one product V^T V of the rows
-    sqrt(c_1) p_c and sqrt(c_mu w_i) y_i, which BLAS ``syrk`` computes in
-    one triangle and mirrors, so C' is a new, exactly symmetric array.
-    The decayed C is added in row blocks, so C' is the only n x n array
-    allocated (a freed one is given back to the system and faulted in
-    again), and each entry is still rounded as v + ((1 - c_1 - c_mu) c).
+    C' = d C + c_1 p_c p_c^T + c_mu Y_sel^T diag(w) Y_sel with d = 1 - c_1 - c_mu,
+    where ``Y_sel`` holds the mu best sampled steps as rows, best first, w is
+    ``params.weights`` and ``p_c`` is already this generation's path.  Stacked
+    inputs, ``p_c`` (k, n) and ``Y_sel`` (k, mu, n), oldest first, apply k
+    updates: C' = d^k C + sum_j d^(k-1-j) V_j^T V_j, where V_j holds generation
+    j's rows sqrt(c_1) p_c and sqrt(c_mu w_i) y_i, scaled by sqrt(d^(k-1-j)),
+    which is 1 for the newest.  All k (mu + 1) rows are one product V^T V, which
+    BLAS ``syrk`` computes in one triangle and mirrors, so C' is a new, exactly
+    symmetric array.  The decayed C is added in row blocks, so C' and V are the
+    only arrays allocated (a freed n x n one would be faulted in again), and
+    each entry is still rounded as v + (d^k c).
     """
-    V = np.empty((len(Y_sel) + 1, len(p_c)))
-    V[0] = math.sqrt(params.c_1) * p_c
-    np.multiply(np.sqrt(params.c_mu * params.weights)[:, None], Y_sel, out=V[1:])
+    n = len(C)
+    k, decay = p_c.size // n, 1.0 - params.c_1 - params.c_mu
+    V = np.empty((k, len(params.weights) + 1, n))
+    np.multiply(math.sqrt(params.c_1), p_c, out=V[:, 0])
+    np.multiply(np.sqrt(params.c_mu * params.weights)[:, None], Y_sel, out=V[:, 1:])
+    for j in range(k - 1):
+        V[j] *= math.sqrt(decay ** (k - 1 - j))
+    V = V.reshape(-1, n)
     C_new = V.T @ V
-    decay, rows = 1.0 - params.c_1 - params.c_mu, max(1, _BLOCK_ENTRIES // len(p_c))
-    for start in range(0, len(p_c), rows):
+    decay, rows = decay**k, max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
         C_new[start : start + rows] += decay * C[start : start + rows]
     return C_new

@@ -194,8 +194,11 @@ class CmaEs:
     so its O(n^3) cost is O(n^2) per offspring; for n < 2 lam that is every
     generation.  The factor then lags C by at most (gap - 1)(c_1 + c_mu),
     under 1%.  Sampling, and so the cumulative controller's whitening, and
-    the trace's ``axis_ratio``/``trace_C`` all read this factor; the
-    covariance and path updates and ``tol_x`` read the current C.
+    the trace's ``axis_ratio``/``trace_C`` all read this factor.  C is formed
+    once per refresh too: a generation only keeps its p_c and selected steps,
+    and the one before a refresh folds all kept ones into C, and judges it.
+    Reading ``C`` applies the kept generations without folding them, ``tol_x``
+    reads only their diagonal, and assigning ``C`` drops them.
     """
 
     def __init__(
@@ -221,7 +224,7 @@ class CmaEs:
 
         self.m = m0
         self.sigma = float(sigma0)
-        self.C = np.eye(params.n)
+        self.C = np.eye(params.n)  # no generations kept yet
         self.p_c = np.zeros(params.n)
         self.alpha_s = 0.0 if mode == "tpa" else math.nan
         self.p_sigma = np.zeros(params.n) if mode == "csa" else None
@@ -235,11 +238,26 @@ class CmaEs:
         self._factor: sampler.CovarianceFactor | None = None
         # every generation for n < 2 lam, every 19th at n=400 (lam 21)
         self._refresh_gap = max(1, params.n // params.lam)
+        # the p_c and selected steps of the generations not yet folded into C
+        self._kept_p_c = np.empty((self._refresh_gap, params.n))
+        self._kept_Y = np.empty((self._refresh_gap, params.mu, params.n))
+        self._factor_stats = (math.nan, math.nan)  # the factor's axis ratio and trace
         self._Y: np.ndarray | None = None  # the steps of the last sampled population
         self._Z: np.ndarray | None = None  # and the standard-normal draws they came from
         self._test_round: _TestRound | None = None  # set between the two tpa rounds
         window = 10 + int(math.ceil(30.0 * params.n / params.lam))
         self._gen_best: deque[float] = deque(maxlen=window)
+
+    @property
+    def C(self) -> np.ndarray:
+        """The covariance matrix, with the kept generations applied."""
+        if (k := self._n_kept) == 0:
+            return self._C
+        return cov_mod.update_covariance(self._C, self._kept_p_c[:k], self._kept_Y[:k], self.params)
+
+    @C.setter
+    def C(self, value: np.ndarray) -> None:
+        self._C, self._n_kept = value, 0
 
     # -- termination ---------------------------------------------------------
 
@@ -252,7 +270,7 @@ class CmaEs:
             return "target_f"
         if self.evals >= c.max_evals:
             return "max_evals"
-        if c.tol_x > 0.0 and self.sigma * math.sqrt(float(np.max(np.diag(self.C)))) < c.tol_x:
+        if c.tol_x > 0.0 and self.sigma * math.sqrt(self._largest_variance()) < c.tol_x:
             return "tol_x"
         if (
             c.tol_fun > 0.0
@@ -261,6 +279,15 @@ class CmaEs:
         ):
             return "tol_fun"
         return None
+
+    def _largest_variance(self) -> float:
+        """C's largest diagonal entry, from its kept generations in O(k mu n)."""
+        p, k, diag = self.params, self._n_kept, np.diag(self._C)
+        if k:
+            decay = 1.0 - p.c_1 - p.c_mu
+            added = p.c_1 * self._kept_p_c[:k] ** 2 + p.c_mu * (p.weights @ self._kept_Y[:k] ** 2)
+            diag = decay**k * diag + decay ** np.arange(k - 1, -1, -1.0) @ added
+        return float(np.max(diag))
 
     # -- ask/tell ------------------------------------------------------------
 
@@ -272,6 +299,9 @@ class CmaEs:
         if self._test_round is None:
             if self.generation % self._refresh_gap == 0:
                 self._factor = sampler.decompose(self.C)
+                # taken here, so a warning they raise leaves no generation without its row
+                scales = self._factor.scales
+                self._factor_stats = (self._factor.axis_ratio, float((scales**2).sum()))
             with np.errstate(over="ignore", invalid="ignore"):  # judged below
                 points, self._Y, self._Z = sampler.sample_population(
                     self.m, self.sigma, self._factor, self.params.lam, self.rng
@@ -366,23 +396,17 @@ class CmaEs:
     def _finish_generation(self, Y_sel: np.ndarray, mean_step: np.ndarray, h_sigma: int) -> None:
         p = self.params
         self.p_c = cov_mod.update_path(self.p_c, mean_step, h_sigma, p)
-        self.C = cov_mod.update_covariance(self.C, self.p_c, Y_sel, p)
+        self._kept_p_c[self._n_kept], self._kept_Y[self._n_kept] = self.p_c, Y_sel
+        self._n_kept += 1
         self.generation += 1
+        if self.generation % self._refresh_gap == 0:  # fold them in before the refresh
+            self._C, self._n_kept = self.C, 0
+            if not np.isfinite(self._C).all():
+                raise RunAborted("covariance matrix became non-finite", self)
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise RunAborted(f"step-size became {self.sigma}", self)
-        if not np.isfinite(self.C).all():
-            raise RunAborted("covariance matrix became non-finite", self)
-        self.trace.append(
-            RunRecord(
-                generation=self.generation,
-                evals=self.evals,
-                best_f=self.best_f,
-                sigma=self.sigma,
-                alpha_s=self.alpha_s,
-                axis_ratio=self._factor.axis_ratio,
-                trace_C=float((self._factor.scales**2).sum()),
-            )
-        )
+        self.trace.append(RunRecord(self.generation, self.evals, self.best_f, self.sigma,
+                                    self.alpha_s, *self._factor_stats))
 
 
 # -- configured runs ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -129,6 +130,14 @@ class TestRunExperiment:
         files = sorted(p.name for p in tmp_path.glob("*.csv"))
         assert "summary.csv" in files
         assert len(files) == 11  # 10 run traces + summary
+
+    def test_summary_holds_python_numbers_for_a_numpy_grid(self, tmp_path):
+        # a grid given as numpy integers still yields a JSON-serializable summary
+        config = ExperimentConfig(dimensions=(np.int64(3),), controllers=("tpa",), seeds=(0,),
+                                  budget=200, out=str(tmp_path), timestamp=False)
+        summary = run_experiment(config)
+        assert type(summary[0]["n"]) is int
+        assert json.loads(json.dumps(summary)) == summary
 
     def test_trace_csv_columns_and_values(self, tmp_path):
         config = ExperimentConfig(

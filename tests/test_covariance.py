@@ -107,6 +107,12 @@ class TestUpdateCovariance:
         C, p_c = a @ a.T, rng.standard_normal(n)
         return p, C, p_c, rng.standard_normal((p.mu, n))
 
+    @staticmethod
+    def _stacked_inputs(n, k, seed):
+        p, C, _, _ = TestUpdateCovariance._inputs(n, None, seed)
+        rng = np.random.default_rng(seed + 1)
+        return p, C, rng.standard_normal((k, n)), rng.standard_normal((k, p.mu, n))
+
     @pytest.mark.parametrize("n", [1, 7, SINGLE_BLOCK - 1, SINGLE_BLOCK, SINGLE_BLOCK + 1, 300, 400])
     @pytest.mark.parametrize("lam", [None, 320])
     def test_equals_stacked_formula_exactly(self, n, lam):
@@ -119,17 +125,36 @@ class TestUpdateCovariance:
             np.testing.assert_array_equal(x, before)
 
     def test_allocates_only_the_result(self):
-        # the decayed C is added in blocks, so no second n x n array is made
+        # the decayed C is added in blocks, so no second n x n array is made, also
+        # not when 19 generations at n=400 (lam 21) are folded before a refresh
         n = 400
         p, C, p_c, Y_sel = self._inputs(n, None, 3)
-        update_covariance(C, p_c, Y_sel, p)  # warm-up
-        tracemalloc.start()
-        try:
-            update_covariance(C, p_c, Y_sel, p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * n * n
+        _, _, folded_p_c, folded_Y_sel = self._stacked_inputs(n, 19, 3)
+        folded_rows = folded_p_c.size + folded_Y_sel.size
+        for p_c, Y_sel, rows in ((p_c, Y_sel, 0), (folded_p_c, folded_Y_sel, folded_rows)):
+            update_covariance(C, p_c, Y_sel, p)  # warm-up
+            tracemalloc.start()
+            try:
+                update_covariance(C, p_c, Y_sel, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * 8 * n * n + 8 * rows  # plus the stacked rows
+
+    @pytest.mark.parametrize("n", [7, 400])
+    @pytest.mark.parametrize("k", [2, 5, 19])
+    def test_stacked_generations_agree_with_sequential_updates(self, n, k):
+        p, C, p_c, Y_sel = self._stacked_inputs(n, k, n + k)
+        C = (C + C.T) / 2.0
+        inputs_before = [x.copy() for x in (C, p_c, Y_sel)]
+        folded = update_covariance(C, p_c, Y_sel, p)
+        sequential = C
+        for j in range(k):  # oldest first
+            sequential = update_covariance(sequential, p_c[j], Y_sel[j], p)
+        assert np.linalg.norm(folded - sequential) <= 1e-14 * np.linalg.norm(sequential)
+        np.testing.assert_array_equal(folded, folded.T)
+        for x, before in zip((C, p_c, Y_sel), inputs_before):
+            np.testing.assert_array_equal(x, before)
 
     @pytest.mark.parametrize("n,lam", [(2, None), (7, None), (10, 80), (100, None)])
     def test_agrees_with_three_term_formula(self, n, lam):

@@ -275,6 +275,70 @@ class TestFactorRefresh:
                                            atol=1e-12 * np.abs(mean_step).max())
 
 
+class TestDeferredCovariance:
+    """A generation keeps only its p_c and selected steps; they are folded
+    into C once per gap, before the refresh reads it."""
+
+    @staticmethod
+    def _optimizer(n, controller):
+        config = RunConfig(objective=ObjectiveSpec("ellipsoid", n), controller=controller)
+        params, mode = config.build_params()
+        return CmaEs(params, np.full(n, 3.0), 2.0, mode=mode, rng=np.random.default_rng(n))
+
+    @staticmethod
+    def _advance(opt, generations, read_C=False):
+        spec, end = ObjectiveSpec("ellipsoid", opt.params.n), opt.generation + generations
+        while opt.generation < end:
+            opt.tell(evaluate_population(spec, opt.ask()))
+            if read_C:
+                _ = opt.C  # formed from the kept generations
+
+    @pytest.mark.parametrize("controller", ["tpa", "csa"])
+    def test_reading_C_leaves_the_trajectory_bit_identical(self, controller):
+        # n=400, lam 21: folds at generations 19 and 38, and reads between them
+        read, unread = self._optimizer(400, controller), self._optimizer(400, controller)
+        self._advance(read, 40, read_C=True)
+        self._advance(unread, 40)
+        assert np.array(read.trace).tobytes() == np.array(unread.trace).tobytes()
+        assert read.C.tobytes() == unread.C.tobytes()
+        assert read.m.tobytes() == unread.m.tobytes()
+
+    def test_assigning_C_drops_the_kept_generations(self):
+        # n=100, lam 17: a fold every 5th generation
+        assigned, kept = self._optimizer(100, "tpa"), self._optimizer(100, "tpa")
+        for opt in (assigned, kept):
+            self._advance(opt, 3)
+        C = assigned.C
+        assigned.C = C
+        assert assigned.C is C
+        np.testing.assert_array_equal(C, kept.C)
+        for opt in (assigned, kept):  # past the folds at generations 5 and 10
+            self._advance(opt, 8)
+        C, reference = assigned.C, kept.C  # equal but for rounding, not counted twice
+        assert np.linalg.norm(C - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_tol_x_reads_the_diagonal_of_the_kept_generations(self):
+        opt = self._optimizer(100, "csa")
+        for _ in range(7):  # 1 to 4 generations kept, none at 5, then 1 and 2 again
+            self._advance(opt, 1)
+            threshold = opt.sigma * math.sqrt(np.max(np.diag(opt.C)))
+            opt.criteria = TerminationCriteria(tol_x=threshold * (1.0 + 1e-12))
+            assert opt.should_stop() == "tol_x"
+            opt.criteria = TerminationCriteria(tol_x=threshold * (1.0 - 1e-12))
+            assert opt.should_stop() is None
+
+    def test_a_non_finite_C_aborts_at_the_next_fold(self):
+        opt = self._optimizer(400, "tpa")
+        self._advance(opt, 1)
+        C = opt.C
+        C[0, 0] = math.inf
+        opt.C = C
+        with pytest.raises(RunAborted, match="covariance matrix became non-finite") as exc:
+            self._advance(opt, 30)
+        assert exc.value.optimizer is opt
+        assert opt.generation <= 19  # the generation that folds the kept ones into C
+
+
 @pytest.mark.parametrize("controller", ["tpa", "csa"])
 def test_best_f_is_a_python_float(controller):
     config = RunConfig(
@@ -357,6 +421,24 @@ class TestEngineOutput:
         if controller == "csa":  # alpha_s is NaN by design
             columns = np.delete(columns, engine.RunRecord._fields.index("alpha_s"), axis=1)
         assert np.isfinite(columns).all()
+
+    @pytest.mark.parametrize("objective,controller",
+                             [("sphere", "tpa"), ("ellipsoid", "tpa_legacy")])
+    def test_an_error_leaves_no_generation_without_its_row(self, objective, controller):
+        # C underflows to subnormals by generation 5000 or so, and the factor's
+        # axis ratio divides by a zero scale; the warning, turned error, must
+        # escape before a generation starts, not after it was counted
+        config = RunConfig(objective=ObjectiveSpec(objective, 2), controller=controller, m0=3.0,
+                           sigma0=2.0, criteria=TerminationCriteria(max_evals=60_000))
+        params, mode = config.build_params()
+        rng = np.random.default_rng(config.seed)
+        opt = CmaEs(params, config.initial_mean(), config.sigma0, mode=mode,
+                    criteria=config.criteria, rng=rng)
+        with warnings.catch_warnings(), pytest.raises(RuntimeWarning, match="divide by zero"):
+            warnings.simplefilter("error")
+            while opt.should_stop() is None:
+                opt.tell(evaluate_population(config.objective, opt.ask(), rng))
+        assert len(opt.trace) == opt.generation
 
     def test_two_point_factor_falls_back_to_eigh_on_a_random_fitness(self, monkeypatch):
         # c4's run shape: with fitness independent of x, C drifts to a ratio
