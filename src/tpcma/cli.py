@@ -321,7 +321,7 @@ _OPTIONS: dict[str, tuple] = {
     "budget": ("budget", int, "max function evaluations per run"),
     "target-f": ("target_f", float, "stop when a fitness below this is found"),
     "tol-fun": ("tol_fun", float, "stop on a flat best-fitness window (0 disables)"),
-    "tol-x": ("tol_x", float, "stop when sigma * max axis std falls below this (0 disables)"),
+    "tol-x": ("tol_x", float, "stop when sigma * sqrt(largest diagonal of C) < this (0 disables)"),
     "sigma0": ("sigma0", float, "initial step-size"),
     "m0": ("m0", float, "initial mean, broadcast to all coordinates"),
     "noise-level": ("noise_level", float, "multiplicative noise strength of noisy_sphere"),

@@ -132,10 +132,9 @@ class RestartSegment:
 
 class _TestRound(NamedTuple):
     """What a two-point generation carries from its population round to its
-    test-point round: the selected steps, their weighted mean and the two
+    test-point round: the weighted mean of the selected steps and the two
     test points as a (2, n) matrix."""
 
-    Y_sel: np.ndarray
     mean_step: np.ndarray
     test_points: np.ndarray
 
@@ -179,10 +178,10 @@ class CmaEs:
     and the cumulative path ``p_sigma`` (None in two-point mode), for
     reading.  They are the state's only record: a ``RunAborted`` carries
     the optimizer itself.  The optimizer alone judges the values it runs
-    on: ``m0``, ``sigma0``, ``mode``, the told fitness, sigma and C after
-    each generation, and every point before ``ask()`` hands it out, so a
-    mean or step-size that leaves the floating-point range ends the run in
-    ``RunAborted``; the layer functions it calls check nothing again.
+    on: ``m0``, ``sigma0``, ``mode``, the told fitness, sigma, C and every
+    point before ``ask()`` hands it out, so a mean, step-size or C that
+    leaves the floating-point range ends the run in ``RunAborted``, and the
+    generation it ends is not counted; the layers check nothing again.
 
     Offspring are sampled as y = A z from a factor of C (see
     ``sampler.decompose``) in both modes: its Cholesky factor, or the
@@ -195,10 +194,11 @@ class CmaEs:
     generation.  The factor then lags C by at most (gap - 1)(c_1 + c_mu),
     under 1%.  Sampling, and so the cumulative controller's whitening, and
     the trace's ``axis_ratio``/``trace_C`` all read this factor.  C is formed
-    once per refresh too: a generation only keeps its p_c and selected steps,
-    and the one before a refresh folds all kept ones into C, and judges it.
-    Reading ``C`` applies the kept generations without folding them, ``tol_x``
-    reads only their diagonal, and assigning ``C`` drops them.
+    once per refresh too: a generation keeps only its p_c and selected steps,
+    and the refresh folds all kept ones into C, judges it and factors it, so
+    C is not judged after the last refresh before a stop.  Reading ``C``
+    applies the kept ones without folding, ``tol_x`` reads only their
+    diagonal, and assigning ``C`` drops them.
     """
 
     def __init__(
@@ -222,6 +222,7 @@ class CmaEs:
         self.criteria = criteria if criteria is not None else TerminationCriteria()
         self.rng = rng if rng is not None else np.random.default_rng()
 
+        self._test_round: _TestRound | None = None  # set between the two tpa rounds
         self.m = m0
         self.sigma = float(sigma0)
         self.C = np.eye(params.n)  # no generations kept yet
@@ -244,7 +245,6 @@ class CmaEs:
         self._factor_stats = (math.nan, math.nan)  # the factor's axis ratio and trace
         self._Y: np.ndarray | None = None  # the steps of the last sampled population
         self._Z: np.ndarray | None = None  # and the standard-normal draws they came from
-        self._test_round: _TestRound | None = None  # set between the two tpa rounds
         window = 10 + int(math.ceil(30.0 * params.n / params.lam))
         self._gen_best: deque[float] = deque(maxlen=window)
 
@@ -257,6 +257,8 @@ class CmaEs:
 
     @C.setter
     def C(self, value: np.ndarray) -> None:
+        if self._test_round is not None:  # this generation's selected steps are kept already
+            self._kept_Y[0] = self._kept_Y[self._n_kept]
         self._C, self._n_kept = value, 0
 
     # -- termination ---------------------------------------------------------
@@ -298,7 +300,10 @@ class CmaEs:
             raise RuntimeError("ask() called twice without tell()")
         if self._test_round is None:
             if self.generation % self._refresh_gap == 0:
-                self._factor = sampler.decompose(self.C)
+                self.C = self.C  # fold the kept generations in: the setter drops them
+                if not np.isfinite(self._C).all():
+                    raise RunAborted("covariance matrix became non-finite", self)
+                self._factor = sampler.decompose(self._C)
                 # taken here, so a warning they raise leaves no generation without its row
                 scales = self._factor.scales
                 self._factor_stats = (self._factor.axis_ratio, float((scales**2).sum()))
@@ -350,7 +355,8 @@ class CmaEs:
         self._note_best(X[best], fitness[best])
 
         selected = order[: p.mu]
-        Y_sel = self._Y[selected]
+        # "clip" never acts on argsort's indices; the default mode would buffer out
+        Y_sel = np.take(self._Y, selected, axis=0, out=self._kept_Y[self._n_kept], mode="clip")
         mean_step = recombine.weighted_mean_step(Y_sel, p.weights)
         m_new = recombine.update_mean(self.m, self.sigma, mean_step)
 
@@ -359,13 +365,12 @@ class CmaEs:
             mean_z = recombine.weighted_mean_step(self._Z[selected], p.weights)
             self.p_sigma, multiplier = stepsize.csa_update(self.p_sigma, mean_z, p)
             self.sigma *= multiplier
-            g_next = self.generation + 1
-            h_sigma = stepsize.csa_stall_indicator(self.p_sigma, g_next, p)
-            self._finish_generation(Y_sel, mean_step, h_sigma)
+            h_sigma = stepsize.csa_stall_indicator(self.p_sigma, self.generation + 1, p)
+            self._finish_generation(mean_step, h_sigma)
         else:
             with np.errstate(over="ignore", invalid="ignore"):  # ask() judges them
                 test_points = stepsize.tpa_test_points(m_new, self.sigma, mean_step, p)
-            self._test_round = _TestRound(Y_sel, mean_step, test_points)
+            self._test_round = _TestRound(mean_step, test_points)
             if not p.legacy:
                 self.m = m_new
 
@@ -384,27 +389,21 @@ class CmaEs:
             with np.errstate(over="ignore", invalid="ignore"):  # ask() judges the points
                 # self.m is still the mean before the update
                 self.m = recombine.update_mean(self.m, self.sigma, test_round.mean_step)
-        g_next = self.generation + 1
-        h_sigma = cov_mod.stall_indicator(self.alpha_s, g_next, p)
-        self._finish_generation(test_round.Y_sel, test_round.mean_step, h_sigma)
+        h_sigma = cov_mod.stall_indicator(self.alpha_s, self.generation + 1, p)
+        self._finish_generation(test_round.mean_step, h_sigma)
 
     def _note_best(self, x: np.ndarray, fitness: float) -> None:
         if fitness < self.best_f:
             self.best_f = float(fitness)
             self.best_x = x.copy()
 
-    def _finish_generation(self, Y_sel: np.ndarray, mean_step: np.ndarray, h_sigma: int) -> None:
-        p = self.params
-        self.p_c = cov_mod.update_path(self.p_c, mean_step, h_sigma, p)
-        self._kept_p_c[self._n_kept], self._kept_Y[self._n_kept] = self.p_c, Y_sel
+    def _finish_generation(self, mean_step: np.ndarray, h_sigma: int) -> None:
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):  # the generation is not counted
+            raise RunAborted(f"step-size became {self.sigma}", self)
+        self.p_c = cov_mod.update_path(self.p_c, mean_step, h_sigma, self.params)
+        self._kept_p_c[self._n_kept] = self.p_c  # beside its selected steps
         self._n_kept += 1
         self.generation += 1
-        if self.generation % self._refresh_gap == 0:  # fold them in before the refresh
-            self._C, self._n_kept = self.C, 0
-            if not np.isfinite(self._C).all():
-                raise RunAborted("covariance matrix became non-finite", self)
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise RunAborted(f"step-size became {self.sigma}", self)
         self.trace.append(RunRecord(self.generation, self.evals, self.best_f, self.sigma,
                                     self.alpha_s, *self._factor_stats))
 

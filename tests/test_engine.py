@@ -317,6 +317,21 @@ class TestDeferredCovariance:
         C, reference = assigned.C, kept.C  # equal but for rounding, not counted twice
         assert np.linalg.norm(C - reference) <= 1e-12 * np.linalg.norm(reference)
 
+    @pytest.mark.parametrize("n", [10, 100])  # a fold every generation, every 5th
+    def test_assigning_C_between_the_two_tpa_rounds_keeps_the_selected_steps(self, n):
+        assigned, kept = self._optimizer(n, "tpa"), self._optimizer(n, "tpa")
+        spec = ObjectiveSpec("ellipsoid", n)
+        for opt in (assigned, kept):
+            self._advance(opt, 3)
+            opt.tell(evaluate_population(spec, opt.ask()))  # the population round only
+        assigned.C = assigned.C
+        for opt in (assigned, kept):
+            self._advance(opt, 8)
+        C, reference = assigned.C, kept.C  # equal but for rounding at n=100
+        assert np.linalg.norm(C - reference) <= 1e-12 * np.linalg.norm(reference)
+        if n == 10:
+            assert np.array(assigned.trace).tobytes() == np.array(kept.trace).tobytes()
+
     def test_tol_x_reads_the_diagonal_of_the_kept_generations(self):
         opt = self._optimizer(100, "csa")
         for _ in range(7):  # 1 to 4 generations kept, none at 5, then 1 and 2 again
@@ -327,16 +342,23 @@ class TestDeferredCovariance:
             opt.criteria = TerminationCriteria(tol_x=threshold * (1.0 - 1e-12))
             assert opt.should_stop() is None
 
-    def test_a_non_finite_C_aborts_at_the_next_fold(self):
-        opt = self._optimizer(400, "tpa")
+    @pytest.mark.parametrize("n", [10, 400])  # a fold every generation, every 19th
+    def test_a_non_finite_C_aborts_at_the_next_fold(self, n):
+        opt = self._optimizer(n, "tpa")
+        spec = ObjectiveSpec("ellipsoid", n)
         self._advance(opt, 1)
         C = opt.C
         C[0, 0] = math.inf
         opt.C = C
         with pytest.raises(RunAborted, match="covariance matrix became non-finite") as exc:
-            self._advance(opt, 30)
+            while opt.generation < 30:
+                points = opt.ask()  # the refresh folds, judges and factors C
+                opt.tell(evaluate_population(spec, points))
+        assert exc.traceback[-1].name == "ask"
         assert exc.value.optimizer is opt
-        assert opt.generation <= 19  # the generation that folds the kept ones into C
+        assert opt.generation % opt._refresh_gap == 0
+        assert opt.generation == (1 if n == 10 else 19)
+        assert len(opt.trace) == opt.generation
 
 
 @pytest.mark.parametrize("controller", ["tpa", "csa"])
@@ -588,6 +610,7 @@ class TestTermination:
                 opt.tell([0.0, 1.0])  # upward point wins: increase branch
         assert exc_info.value.optimizer is opt
         assert opt.sigma == math.inf
+        assert len(opt.trace) == opt.generation  # the aborted generation is not counted
 
     # where the first overflow falls: the test points, a later sample, the first sample
     @pytest.mark.parametrize("seed", [21, 0, 2])
@@ -602,6 +625,7 @@ class TestTermination:
                 assert np.isfinite(opt.ask()).all()
                 opt.tell([1.0, 0.0])  # downward point wins
         assert exc.value.optimizer is opt
+        assert len(opt.trace) == opt.generation
 
 
 class TestDeterminism:
