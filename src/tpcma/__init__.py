@@ -12,7 +12,7 @@ The building blocks (sampling, recombination, covariance and step-size
 updates) stay importable from their modules.  They take values that
 :class:`CmaEs` has already checked and do not check them again: the checked
 surface is this package's API, and the optimizer's state attributes
-(``opt.sigma``, ``opt.C``, ...) are for reading.
+(``opt.sigma``, ``opt.C``, ...) are for reading; ``opt.C`` is read-only.
 """
 
 from .engine import (

@@ -197,8 +197,8 @@ class CmaEs:
     once per refresh too: a generation keeps only its p_c and selected steps,
     and the refresh folds all kept ones into C, judges it and factors it, so
     C is not judged after the last refresh before a stop.  Reading ``C``
-    applies the kept ones without folding, ``tol_x`` reads only their
-    diagonal, and assigning ``C`` drops them.
+    applies the kept ones without folding, and ``tol_x`` reads only their
+    diagonal.  ``C`` is read-only: copy it to modify it.
     """
 
     def __init__(
@@ -225,7 +225,8 @@ class CmaEs:
         self._test_round: _TestRound | None = None  # set between the two tpa rounds
         self.m = m0
         self.sigma = float(sigma0)
-        self.C = np.eye(params.n)  # no generations kept yet
+        self._C, self._n_kept = np.eye(params.n), 0  # no generations kept yet
+        self._C.flags.writeable = False
         self.p_c = np.zeros(params.n)
         self.alpha_s = 0.0 if mode == "tpa" else math.nan
         self.p_sigma = np.zeros(params.n) if mode == "csa" else None
@@ -250,16 +251,12 @@ class CmaEs:
 
     @property
     def C(self) -> np.ndarray:
-        """The covariance matrix, with the kept generations applied."""
+        """The covariance matrix, with the kept generations applied; read-only."""
         if (k := self._n_kept) == 0:
             return self._C
-        return cov_mod.update_covariance(self._C, self._kept_p_c[:k], self._kept_Y[:k], self.params)
-
-    @C.setter
-    def C(self, value: np.ndarray) -> None:
-        if self._test_round is not None:  # this generation's selected steps are kept already
-            self._kept_Y[0] = self._kept_Y[self._n_kept]
-        self._C, self._n_kept = value, 0
+        C = cov_mod.update_covariance(self._C, self._kept_p_c[:k], self._kept_Y[:k], self.params)
+        C.flags.writeable = False
+        return C
 
     # -- termination ---------------------------------------------------------
 
@@ -300,7 +297,7 @@ class CmaEs:
             raise RuntimeError("ask() called twice without tell()")
         if self._test_round is None:
             if self.generation % self._refresh_gap == 0:
-                self.C = self.C  # fold the kept generations in: the setter drops them
+                self._C, self._n_kept = self.C, 0  # fold the kept generations in
                 if not np.isfinite(self._C).all():
                     raise RunAborted("covariance matrix became non-finite", self)
                 self._factor = sampler.decompose(self._C)

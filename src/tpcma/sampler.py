@@ -32,8 +32,8 @@ class CovarianceFactor:
     to a floor of EIGENVALUE_FLOOR times the largest one: they give the
     trace's axis ratio and trace.
 
-    The engine keeps one factor for n // lam generations (see
-    ``engine.CmaEs``), so it may lag C by up to n // lam - 1 updates.
+    The engine keeps one factor for max(1, n // lam) generations (see
+    ``engine.CmaEs``), so it may lag C by up to max(1, n // lam) - 1 updates.
     """
 
     transform: np.ndarray
