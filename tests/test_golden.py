@@ -24,6 +24,8 @@ CELLS = {
     "rosenbrock": (ObjectiveSpec("rosenbrock", 10), 1500, 1e-9, None),
     "ellipsoid_n20": (ObjectiveSpec("ellipsoid", 20), 3000, 1e-9, None),
     "rosenbrock_n20": (ObjectiveSpec("rosenbrock", 20), 3000, 1e-9, None),
+    # lam 16, so the factor is refreshed every 3rd generation
+    "ellipsoid_n60": (ObjectiveSpec("ellipsoid", 60), 2000, 1e-9, None),
     "noisy_sphere": (ObjectiveSpec("noisy_sphere", 5, noise_level=1.0), 600, -math.inf, None),
     "rastrigin_restarts": (
         ObjectiveSpec("rastrigin", 5), 3000, 1e-8, RestartPolicy(max_restarts=3),
@@ -51,6 +53,10 @@ GOLDEN = {
     ("rosenbrock_n20", "tpa_noise"): "ffe1f822a88f7abb",
     ("rosenbrock_n20", "tpa_legacy"): "f4243f2ab0dddbeb",
     ("rosenbrock_n20", "csa"): "0b858ced070b415a",
+    ("ellipsoid_n60", "tpa"): "e4e854f971bf328e",
+    ("ellipsoid_n60", "tpa_noise"): "aa3cc5ecd79ee79b",
+    ("ellipsoid_n60", "tpa_legacy"): "baf3cce1128f28a7",
+    ("ellipsoid_n60", "csa"): "0f86886959d0e682",
     ("noisy_sphere", "tpa"): "5b100754db17998f",
     ("noisy_sphere", "tpa_noise"): "ac1d66e43ec5e2ed",
     ("noisy_sphere", "tpa_legacy"): "630e4d117f3734fa",
