@@ -17,6 +17,7 @@ import csv
 import itertools
 import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -352,7 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_config_file(path: str) -> dict:
-    """Flat key=value file; keys match the CLI flags (dashes or underscores)."""
+    """Flat key=value file; keys match the CLI flags (dashes or underscores),
+    and a ``#`` at the start of a line or after whitespace begins a comment."""
     values: dict[str, object] = {}
     problems: list[str] = []
     try:
@@ -362,7 +364,7 @@ def _parse_config_file(path: str) -> dict:
     known = {opt.replace("-", "_"): opt for opt in _OPTIONS}
     known["seed"] = "seeds"
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # "runs#1" is a value
         if not line:
             continue
         if "=" not in line:

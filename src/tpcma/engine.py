@@ -103,8 +103,8 @@ class RunRecord(NamedTuple):
 
     ``sigma``, ``alpha_s`` and ``best_f`` are the values after the
     generation's updates; ``axis_ratio`` and ``trace_C`` describe the
-    covariance the generation was sampled from, that is the factor as last
-    refreshed (every generation for n < 2 lam, see :class:`CmaEs`).
+    covariance the generation was sampled from, that is the initial factor
+    or the one last refreshed (see :class:`CmaEs`).
     ``alpha_s`` is NaN in cumulative mode.  In a restart run,
     ``generation``, ``evals`` and ``best_f`` count over the whole run, not
     the segment.  The field order is the trace CSV's column order.
@@ -132,11 +132,11 @@ class RestartSegment:
 
 class _TestRound(NamedTuple):
     """What a two-point generation carries from its population round to its
-    test-point round: the weighted mean of the selected steps and the two
-    test points as a (2, n) matrix."""
+    test-point round: the updated mean and the weighted mean of the selected
+    steps, from which ``ask()`` forms the two test points."""
 
+    m_new: np.ndarray
     mean_step: np.ndarray
-    test_points: np.ndarray
 
 
 @dataclass
@@ -171,7 +171,7 @@ class CmaEs:
     rows of a (k, n) matrix, ``tell(fitnesses)`` feeds back their objective
     values (minimization; failures mapped to +inf, never NaN).  In
     two-point mode a generation is two rounds: the lam offspring, then the
-    two test points returned by the following ``ask()``.
+    two test points formed by the following ``ask()``.
 
     The state is held in plain attributes: ``m``, ``sigma``, ``C`` and its
     path ``p_c``, the two-point signal ``alpha_s`` (NaN in cumulative mode)
@@ -179,26 +179,26 @@ class CmaEs:
     reading.  They are the state's only record: a ``RunAborted`` carries
     the optimizer itself.  The optimizer alone judges the values it runs
     on: ``m0``, ``sigma0``, ``mode``, the told fitness, sigma, C and every
-    point before ``ask()`` hands it out, so a mean, step-size or C that
-    leaves the floating-point range ends the run in ``RunAborted``, and the
-    generation it ends is not counted; the layers check nothing again.
+    point ``ask()`` forms, before handing it out, so a mean, step-size or C
+    that leaves the floating-point range ends the run in ``RunAborted``,
+    and the generation it ends is not counted; the layers check nothing again.
 
     Offspring are sampled as y = A z from a factor of C (see
     ``sampler.decompose``) in both modes: its Cholesky factor, or the
     floored eigendecomposition, marked ``repaired``, where C is not positive
     definite to working precision.  The cumulative controller whitens the
     mean step as the weighted mean of the selected draws z, which is
-    A^(-1) <y> and needs no second factorization.  The factor is refreshed
-    every gap = max(1, n // lam) generations, about once per n offspring,
-    so its O(n^3) cost is O(n^2) per offspring; for n < 2 lam that is every
-    generation.  The factor then lags C by at most (gap - 1)(c_1 + c_mu),
-    under 1%.  Sampling, and so the cumulative controller's whitening, and
-    the trace's ``axis_ratio``/``trace_C`` all read this factor.  C is formed
-    once per refresh too: a generation keeps only its p_c and selected steps,
-    and the refresh folds all kept ones into C, judges it and factors it, so
-    C is not judged after the last refresh before a stop.  Reading ``C``
-    applies the kept ones without folding, and ``tol_x`` reads only their
-    diagonal.  ``C`` is read-only: copy it to modify it.
+    A^(-1) <y> and needs no second factorization.  C = I starts as its own
+    factor, refreshed once gap = max(1, n // lam) generations are kept, about
+    once per n offspring, so its O(n^3) cost is O(n^2) per offspring (every
+    generation but the first for n < 2 lam); it lags C by at most
+    (gap - 1)(c_1 + c_mu), under 1%.  Sampling, the cumulative controller's
+    whitening and the trace's ``axis_ratio``/``trace_C`` all read this
+    factor.  C is formed once per refresh too: a generation keeps only its
+    p_c and selected steps, and the refresh forms C from all kept ones,
+    judges, folds in and factors it, so C is not judged after the last refresh
+    before a stop.  Reading ``C`` applies the kept ones without folding, and
+    ``tol_x`` reads only their diagonal.  ``C`` is read-only: modify a copy.
     """
 
     def __init__(
@@ -237,13 +237,13 @@ class CmaEs:
         self.trace: list[RunRecord] = []
 
         self._pending: np.ndarray | None = None  # the points of an untold ask()
-        self._factor: sampler.CovarianceFactor | None = None
+        self._factor = sampler.CovarianceFactor(self._C, np.ones(params.n))  # as decompose(I)
+        self._factor_stats = (1.0, float(params.n))  # the factor's axis ratio and trace
         # every generation for n < 2 lam, every 19th at n=400 (lam 21)
         self._refresh_gap = max(1, params.n // params.lam)
         # the p_c and selected steps of the generations not yet folded into C
         self._kept_p_c = np.empty((self._refresh_gap, params.n))
         self._kept_Y = np.empty((self._refresh_gap, params.mu, params.n))
-        self._factor_stats = (math.nan, math.nan)  # the factor's axis ratio and trace
         self._Y: np.ndarray | None = None  # the steps of the last sampled population
         self._Z: np.ndarray | None = None  # and the standard-normal draws they came from
         window = 10 + int(math.ceil(30.0 * params.n / params.lam))
@@ -295,21 +295,21 @@ class CmaEs:
         two test points."""
         if self._pending is not None:
             raise RuntimeError("ask() called twice without tell()")
-        if self._test_round is None:
-            if self.generation % self._refresh_gap == 0:
-                self._C, self._n_kept = self.C, 0  # fold the kept generations in
-                if not np.isfinite(self._C).all():
-                    raise RunAborted("covariance matrix became non-finite", self)
-                self._factor = sampler.decompose(self._C)
-                # taken here, so a warning they raise leaves no generation without its row
-                scales = self._factor.scales
-                self._factor_stats = (self._factor.axis_ratio, float((scales**2).sum()))
-            with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        if self._n_kept == self._refresh_gap:  # never in a test round: its generation isn't kept
+            if not np.isfinite(C := self.C).all():  # judged unfolded: a second ask() raises too
+                raise RunAborted("covariance matrix became non-finite", self)
+            self._C, self._n_kept = C, 0  # fold the kept generations in
+            self._factor = sampler.decompose(self._C)
+            # taken here, so a warning they raise leaves no generation without its row
+            self._factor_stats = (self._factor.axis_ratio, float((self._factor.scales**2).sum()))
+        with np.errstate(over="ignore", invalid="ignore"):  # judged below
+            if self._test_round is None:
                 points, self._Y, self._Z = sampler.sample_population(
                     self.m, self.sigma, self._factor, self.params.lam, self.rng
                 )
-        else:
-            points = self._test_round.test_points
+            else:
+                m_new, mean_step = self._test_round
+                points = stepsize.tpa_test_points(m_new, self.sigma, mean_step, self.params)
         if not np.isfinite(points).all():
             raise RunAborted("a point to evaluate left the floating-point range", self)
         self._pending = points
@@ -365,20 +365,18 @@ class CmaEs:
             h_sigma = stepsize.csa_stall_indicator(self.p_sigma, self.generation + 1, p)
             self._finish_generation(mean_step, h_sigma)
         else:
-            with np.errstate(over="ignore", invalid="ignore"):  # ask() judges them
-                test_points = stepsize.tpa_test_points(m_new, self.sigma, mean_step, p)
-            self._test_round = _TestRound(mean_step, test_points)
+            self._test_round = _TestRound(m_new, mean_step)
             if not p.legacy:
                 self.m = m_new
 
     def _tell_test_points(self, fitness: np.ndarray) -> None:
         p = self.params
         f_plus, f_minus = float(fitness[0]), float(fitness[1])
-        self._pending = None
+        X, self._pending = self._pending, None
         test_round, self._test_round = self._test_round, None
         self.evals += 2
-        self._note_best(test_round.test_points[0], f_plus)
-        self._note_best(test_round.test_points[1], f_minus)
+        self._note_best(X[0], f_plus)
+        self._note_best(X[1], f_minus)
 
         self.alpha_s, multiplier = stepsize.tpa_update(self.alpha_s, f_plus, f_minus, p)
         self.sigma *= multiplier

@@ -32,8 +32,8 @@ class CovarianceFactor:
     to a floor of EIGENVALUE_FLOOR times the largest one: they give the
     trace's axis ratio and trace.
 
-    The engine keeps one factor for max(1, n // lam) generations (see
-    ``engine.CmaEs``), so it may lag C by up to max(1, n // lam) - 1 updates.
+    The engine starts with ``decompose(I)``'s factor, I itself, and refreshes
+    it once gap = max(1, n // lam) generations are kept, lagging C by gap - 1.
     """
 
     transform: np.ndarray

@@ -95,6 +95,16 @@ class TestParseConfig:
         assert config.target_f == 1e-8
         assert not config.timestamp
 
+    def test_config_file_hash_inside_a_value_is_kept(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "runs#1"
+        cfg.write_text(f"out={out}\nbudget=500 # note\n\t# indented comment\nn=3\t# tab\n")
+        config = parse_config(["--config", str(cfg)])
+        assert config.out == str(out)  # as the flag --out keeps it
+        assert config.out == parse_config(["--out", str(out)]).out
+        assert config.budget == 500
+        assert config.dimensions == (3,)
+
     def test_config_file_unknown_keys_and_bad_values_listed(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("objective=sphere\nbudgett=10\nn=abc\n")

@@ -209,14 +209,16 @@ class TestAskTellProtocol:
 
 
 class TestFactorRefresh:
-    """C is decomposed once every max(1, n // lam) generations, about once
-    per n offspring."""
+    """The optimizer starts with the factor of C = I and decomposes C once
+    every max(1, n // lam) generations after that, about once per n
+    offspring."""
 
     @staticmethod
     def _run(monkeypatch, params, mode, generations):
         n = params.n
         opt = CmaEs(params, np.zeros(n), 1.0, mode=mode, rng=np.random.default_rng(3))
-        refreshed_at, factors, sampled_with, whitened = [], [], [], []
+        # factors: the initial one, then one per refresh
+        refreshed_at, factors, sampled_with, whitened = [], [opt._factor], [], []
         decompose, sample, csa_update = (
             sampler.decompose, sampler.sample_population, stepsize.csa_update
         )
@@ -249,13 +251,13 @@ class TestFactorRefresh:
     @pytest.mark.parametrize("mode", ["tpa", "csa"])
     def test_every_generation_at_n10(self, monkeypatch, mode):
         _, refreshed_at, *_ = self._run(monkeypatch, default_params(10), mode, 12)
-        assert refreshed_at == list(range(12))
+        assert refreshed_at == list(range(1, 12))
 
     @pytest.mark.parametrize("mode", ["tpa", "csa"])
     @pytest.mark.parametrize("n, gap", [(19, 1), (20, 2)])
     def test_gap_starts_at_twice_lam(self, monkeypatch, mode, n, gap):
         _, refreshed_at, *_ = self._run(monkeypatch, default_params(n, lam=10), mode, 6)
-        assert refreshed_at == list(range(0, 6, gap))
+        assert refreshed_at == list(range(gap, 6, gap))
 
     @pytest.mark.parametrize("mode", ["tpa", "csa"])
     def test_every_tenth_generation_at_n200(self, monkeypatch, mode):
@@ -264,7 +266,8 @@ class TestFactorRefresh:
         opt, refreshed_at, factors, sampled_with, whitened = self._run(
             monkeypatch, params, mode, 25
         )
-        assert refreshed_at == [0, 10, 20]
+        assert refreshed_at == [10, 20]
+        # generations 0-9 sample from the initial factor, factors[0]
         assert all(sampled_with[g] is factors[g // 10] for g in range(25))
         # the trace and csa's whitening read the factor that sampled the generation
         assert [row.axis_ratio for row in opt.trace] == [f.axis_ratio for f in sampled_with]
@@ -273,6 +276,43 @@ class TestFactorRefresh:
             for (mean_z, mean_step), factor in zip(whitened, sampled_with):
                 np.testing.assert_allclose(factor.transform @ mean_z, mean_step, rtol=1e-9,
                                            atol=1e-12 * np.abs(mean_step).max())
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 400])
+    def test_the_initial_factor_is_that_of_the_identity(self, monkeypatch, n):
+        expected = sampler.decompose(np.eye(n))
+        opt = CmaEs(default_params(n), np.zeros(n), 1.0, rng=np.random.default_rng(n))
+        factor = opt._factor
+
+        def no_decompose(C):
+            raise AssertionError("generation 0 decomposed C")
+
+        monkeypatch.setattr(sampler, "decompose", no_decompose)
+        spec = ObjectiveSpec("ellipsoid", n)
+        opt.tell(evaluate_population(spec, opt.ask()))
+        opt.tell(evaluate_population(spec, opt.ask()))  # the test points
+        assert opt.generation == 1
+        for name in ("transform", "scales"):
+            got, want = getattr(factor, name), getattr(expected, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                            want.tobytes())
+        assert factor.repaired is expected.repaired is False
+        assert factor.axis_ratio == expected.axis_ratio
+        assert opt.trace[0].axis_ratio == expected.axis_ratio
+        assert opt.trace[0].trace_C == float((expected.scales**2).sum())
+
+    def test_each_restart_segment_starts_factored(self, monkeypatch):
+        calls = []
+        decompose = sampler.decompose
+        monkeypatch.setattr(sampler, "decompose", lambda C: calls.append(1) or decompose(C))
+        config = RunConfig(
+            objective=ObjectiveSpec("rastrigin", 5),  # gap 1 at every lam
+            m0=3.0,
+            sigma0=2.0,
+            criteria=TerminationCriteria(max_evals=3000, target_f=1e-8, tol_fun=1e-10),
+        )
+        result = run_with_restarts(config, RestartPolicy(max_restarts=3))
+        assert len(result.segments) > 1
+        assert len(calls) == result.generations - len(result.segments)
 
 
 class TestDeferredCovariance:
@@ -343,6 +383,8 @@ class TestDeferredCovariance:
         assert exc.traceback[-1].name == "ask"
         assert exc.value.optimizer is opt
         assert not np.isfinite(exc.value.optimizer.C).all()  # the judged C stays readable
+        with pytest.raises(RunAborted, match="covariance matrix became non-finite"):
+            opt.ask()  # the optimizer does not go on with the last factor
         assert opt.generation % opt._refresh_gap == 0
         assert opt.generation == (1 if n == 10 else 19)
         assert len(opt.trace) == opt.generation
@@ -599,10 +641,17 @@ class TestTermination:
         assert opt.sigma == math.inf
         assert len(opt.trace) == opt.generation  # the aborted generation is not counted
 
-    # where the first overflow falls: the test points, a later sample, the first sample
-    @pytest.mark.parametrize("seed", [21, 0, 2])
-    def test_mean_leaving_the_float_range_aborts_before_a_point_is_handed_out(self, seed):
-        params = default_params(2)
+    # where the first overflow falls: the test points, a later sample, the first sample;
+    # tpa_legacy's test points straddle the updated mean while opt.m stays the old one
+    @pytest.mark.parametrize(
+        "controller, seed",
+        [("tpa", 21), ("tpa", 0), ("tpa", 2), ("tpa_legacy", 21)],
+        ids=["21", "0", "2", "tpa_legacy-21"],
+    )
+    def test_mean_leaving_the_float_range_aborts_before_a_point_is_handed_out(
+        self, controller, seed
+    ):
+        params = replace(default_params(2), **engine.CONTROLLERS[controller][1])
         opt = CmaEs(params, np.zeros(2), 1e308, rng=np.random.default_rng(seed))
         with warnings.catch_warnings(), pytest.raises(RunAborted, match="floating-point") as exc:
             warnings.simplefilter("error")
@@ -611,8 +660,12 @@ class TestTermination:
                 opt.tell(list(range(params.lam)))
                 assert np.isfinite(opt.ask()).all()
                 opt.tell([1.0, 0.0])  # downward point wins
+        assert exc.traceback[-1].name == "ask"
         assert exc.value.optimizer is opt
         assert len(opt.trace) == opt.generation
+        if seed == 21:  # the overflow falls on generation 0's test points
+            assert opt.generation == 0 and opt._test_round is not None
+            assert np.isfinite(opt._test_round.m_new).all() and np.isfinite(opt.m).all()
 
 
 class TestDeterminism:
