@@ -194,7 +194,7 @@ def write_trace_csv(path: Path, cell: _Cell, result: RunResult, *, timestamp: bo
     timestamp line is suppressed with timestamp=False so that reruns are
     byte-identical.  The file is written atomically.
     """
-    params, _ = _run_config_for(cell).build_params()
+    params = _run_config_for(cell).build_params()
     with _atomic_write(path) as fh:
         fh.write(f"# run={cell.name}\n")
         fh.write(
@@ -210,9 +210,9 @@ def write_trace_csv(path: Path, cell: _Cell, result: RunResult, *, timestamp: bo
         if timestamp:
             fh.write(f"# created={time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        # rows hold Python numbers; %r of a float is its repr, "nan" and "inf" included
+        # rows hold Python ints and floats, whose reprs round-trip, "nan" and "inf" included
         for row in result.trace:
-            fh.write("%d,%d,%r,%r,%r,%r,%r\n" % row)
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _execute_cell(cell: _Cell) -> _CellOutcome:
@@ -406,7 +406,9 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     config = ExperimentConfig(**values)
     ignored = [flag for flag, value in (("--beta", config.beta), ("--c-alpha", config.c_alpha))
                if value is not None]
-    if ignored and any(CONTROLLERS[c][0] == "csa" for c in config.controllers):
+    csa = any(RunConfig(ObjectiveSpec("sphere", 1), c).build_params().mode == "csa"
+              for c in config.controllers)
+    if ignored and csa:
         print(f"warning: no effect on the csa controller: {', '.join(ignored)}", file=sys.stderr)
     noisy = [kind for kind in config.objectives if ObjectiveSpec(kind, 1).stochastic]
     if noisy and math.isfinite(config.target_f):

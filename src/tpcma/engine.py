@@ -37,18 +37,16 @@ __all__ = [
     "run_with_restarts",
 ]
 
-# controller name -> (engine mode, StrategyParams overrides of the defaults).
-# tpa_noise biases the decrease branch by 0.2 * alpha_change; tpa_legacy is
-# the original two-point scheme of evolutionary gradient search: wider test
-# steps, change factor ln 1.8, no smoothing and the legacy geometry.
-CONTROLLERS: dict[str, tuple[str, dict[str, object]]] = {
-    "tpa": ("tpa", {}),
-    "tpa_noise": ("tpa", {"beta_bias": 0.1}),
-    "tpa_legacy": (
-        "tpa",
-        {"alpha_test": 0.8, "alpha_change": math.log(1.8), "c_alpha": 1.0, "legacy": True},
-    ),
-    "csa": ("csa", {}),
+# controller name -> StrategyParams overrides of the defaults, the step-size
+# rule included.  tpa_noise biases the decrease branch by 0.2 * alpha_change;
+# tpa_legacy is the original two-point scheme of evolutionary gradient search:
+# wider test steps, change factor ln 1.8, no smoothing and the legacy geometry.
+CONTROLLERS: dict[str, dict[str, object]] = {
+    "tpa": {},
+    "tpa_noise": {"beta_bias": 0.1},
+    "tpa_legacy": {"mode": "tpa_legacy", "alpha_test": 0.8, "alpha_change": math.log(1.8),
+                   "c_alpha": 1.0},
+    "csa": {"mode": "csa"},
 }
 
 
@@ -60,6 +58,8 @@ class RunAborted(RuntimeError):
     is the optimizer of the segment that aborted.
     """
 
+    # optional: BaseException unpickles with its args alone, so a required
+    # optimizer would break a RunAborted that crosses a process pool
     def __init__(self, message: str, optimizer: CmaEs | None = None):
         super().__init__(message)
         self.optimizer = optimizer
@@ -102,9 +102,9 @@ class RunRecord(NamedTuple):
     """One trace row per completed generation.
 
     ``sigma``, ``alpha_s`` and ``best_f`` are the values after the
-    generation's updates; ``axis_ratio`` and ``trace_C`` describe the
-    covariance the generation was sampled from, that is the initial factor
-    or the one last refreshed (see :class:`CmaEs`).
+    generation's updates; ``axis_ratio`` and ``trace_C`` are the
+    ``axis_ratio`` and ``trace`` of the factor the generation was sampled
+    from, the initial one or the one last refreshed (see :class:`CmaEs`).
     ``alpha_s`` is NaN in cumulative mode.  In a restart run,
     ``generation``, ``evals`` and ``best_f`` count over the whole run, not
     the segment.  The field order is the trace CSV's column order.
@@ -165,20 +165,20 @@ def _start_problems(m0: np.ndarray, sigma0: float, n: int) -> list[str]:
 
 
 class CmaEs:
-    """Ask/tell CMA-ES with a two-point or cumulative step-size controller.
+    """Ask/tell CMA-ES with the step-size rule of ``params.mode``.
 
     The caller owns evaluation: ``ask()`` yields candidate points as the
     rows of a (k, n) matrix, ``tell(fitnesses)`` feeds back their objective
-    values (minimization; failures mapped to +inf, never NaN).  In
-    two-point mode a generation is two rounds: the lam offspring, then the
-    two test points formed by the following ``ask()``.
+    values (minimization; failures mapped to +inf, never NaN).  Under a
+    two-point rule ("tpa" or "tpa_legacy") a generation is two rounds: the
+    lam offspring, then the two test points formed by the following ``ask()``.
 
     The state is held in plain attributes: ``m``, ``sigma``, ``C`` and its
     path ``p_c``, the two-point signal ``alpha_s`` (NaN in cumulative mode)
     and the cumulative path ``p_sigma`` (None in two-point mode), for
     reading.  They are the state's only record: a ``RunAborted`` carries
     the optimizer itself.  The optimizer alone judges the values it runs
-    on: ``m0``, ``sigma0``, ``mode``, the told fitness, sigma, C and every
+    on: ``m0``, ``sigma0``, the told fitness, sigma, C and every
     point ``ask()`` forms, before handing it out, so a mean, step-size or C
     that leaves the floating-point range ends the run in ``RunAborted``,
     and the generation it ends is not counted; the layers check nothing again.
@@ -194,11 +194,12 @@ class CmaEs:
     generation but the first for n < 2 lam); it lags C by at most
     (gap - 1)(c_1 + c_mu), under 1%.  Sampling, the cumulative controller's
     whitening and the trace's ``axis_ratio``/``trace_C`` all read this
-    factor.  C is formed once per refresh too: a generation keeps only its
-    p_c and selected steps, and the refresh forms C from all kept ones,
-    judges, folds in and factors it, so C is not judged after the last refresh
-    before a stop.  Reading ``C`` applies the kept ones without folding, and
-    ``tol_x`` reads only their diagonal.  ``C`` is read-only: modify a copy.
+    factor, the last two as computed when it was built.  C is formed once per
+    refresh too: a generation keeps only its p_c and selected steps, and the
+    refresh forms C from all kept ones, judges, folds in and factors it, so
+    C is not judged after the last refresh before a stop.  Reading ``C``
+    applies the kept ones without folding, and ``tol_x`` reads only their
+    diagonal.  ``C`` is read-only: modify a copy.
     """
 
     def __init__(
@@ -207,18 +208,14 @@ class CmaEs:
         m0: np.ndarray,
         sigma0: float,
         *,
-        mode: str = "tpa",
         criteria: TerminationCriteria | None = None,
         rng: np.random.Generator | None = None,
     ):
-        if mode not in ("tpa", "csa"):
-            raise ValueError(f"mode must be 'tpa' or 'csa', got {mode!r}")
         m0 = np.array(m0, dtype=float)
         if problems := _start_problems(m0, sigma0, params.n):
             raise ValueError("; ".join(problems))
 
         self.params = params
-        self.mode = mode
         self.criteria = criteria if criteria is not None else TerminationCriteria()
         self.rng = rng if rng is not None else np.random.default_rng()
 
@@ -228,8 +225,9 @@ class CmaEs:
         self._C, self._n_kept = np.eye(params.n), 0  # no generations kept yet
         self._C.flags.writeable = False
         self.p_c = np.zeros(params.n)
-        self.alpha_s = 0.0 if mode == "tpa" else math.nan
-        self.p_sigma = np.zeros(params.n) if mode == "csa" else None
+        csa = params.mode == "csa"
+        self.alpha_s = math.nan if csa else 0.0
+        self.p_sigma = np.zeros(params.n) if csa else None
         self.generation = 0
         self.evals = 0
         self.best_x: np.ndarray | None = None
@@ -238,7 +236,6 @@ class CmaEs:
 
         self._pending: np.ndarray | None = None  # the points of an untold ask()
         self._factor = sampler.CovarianceFactor(self._C, np.ones(params.n))  # as decompose(I)
-        self._factor_stats = (1.0, float(params.n))  # the factor's axis ratio and trace
         # every generation for n < 2 lam, every 19th at n=400 (lam 21)
         self._refresh_gap = max(1, params.n // params.lam)
         # the p_c and selected steps of the generations not yet folded into C
@@ -299,9 +296,8 @@ class CmaEs:
             if not np.isfinite(C := self.C).all():  # judged unfolded: a second ask() raises too
                 raise RunAborted("covariance matrix became non-finite", self)
             self._C, self._n_kept = C, 0  # fold the kept generations in
+            # builds the row statistics here, so a warning leaves no generation without its row
             self._factor = sampler.decompose(self._C)
-            # taken here, so a warning they raise leaves no generation without its row
-            self._factor_stats = (self._factor.axis_ratio, float((self._factor.scales**2).sum()))
         with np.errstate(over="ignore", invalid="ignore"):  # judged below
             if self._test_round is None:
                 points, self._Y, self._Z = sampler.sample_population(
@@ -357,7 +353,7 @@ class CmaEs:
         mean_step = recombine.weighted_mean_step(Y_sel, p.weights)
         m_new = recombine.update_mean(self.m, self.sigma, mean_step)
 
-        if self.mode == "csa":
+        if p.mode == "csa":
             self.m = m_new
             mean_z = recombine.weighted_mean_step(self._Z[selected], p.weights)
             self.p_sigma, multiplier = stepsize.csa_update(self.p_sigma, mean_z, p)
@@ -366,7 +362,7 @@ class CmaEs:
             self._finish_generation(mean_step, h_sigma)
         else:
             self._test_round = _TestRound(m_new, mean_step)
-            if not p.legacy:
+            if p.mode == "tpa":
                 self.m = m_new
 
     def _tell_test_points(self, fitness: np.ndarray) -> None:
@@ -380,7 +376,7 @@ class CmaEs:
 
         self.alpha_s, multiplier = stepsize.tpa_update(self.alpha_s, f_plus, f_minus, p)
         self.sigma *= multiplier
-        if p.legacy:
+        if p.mode == "tpa_legacy":
             with np.errstate(over="ignore", invalid="ignore"):  # ask() judges the points
                 # self.m is still the mean before the update
                 self.m = recombine.update_mean(self.m, self.sigma, test_round.mean_step)
@@ -400,7 +396,7 @@ class CmaEs:
         self._n_kept += 1
         self.generation += 1
         self.trace.append(RunRecord(self.generation, self.evals, self.best_f, self.sigma,
-                                    self.alpha_s, *self._factor_stats))
+                                    self.alpha_s, self._factor.axis_ratio, self._factor.trace))
 
 
 # -- configured runs ---------------------------------------------------------
@@ -445,14 +441,14 @@ class RunConfig:
             return np.full(self.objective.n, float(m0))
         return m0
 
-    def build_params(self, lam: int | None = None) -> tuple[StrategyParams, str]:
-        """Resolve the controller into (params, engine mode); ``lam``
-        overrides the configured population size."""
-        mode, preset = CONTROLLERS.get(self.controller, ("", {}))
+    def build_params(self, lam: int | None = None) -> StrategyParams:
+        """The controller's strategy constants, its step-size rule included;
+        ``lam`` overrides the configured population size."""
+        preset = CONTROLLERS.get(self.controller, {})
         settings = (("lam", self.lam if lam is None else lam), ("beta_bias", self.beta_bias),
                     ("c_alpha", self.c_alpha))
         explicit = {name: value for name, value in settings if value is not None}
-        return replace(default_params(self.objective.n), **{**preset, **explicit}), mode
+        return replace(default_params(self.objective.n), **{**preset, **explicit})
 
 
 @dataclass(frozen=True)
@@ -493,15 +489,9 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
     generations = 0
 
     for attempt in range(policy.max_restarts + 1):
-        params, mode = config.build_params(lam)
-        opt = CmaEs(
-            params,
-            config.initial_mean(),
-            config.sigma0,
-            mode=mode,
-            criteria=replace(config.criteria, max_evals=budget - evals),
-            rng=rng,
-        )
+        params = config.build_params(lam)
+        opt = CmaEs(params, config.initial_mean(), config.sigma0, rng=rng,
+                    criteria=replace(config.criteria, max_evals=budget - evals))
         while (termination := opt.should_stop()) is None:
             opt.tell(obj_mod.evaluate_population(spec, opt.ask(), rng))
 

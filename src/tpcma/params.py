@@ -1,10 +1,10 @@
 """Strategy constants: population size, recombination weights, learning rates.
 
-Only the dimension ``n``, the population size ``lam`` and the step-size
-settings are chosen; the recombination weights and the learning rates are
-derived from ``n`` and ``lam`` on construction and cannot be set.  Settings
-are changed with ``dataclasses.replace``, which checks them and derives the
-rest again.
+Only the dimension ``n``, the population size ``lam``, the step-size rule
+and its settings are chosen; the recombination weights and the learning
+rates are derived from ``n`` and ``lam`` on construction and cannot be set.
+Settings are changed with ``dataclasses.replace``, which checks them and
+derives the rest again.
 """
 
 from __future__ import annotations
@@ -35,8 +35,10 @@ class StrategyParams:
         beta_bias: upward bias added to the decrease branch of the signal
             (used for noise handling, default 0).
         c_alpha: smoothing rate for the step-size signal, in (0, 1].
-        legacy: the original two-point scheme of evolutionary gradient
-            search: the downward test point uses width
+        mode: the step-size rule: "tpa", two-point adaptation; "csa",
+            cumulative adaptation, which reads none of the four settings
+            above; or "tpa_legacy", the original two-point scheme of
+            evolutionary gradient search: its downward test point uses width
             alpha_test/(1+alpha_test), and the mean update is deferred
             until after the step-size update and uses the new step-size.
 
@@ -62,7 +64,7 @@ class StrategyParams:
     alpha_change: float = 0.5
     beta_bias: float = 0.0
     c_alpha: float = 0.3
-    legacy: bool = False
+    mode: str = "tpa"
     mu_prime: float = field(init=False)
     mu: int = field(init=False)
     weights: np.ndarray = field(init=False)
@@ -89,6 +91,8 @@ class StrategyParams:
             problems.append(f"beta_bias must be >= 0 and finite, got {self.beta_bias}")
         if not 0.0 < self.c_alpha <= 1.0:
             problems.append(f"c_alpha must be in (0, 1], got {self.c_alpha}")
+        if self.mode not in ("tpa", "tpa_legacy", "csa"):
+            problems.append(f"mode must be 'tpa', 'tpa_legacy' or 'csa', got {self.mode!r}")
         if problems:
             raise ValueError("; ".join(problems))
 

@@ -6,7 +6,7 @@ Like the other layer modules, these functions take values that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,9 @@ class CovarianceFactor:
     rotation, so the cumulative controller whitens a step A z as z.
 
     ``scales`` are the square roots of C's eigenvalues, ascending, raised
-    to a floor of EIGENVALUE_FLOOR times the largest one: they give the
-    trace's axis ratio and trace.
+    to a floor of EIGENVALUE_FLOOR times the largest one.  A trace row's
+    ``axis_ratio``, longest over shortest principal axis, and ``trace``, the
+    sum of the floored eigenvalues, are computed from them once, on building.
 
     The engine starts with ``decompose(I)``'s factor, I itself, and refreshes
     it once gap = max(1, n // lam) generations are kept, lagging C by gap - 1.
@@ -39,11 +40,12 @@ class CovarianceFactor:
     transform: np.ndarray
     scales: np.ndarray
     repaired: bool = False
+    axis_ratio: float = field(init=False)
+    trace: float = field(init=False)
 
-    @property
-    def axis_ratio(self) -> float:
-        """Longest over shortest principal axis of the distribution."""
-        return float(self.scales[-1] / self.scales[0])
+    def __post_init__(self):
+        object.__setattr__(self, "axis_ratio", float(self.scales[-1] / self.scales[0]))
+        object.__setattr__(self, "trace", float((self.scales**2).sum()))
 
 
 def _floored_scales(eigenvalues: np.ndarray) -> np.ndarray:

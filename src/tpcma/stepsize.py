@@ -6,8 +6,8 @@ Two controllers are provided:
   symmetrically along the realized mean shift are evaluated; whichever wins
   decides a raw up/down signal that is exponentially smoothed and applied
   multiplicatively to sigma.  A legacy variant of this scheme (asymmetric
-  downward point, no smoothing, mean updated with the new sigma) is the
-  ``tpa_legacy`` entry of ``engine.CONTROLLERS``.
+  downward point, mean updated with the new sigma) is the step-size rule
+  ``StrategyParams.mode == "tpa_legacy"``.
 * cumulative adaptation (baseline): the classic whitened evolution path
   whose length is compared against its expectation under random selection;
   it is whitened with the selected standard-normal draws.
@@ -44,12 +44,12 @@ def tpa_test_points(
     Returns the (2, n) array whose rows are m + a' sigma <y> and
     m - a' sigma <y>, where a' is alpha_test, <y> is the mean step used in
     this generation's mean update and sigma is the step-size the population
-    was sampled with.  In the legacy scheme the downward point uses the
+    was sampled with.  In mode "tpa_legacy" the downward point uses the
     width a'/(1+a') instead.
     """
     shift = sigma * mean_step
     a = params.alpha_test
-    a_down = a / (1.0 + a) if params.legacy else a
+    a_down = a / (1.0 + a) if params.mode == "tpa_legacy" else a
     # m + (-w) shift is exactly m - w shift in floating point
     return m_new + np.multiply.outer((a, -a_down), shift)
 

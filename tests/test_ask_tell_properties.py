@@ -29,8 +29,8 @@ CALLS = st.tuples(
 
 
 def new_optimizer(controller):
-    params, mode = RunConfig(objective=SPEC, controller=controller).build_params()
-    return CmaEs(params, np.ones(3), 0.5, mode=mode, rng=np.random.default_rng(7))
+    params = RunConfig(objective=SPEC, controller=controller).build_params()
+    return CmaEs(params, np.ones(3), 0.5, rng=np.random.default_rng(7))
 
 
 def fitnesses(call, points, position, positive):

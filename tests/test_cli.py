@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from tpcma import cli
 from tpcma.cli import ConfigError, ExperimentConfig, parse_config, run_experiment
+from tpcma.engine import RunRecord, RunResult
 
 
 def read_rows(path):
@@ -56,6 +58,11 @@ class TestParseConfig:
     def test_beta_with_csa_warns(self, capsys, flag):
         parse_config(["--controller", "csa", flag, "0.1"])
         assert "no effect" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--beta", "--c-alpha"])
+    def test_beta_with_two_point_controllers_does_not_warn(self, capsys, flag):
+        parse_config(["--controller", "tpa,tpa_noise,tpa_legacy", flag, "0.1"])
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("kind", ["noisy_sphere", "random_fitness"])
     def test_finite_target_on_stochastic_objective_warns(self, capsys, kind):
@@ -214,6 +221,24 @@ class TestRunExperiment:
         found = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
                       for name in names)
         assert found == digests
+
+    def test_trace_rows_are_the_reprs_of_their_fields(self, tmp_path):
+        # for Python ints and floats these are the bytes of "%d,%d,%r,%r,%r,%r,%r"
+        config = ExperimentConfig(objectives=("sphere",), dimensions=(2,), controllers=("tpa",),
+                                  seeds=(0,), budget=200, out=str(tmp_path), timestamp=False)
+        cell = cli._Cell("sphere", 2, "tpa", 0, config)
+        rows = [
+            RunRecord(1, 8, math.inf, 1.5, 0.0, 1.0, 2.0),
+            RunRecord(2, 2**70, -math.inf, 5e-324, math.nan, 1e7, 1e300),
+            RunRecord(10**30, 10**30 + 2, -0.0, 0.1, -math.nan, math.inf, -math.inf),
+        ]
+        result = RunResult(best_x=None, best_f=-math.inf, termination="max_evals",
+                           evals=10**30 + 2, generations=10**30, trace=rows)
+        cli.write_trace_csv(tmp_path / "cell.csv", cell, result, timestamp=False)
+        text = (tmp_path / "cell.csv").read_bytes().decode()
+        _, body = text.split("generation,evals,best_f,sigma,alpha_s,axis_ratio,trace_C\n")
+        assert body == "".join("%d,%d,%r,%r,%r,%r,%r\n" % row for row in rows)
+        assert body.splitlines()[1] == "2,1180591620717411303424,-inf,5e-324,nan,10000000.0,1e+300"
 
     def test_failed_trace_write_leaves_no_file(self, tmp_path):
         config = ExperimentConfig(objectives=("sphere",), dimensions=(2,), controllers=("tpa",),

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 import re
 import warnings
 from dataclasses import replace
@@ -19,7 +20,7 @@ from tpcma.engine import (
     run_with_restarts,
 )
 from tpcma.objectives import ObjectiveSpec, evaluate_population
-from tpcma.params import default_params
+from tpcma.params import StrategyParams, default_params
 
 
 def sphere_config(n, seed=0, **criteria):
@@ -44,8 +45,8 @@ class TestStepAccounting:
         assert opt.evals == params.lam + 2 == 8
 
     def test_csa_generation_costs_lam(self):
-        params = default_params(2)
-        opt = CmaEs(params, np.array([1.0, 0.0]), 0.5, mode="csa", rng=np.random.default_rng(1))
+        params = replace(default_params(2), mode="csa")
+        opt = CmaEs(params, np.array([1.0, 0.0]), 0.5, rng=np.random.default_rng(1))
         spec = ObjectiveSpec("sphere", 2)
         xs = opt.ask()
         opt.tell(evaluate_population(spec, np.asarray(xs)))
@@ -150,6 +151,25 @@ class TestAskTellProtocol:
         assert opt.best_f == opt.trace[-1].best_f == evaluate_population(spec, opt.best_x[None])[0]
         assert opt.C.shape == (2, 2) and np.isfinite(opt.C).all()
 
+    @pytest.mark.parametrize("controller", ["tpa_legacy", "csa"])
+    def test_aborted_run_survives_a_pickle_round_trip(self, controller):
+        # as a RunAborted crosses a process pool
+        config = replace(sphere_config(3), controller=controller)
+        opt = CmaEs(config.build_params(), config.initial_mean(), config.sigma0,
+                    rng=np.random.default_rng(0))
+        while opt.generation < 3:
+            opt.tell(evaluate_population(config.objective, opt.ask()))
+        opt.ask()
+        with pytest.raises(RunAborted, match="7 of 7 evaluations infeasible") as exc_info:
+            opt.tell([math.inf] * opt.params.lam)
+        copied = pickle.loads(pickle.dumps(exc_info.value))
+        assert type(copied) is RunAborted
+        assert str(copied) == str(exc_info.value)
+        assert copied.optimizer is not opt
+        assert copied.optimizer.params.mode == opt.params.mode == controller
+        assert copied.optimizer.generation == opt.generation == 3
+        assert copied.optimizer.m.tobytes() == opt.m.tobytes()
+
     def test_minus_infinite_fitness_is_not_infeasible(self):
         params = default_params(4)  # lam 8, mu 4
         opt = CmaEs(params, np.zeros(4), 1.0, rng=np.random.default_rng(0))
@@ -197,7 +217,8 @@ class TestAskTellProtocol:
 
     @pytest.mark.parametrize("mode", ["tpa", "csa"])
     def test_both_modes_sample_from_the_cholesky_factor(self, mode):
-        opt = CmaEs(default_params(3), np.zeros(3), 1.0, mode=mode, rng=np.random.default_rng(2))
+        params = replace(default_params(3), mode=mode)
+        opt = CmaEs(params, np.zeros(3), 1.0, rng=np.random.default_rng(2))
         spec = ObjectiveSpec("sphere", 3)
         for _ in range(10):
             xs = opt.ask()
@@ -216,7 +237,7 @@ class TestFactorRefresh:
     @staticmethod
     def _run(monkeypatch, params, mode, generations):
         n = params.n
-        opt = CmaEs(params, np.zeros(n), 1.0, mode=mode, rng=np.random.default_rng(3))
+        opt = CmaEs(replace(params, mode=mode), np.zeros(n), 1.0, rng=np.random.default_rng(3))
         # factors: the initial one, then one per refresh
         refreshed_at, factors, sampled_with, whitened = [], [opt._factor], [], []
         decompose, sample, csa_update = (
@@ -299,6 +320,7 @@ class TestFactorRefresh:
         assert factor.axis_ratio == expected.axis_ratio
         assert opt.trace[0].axis_ratio == expected.axis_ratio
         assert opt.trace[0].trace_C == float((expected.scales**2).sum())
+        assert factor.trace == expected.trace == opt.trace[0].trace_C == float(n)
 
     def test_each_restart_segment_starts_factored(self, monkeypatch):
         calls = []
@@ -322,8 +344,7 @@ class TestDeferredCovariance:
     @staticmethod
     def _optimizer(n, controller):
         config = RunConfig(objective=ObjectiveSpec("ellipsoid", n), controller=controller)
-        params, mode = config.build_params()
-        return CmaEs(params, np.full(n, 3.0), 2.0, mode=mode, rng=np.random.default_rng(n))
+        return CmaEs(config.build_params(), np.full(n, 3.0), 2.0, rng=np.random.default_rng(n))
 
     @staticmethod
     def _advance(opt, generations, read_C=False):
@@ -430,13 +451,13 @@ class TestEngineOutput:
     @pytest.mark.parametrize("controller", ["tpa", "tpa_noise", "tpa_legacy", "csa"])
     def test_state_valid_after_every_generation(self, controller, n):
         config = RunConfig(objective=ObjectiveSpec("ellipsoid", n), controller=controller)
-        params, mode = config.build_params()
+        params = config.build_params()
         interval = 1.0 / (10.0 * n * (params.c_1 + params.c_mu))
         if n == 100:  # the factor is reused for a second generation
             assert 1.0 < interval < 2.0
         if n == 400:  # and up to a fourth, beside the covariance update at full size
             assert 3.0 < interval < 4.0
-        opt = CmaEs(params, np.full(n, 3.0), 2.0, mode=mode, rng=np.random.default_rng(n))
+        opt = CmaEs(params, np.full(n, 3.0), 2.0, rng=np.random.default_rng(n))
         while opt.generation < (10 if n == 400 else 30):  # checked after every round
             opt.tell(evaluate_population(config.objective, opt.ask()))
             assert np.array_equal(opt.C, opt.C.T)
@@ -481,9 +502,8 @@ class TestEngineOutput:
         # escape before a generation starts, not after it was counted
         config = RunConfig(objective=ObjectiveSpec(objective, 2), controller=controller, m0=3.0,
                            sigma0=2.0, criteria=TerminationCriteria(max_evals=60_000))
-        params, mode = config.build_params()
         rng = np.random.default_rng(config.seed)
-        opt = CmaEs(params, config.initial_mean(), config.sigma0, mode=mode,
+        opt = CmaEs(config.build_params(), config.initial_mean(), config.sigma0,
                     criteria=config.criteria, rng=rng)
         with warnings.catch_warnings(), pytest.raises(RuntimeWarning, match="divide by zero"):
             warnings.simplefilter("error")
@@ -570,14 +590,13 @@ class TestTermination:
         config = replace(sphere_config(4, max_evals=3000), controller=controller)
         result = run(config)
         assert result.termination == "max_evals"
-        assert 3000 <= result.evals <= 3000 + config.build_params(config.lam)[0].lam + 2
+        assert 3000 <= result.evals <= 3000 + config.build_params(config.lam).lam + 2
         assert result.best_f < 1e-12
 
     @pytest.mark.parametrize("controller", ["tpa", "tpa_legacy"])
     def test_a_reported_stop_fires_only_between_generations(self, controller):
         config = replace(sphere_config(3, max_evals=30), controller=controller)
-        params, mode = config.build_params()
-        opt = CmaEs(params, config.initial_mean(), config.sigma0, mode=mode,
+        opt = CmaEs(config.build_params(), config.initial_mean(), config.sigma0,
                     criteria=config.criteria, rng=np.random.default_rng(0))
         spec = config.objective
         while opt.should_stop() is None:
@@ -597,7 +616,7 @@ class TestTermination:
     @pytest.mark.parametrize("controller", ["tpa", "tpa_noise", "tpa_legacy", "csa"])
     def test_sphere_reaches_target_with_a_reused_factor(self, controller):
         config = replace(sphere_config(60, max_evals=20_000, target_f=1e-9), controller=controller)
-        params = config.build_params()[0]
+        params = config.build_params()
         assert params.n // params.lam == 3  # each factor samples three generations
         result = run(config)
         assert result.termination == "target_f"
@@ -621,10 +640,10 @@ class TestTermination:
             # sigma * exp(alpha_s) overflows after a few forced increases
             {"alpha_change": 1000.0},
             # the legacy mean is committed with the overflowed sigma
-            {"alpha_change": 700.0, "c_alpha": 1.0, "legacy": True},
+            {"alpha_change": 700.0, "c_alpha": 1.0, "mode": "tpa_legacy"},
             # exp(alpha_s) itself overflows on the first test-point tell
             {"alpha_change": 1000.0, "c_alpha": 1.0},
-            {"alpha_change": 1000.0, "c_alpha": 1.0, "legacy": True},
+            {"alpha_change": 1000.0, "c_alpha": 1.0, "mode": "tpa_legacy"},
         ],
         ids=["sigma-overflow", "legacy-sigma-overflow", "exp-overflow", "legacy-exp-overflow"],
     )
@@ -651,7 +670,7 @@ class TestTermination:
     def test_mean_leaving_the_float_range_aborts_before_a_point_is_handed_out(
         self, controller, seed
     ):
-        params = replace(default_params(2), **engine.CONTROLLERS[controller][1])
+        params = replace(default_params(2), **engine.CONTROLLERS[controller])
         opt = CmaEs(params, np.zeros(2), 1e308, rng=np.random.default_rng(seed))
         with warnings.catch_warnings(), pytest.raises(RunAborted, match="floating-point") as exc:
             warnings.simplefilter("error")
@@ -690,7 +709,7 @@ class TestDeterminism:
         update_covariance = engine.cov_mod.update_covariance
         populations = []
         for scale in (1.0, 1.0 + 2.2e-16):
-            opt = CmaEs(default_params(10), np.full(10, 3.0), 2.0, mode=mode,
+            opt = CmaEs(replace(default_params(10), mode=mode), np.full(10, 3.0), 2.0,
                         rng=np.random.default_rng(seed))
             while opt.generation < 1:
                 opt.tell(evaluate_population(spec, opt.ask()))
@@ -810,7 +829,7 @@ class TestRestarts:
         )
         result = run_with_restarts(config, RestartPolicy(max_restarts=3))
         assert len(starts) == len(result.segments) == 4
-        lam0 = config.build_params()[0].lam
+        lam0 = config.build_params().lam
         run_rng = starts[0][2]
         assert starts[0][3] == np.random.default_rng(config.seed).bit_generator.state
         for k, (start, lam, rng, _) in enumerate(starts):
@@ -903,34 +922,38 @@ class TestRunConfig:
             RunConfig(objective=ObjectiveSpec("sphere", 4), controller=controller, lam=6.5)
 
     def test_controller_aliases(self):
+        # a preset holds StrategyParams settings only, the step-size rule among them
+        settable = {f.name for f in dataclasses.fields(StrategyParams) if f.init}
+        assert all(set(preset) <= settable for preset in engine.CONTROLLERS.values())
+        assert set(engine.CONTROLLERS) == {"tpa", "tpa_noise", "tpa_legacy", "csa"}
+
         base = RunConfig(objective=ObjectiveSpec("sphere", 2))
-        params, mode = base.build_params()
-        assert mode == "tpa" and params.beta_bias == 0.0
+        params = base.build_params()
+        assert params.mode == "tpa" and params.beta_bias == 0.0
 
         noisy = RunConfig(objective=ObjectiveSpec("sphere", 2), controller="tpa_noise")
-        params, mode = noisy.build_params()
-        assert mode == "tpa" and params.beta_bias == 0.1
+        params = noisy.build_params()
+        assert params.mode == "tpa" and params.beta_bias == 0.1
 
         legacy = RunConfig(objective=ObjectiveSpec("sphere", 2), controller="tpa_legacy")
-        params, mode = legacy.build_params()
-        assert mode == "tpa" and params.legacy
+        params = legacy.build_params()
+        assert params.mode == "tpa_legacy" and params.beta_bias == 0.0
 
         csa = RunConfig(objective=ObjectiveSpec("sphere", 2), controller="csa")
-        _, mode = csa.build_params()
-        assert mode == "csa"
+        assert csa.build_params().mode == "csa"
 
     def test_explicit_beta_overrides_alias(self):
         config = RunConfig(objective=ObjectiveSpec("sphere", 2), controller="tpa_noise",
                            beta_bias=0.25)
-        params, _ = config.build_params()
+        params = config.build_params()
         assert params.beta_bias == 0.25
 
     def test_explicit_c_alpha_overrides_legacy_preset(self):
         config = RunConfig(objective=ObjectiveSpec("sphere", 2), controller="tpa_legacy",
                            c_alpha=0.5)
-        params, _ = config.build_params()
+        params = config.build_params()
         assert params.c_alpha == 0.5
-        assert params.legacy and params.alpha_test == 0.8
+        assert params.mode == "tpa_legacy" and params.alpha_test == 0.8
 
 
 class TestLegacyGeometry:
@@ -940,8 +963,8 @@ class TestLegacyGeometry:
         sampled around, and sigma times the realized mean step, computed
         from the asked points and their fitness."""
         config = RunConfig(objective=ObjectiveSpec("sphere", 3), controller="tpa_legacy")
-        params, mode = config.build_params()
-        opt = CmaEs(params, np.full(3, 2.0), 1.5, mode=mode, rng=np.random.default_rng(8))
+        params = config.build_params()
+        opt = CmaEs(params, np.full(3, 2.0), 1.5, rng=np.random.default_rng(8))
         m_old = opt.m.copy()
         X = opt.ask()
         f = evaluate_population(ObjectiveSpec("sphere", 3), X)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from tpcma.params import StrategyParams, default_params
 
-SETTINGS = ("n", "lam", "alpha_test", "alpha_change", "beta_bias", "c_alpha", "legacy")
+SETTINGS = ("n", "lam", "alpha_test", "alpha_change", "beta_bias", "c_alpha", "mode")
 DERIVED = ("mu_prime", "mu", "weights", "mu_w", "c_c", "c_1", "c_mu", "c_sigma", "d_sigma")
 
 
@@ -33,7 +34,7 @@ class TestDefaults:
         assert p.alpha_change == 0.5
         assert p.beta_bias == 0.0
         assert p.c_alpha == 0.3
-        assert not p.legacy
+        assert p.mode == "tpa"
 
     def test_single_parent_degenerate(self):
         p = default_params(1, lam=2)
@@ -106,9 +107,23 @@ class TestDefaults:
     def test_lists_every_bad_setting(self):
         with pytest.raises(ValueError) as info:
             StrategyParams(n=0, lam=1, alpha_test=0.0, alpha_change=-1.0, beta_bias=math.nan,
-                           c_alpha=2.0)
+                           c_alpha=2.0, mode="cma")
         names = [problem.split()[0] for problem in str(info.value).split("; ")]
-        assert names == ["n", "lam", "alpha_test", "alpha_change", "beta_bias", "c_alpha"]
+        assert names == ["n", "lam", "alpha_test", "alpha_change", "beta_bias", "c_alpha", "mode"]
+
+    def test_a_bad_mode_is_judged_with_the_other_settings(self):
+        with pytest.raises(ValueError) as info:
+            replace(default_params(2), mode="cma", c_alpha=2.0)
+        assert str(info.value) == (
+            "c_alpha must be in (0, 1], got 2.0; "
+            "mode must be 'tpa', 'tpa_legacy' or 'csa', got 'cma'"
+        )
+
+    @pytest.mark.parametrize("mode", ["no", "legacy", "TPA", "", True, None, 1])
+    def test_rejects_every_mode_but_the_three_rules(self, mode):
+        # a truthy flag used to run the legacy geometry; no value is taken for one now
+        with pytest.raises(ValueError, match=f"mode must be .* got {re.escape(repr(mode))}$"):
+            replace(default_params(2), mode=mode)
 
     @pytest.mark.parametrize(
         "field,value",

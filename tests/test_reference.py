@@ -49,7 +49,7 @@ def ellipsoid(x):
     return total
 
 
-def reference_generation(p: StrategyParams, mode, state, z, A, f):
+def reference_generation(p: StrategyParams, state, z, A, f):
     """The state after one generation sampled from m + sigma A z_k."""
     m, sigma, C, p_c, alpha_s, p_sigma, g = state
     n, lam, mu, w = p.n, p.lam, p.mu, p.weights
@@ -63,8 +63,8 @@ def reference_generation(p: StrategyParams, mode, state, z, A, f):
         y_w = y_w + w[i] * selected[i]
     m_new = m + sigma * y_w
 
-    if mode == "tpa":
-        if p.legacy:  # step lengths zeta sigma and sigma / zeta along y_w, from the old mean
+    if p.mode != "csa":
+        if p.mode == "tpa_legacy":  # step lengths zeta sigma and sigma / zeta along y_w, from the old mean
             zeta = 1.0 + p.alpha_test
             x_plus, x_minus = m + zeta * sigma * y_w, m + sigma * y_w / zeta
         else:  # symmetric about the new mean
@@ -76,7 +76,7 @@ def reference_generation(p: StrategyParams, mode, state, z, A, f):
             alpha_act = p.alpha_change
         alpha_s = (1.0 - p.c_alpha) * alpha_s + p.c_alpha * alpha_act
         sigma = sigma * math.exp(alpha_s)
-        if p.legacy:  # the mean moves with the new step-size
+        if p.mode == "tpa_legacy":  # the mean moves with the new step-size
             m_new = m + sigma * y_w
         decay = 1.0 - p.c_alpha
         threshold = (1.0 - decay**9) * (1.0 - decay ** (g + 1)) * p.alpha_change
@@ -141,10 +141,10 @@ def assert_close(actual, expected):
 
 def check_generations(controller, n, kind, generations):
     """Run the engine ``generations`` generations against the reference."""
-    mode, preset = CONTROLLERS[controller]
-    p = replace(default_params(n), **preset)
+    p = replace(default_params(n), **CONTROLLERS[controller])
+    two_point = p.mode != "csa"
     # a small start makes the step-size ramp up, which the stall gates act on
-    opt = CmaEs(p, np.full(n, 3.0), 1e-3, mode=mode, rng=np.random.default_rng(n))
+    opt = CmaEs(p, np.full(n, 3.0), 1e-3, rng=np.random.default_rng(n))
     factors = []
     for _ in range(generations):
         state = (opt.m.copy(), opt.sigma, opt.C, opt.p_c, opt.alpha_s, opt.p_sigma,
@@ -156,15 +156,15 @@ def check_generations(controller, n, kind, generations):
             A = sampling_matrix(opt._factor, n)
         factors.append(opt._factor)
         opt.tell([ellipsoid(x) for x in X])
-        if mode == "tpa":
+        if two_point:
             opt.tell([ellipsoid(x) for x in opt.ask()])
 
-        m, sigma, C, p_c, alpha_s, p_sigma = reference_generation(p, mode, state, z, A, ellipsoid)
+        m, sigma, C, p_c, alpha_s, p_sigma = reference_generation(p, state, z, A, ellipsoid)
         assert_close(opt.m, m)
         assert_close(opt.sigma, sigma)
         assert_close(opt.C, C)
         assert_close(opt.p_c, p_c)
-        if mode == "tpa":
+        if two_point:
             assert_close(opt.alpha_s, alpha_s)
             assert opt.p_sigma is None
         else:

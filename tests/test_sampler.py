@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tpcma.sampler import EIGENVALUE_FLOOR, decompose, sample_population
+from tpcma.sampler import EIGENVALUE_FLOOR, CovarianceFactor, decompose, sample_population
 
 
 def random_spd(n, rng, jitter=1e-3):
@@ -72,6 +72,15 @@ class TestDecompose:
         assert not f.repaired
         np.testing.assert_array_equal(f.transform, np.diag([1.0, 1e-10]))
         assert f.axis_ratio == pytest.approx(1e7)
+
+    @pytest.mark.parametrize("smallest", [1.0, 1e-20, -1.0])  # plain, floored, repaired
+    def test_row_statistics_are_computed_on_building(self, smallest):
+        f = decompose(np.diag([4.0, smallest]))
+        assert f.axis_ratio == float(f.scales[-1] / f.scales[0])
+        assert f.trace == float((f.scales**2).sum())
+        assert type(f.axis_ratio) is type(f.trace) is float
+        with pytest.raises(TypeError, match="trace"):
+            CovarianceFactor(f.transform, f.scales, trace=1.0)
 
     def test_rejects_no_positive_eigenvalue(self):
         with pytest.raises(ValueError, match="positive"):

@@ -16,7 +16,7 @@ from tpcma.stepsize import (
 )
 
 DEFAULTS = default_params(10)
-LEGACY = replace(DEFAULTS, **CONTROLLERS["tpa_legacy"][1])
+LEGACY = replace(DEFAULTS, **CONTROLLERS["tpa_legacy"])
 
 
 class TestTestPoints:
@@ -38,7 +38,7 @@ class TestTestPoints:
         m, step = rng.standard_normal(10), rng.standard_normal(10)
         points = tpa_test_points(m, 0.7, step, params)
         a = params.alpha_test
-        a_down = a / (1.0 + a) if params.legacy else a
+        a_down = a / (1.0 + a) if params.mode == "tpa_legacy" else a
         assert points.shape == (2, 10)
         np.testing.assert_array_equal(points[0], m + a * (0.7 * step))
         np.testing.assert_array_equal(points[1], m - a_down * (0.7 * step))
@@ -122,7 +122,7 @@ class TestLegacyParams:
         assert LEGACY.alpha_change == pytest.approx(math.log(1.8), rel=1e-15)
         assert LEGACY.beta_bias == 0.0
         assert LEGACY.c_alpha == 1.0
-        assert LEGACY.legacy
+        assert LEGACY.mode == "tpa_legacy"
 
     def test_single_generation_multiplier(self):
         _, up = tpa_update(0.0, 1.0, 2.0, LEGACY)
