@@ -50,23 +50,26 @@ def update_covariance(
     ``params.weights`` and ``p_c`` is already this generation's path.  Stacked
     inputs, ``p_c`` (k, n) and ``Y_sel`` (k, mu, n), oldest first, apply k
     updates: C' = d^k C + sum_j d^(k-1-j) V_j^T V_j, where V_j holds generation
-    j's rows sqrt(c_1) p_c and sqrt(c_mu w_i) y_i, scaled by sqrt(d^(k-1-j)),
-    which is 1 for the newest.  All k (mu + 1) rows are one product V^T V, which
-    BLAS ``syrk`` computes in one triangle and mirrors, so C' is a new, exactly
-    symmetric array.  The decayed C is added in row blocks, so C' and V are the
-    only arrays allocated (a freed n x n one would be faulted in again), and
-    each entry is still rounded as v + (d^k c).
+    j's rows sqrt(c_1) p_c and sqrt(c_mu w_i) y_i (``params.rank_mu_scales``),
+    scaled by sqrt(d^(k-1-j)), which is 1 for the newest.  All k (mu + 1) rows
+    are one product V^T V, which BLAS ``syrk`` computes in one triangle and
+    mirrors, so C' is a new, exactly symmetric array.  The decayed C is added in
+    row blocks, so C' and V are the only arrays allocated (a freed n x n one
+    would be faulted in again), and each entry is still rounded as v + (d^k c).
     """
     n = len(C)
     k, decay = p_c.size // n, 1.0 - params.c_1 - params.c_mu
-    V = np.empty((k, len(params.weights) + 1, n))
+    V = np.empty((k, params.mu + 1, n))
     np.multiply(math.sqrt(params.c_1), p_c, out=V[:, 0])
-    np.multiply(np.sqrt(params.c_mu * params.weights)[:, None], Y_sel, out=V[:, 1:])
+    np.multiply(params.rank_mu_scales, Y_sel, out=V[:, 1:])
     for j in range(k - 1):
         V[j] *= math.sqrt(decay ** (k - 1 - j))
     V = V.reshape(-1, n)
     C_new = V.T @ V
     decay, rows = decay**k, max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, rows):
-        C_new[start : start + rows] += decay * C[start : start + rows]
+    if n <= rows:  # one block, the whole of C
+        C_new += decay * C
+    else:
+        for start in range(0, n, rows):
+            C_new[start : start + rows] += decay * C[start : start + rows]
     return C_new

@@ -50,6 +50,11 @@ CONTROLLERS: dict[str, dict[str, object]] = {
 }
 
 
+_NAN_FITNESS = "NaN fitness; map failed evaluations to +inf instead"
+# calls a layer with overflow unwarned, as ask() judges what it forms; built once, entered per call
+_unwarned = np.errstate(over="ignore", invalid="ignore")(lambda layer, *args: layer(*args))
+
+
 class RunAborted(RuntimeError):
     """A run hit a numerically or semantically unrecoverable condition.
 
@@ -128,15 +133,6 @@ class RestartSegment:
     generations: int
     termination: str
     best_f: float
-
-
-class _TestRound(NamedTuple):
-    """What a two-point generation carries from its population round to its
-    test-point round: the updated mean and the weighted mean of the selected
-    steps, from which ``ask()`` forms the two test points."""
-
-    m_new: np.ndarray
-    mean_step: np.ndarray
 
 
 @dataclass
@@ -219,7 +215,7 @@ class CmaEs:
         self.criteria = criteria if criteria is not None else TerminationCriteria()
         self.rng = rng if rng is not None else np.random.default_rng()
 
-        self._test_round: _TestRound | None = None  # set between the two tpa rounds
+        self._test_round: tuple | None = None  # (updated mean, mean step) between the tpa rounds
         self.m = m0
         self.sigma = float(sigma0)
         self._C, self._n_kept = np.eye(params.n), 0  # no generations kept yet
@@ -243,8 +239,7 @@ class CmaEs:
         self._kept_Y = np.empty((self._refresh_gap, params.mu, params.n))
         self._Y: np.ndarray | None = None  # the steps of the last sampled population
         self._Z: np.ndarray | None = None  # and the standard-normal draws they came from
-        window = 10 + int(math.ceil(30.0 * params.n / params.lam))
-        self._gen_best: deque[float] = deque(maxlen=window)
+        self._gen_best: deque[float] = deque(maxlen=10 + math.ceil(30.0 * params.n / params.lam))
 
     @property
     def C(self) -> np.ndarray:
@@ -252,7 +247,7 @@ class CmaEs:
         if (k := self._n_kept) == 0:
             return self._C
         C = cov_mod.update_covariance(self._C, self._kept_p_c[:k], self._kept_Y[:k], self.params)
-        C.flags.writeable = False
+        C.setflags(write=False)
         return C
 
     # -- termination ---------------------------------------------------------
@@ -268,11 +263,9 @@ class CmaEs:
             return "max_evals"
         if c.tol_x > 0.0 and self.sigma * math.sqrt(self._largest_variance()) < c.tol_x:
             return "tol_x"
-        if (
-            c.tol_fun > 0.0
-            and len(self._gen_best) == self._gen_best.maxlen
-            and max(self._gen_best) - min(self._gen_best) < c.tol_fun
-        ):
+        # the window spans at least its newest two, so its span is taken only when they are close
+        w, tol = self._gen_best, c.tol_fun
+        if tol > 0 and len(w) == w.maxlen and abs(w[-1] - w[-2]) < tol and max(w) - min(w) < tol:
             return "tol_fun"
         return None
 
@@ -293,20 +286,21 @@ class CmaEs:
         if self._pending is not None:
             raise RuntimeError("ask() called twice without tell()")
         if self._n_kept == self._refresh_gap:  # never in a test round: its generation isn't kept
-            if not np.isfinite(C := self.C).all():  # judged unfolded: a second ask() raises too
+            # self.C, with the whole buffers kept; judged unfolded: a second ask() raises too
+            C = cov_mod.update_covariance(self._C, self._kept_p_c, self._kept_Y, self.params)
+            if np.count_nonzero(np.isfinite(C)) < C.size:  # a count: cheaper than all()
                 raise RunAborted("covariance matrix became non-finite", self)
+            C.setflags(write=False)
             self._C, self._n_kept = C, 0  # fold the kept generations in
             # builds the row statistics here, so a warning leaves no generation without its row
             self._factor = sampler.decompose(self._C)
-        with np.errstate(over="ignore", invalid="ignore"):  # judged below
-            if self._test_round is None:
-                points, self._Y, self._Z = sampler.sample_population(
-                    self.m, self.sigma, self._factor, self.params.lam, self.rng
-                )
-            else:
-                m_new, mean_step = self._test_round
-                points = stepsize.tpa_test_points(m_new, self.sigma, mean_step, self.params)
-        if not np.isfinite(points).all():
+        if self._test_round is None:
+            points, self._Y, self._Z = _unwarned(sampler.sample_population, self.m, self.sigma,
+                                                 self._factor, self.params.lam, self.rng)
+        else:
+            m_new, mean_step = self._test_round
+            points = _unwarned(stepsize.tpa_test_points, m_new, self.sigma, mean_step, self.params)
+        if np.count_nonzero(np.isfinite(points)) < points.size:
             raise RunAborted("a point to evaluate left the floating-point range", self)
         self._pending = points
         return points
@@ -315,8 +309,9 @@ class CmaEs:
         """Feed back objective values for the points of the last ask().
 
         The values are validated before anything changes: a tell that
-        raises ValueError leaves the ask pending, to be told again.  This
-        is the one place where fitness values are judged.
+        raises ValueError leaves the ask pending, to be told again.  Fitness
+        values are judged here (the shape) and in the round they are passed
+        to (NaN, and +inf on a population's ranked order) and nowhere else.
         """
         if self._pending is None:
             raise RuntimeError("tell() called without a pending ask()")
@@ -324,72 +319,63 @@ class CmaEs:
         expected = (len(self._pending),)
         if fitness.shape != expected:
             raise ValueError(f"expected fitness shape {expected}, got {fitness.shape}")
-        if np.isnan(fitness).any():
-            raise ValueError("NaN fitness; map failed evaluations to +inf instead")
-        if self._test_round is None:
-            self._tell_population(fitness)
-        else:
-            self._tell_test_points(fitness)
+        (self._tell_population if self._test_round is None else self._tell_test_points)(fitness)
 
     def _tell_population(self, fitness: np.ndarray) -> None:
         p = self.params
         order = recombine.rank(fitness)
-        n_infeasible = int(np.count_nonzero(fitness == math.inf))
-        if n_infeasible > p.lam - p.mu:
-            raise RunAborted(
-                f"{n_infeasible} of {p.lam} evaluations infeasible; "
-                f"selection needs at least {p.mu} finite values",
-                self,
-            )
+        if math.isnan(fitness[order[-1]]):  # NaN ranks last
+            raise ValueError(_NAN_FITNESS)
+        if fitness[order[p.mu - 1]] == math.inf:  # +inf ranks after every finite value
+            raise RunAborted(f"{np.count_nonzero(fitness == math.inf)} of {p.lam} evaluations "
+                             f"infeasible; selection needs at least {p.mu} finite values", self)
         X, self._pending = self._pending, None
         self.evals += p.lam
         best = order[0]
-        self._gen_best.append(float(fitness[best]))
-        self._note_best(X[best], fitness[best])
+        self._gen_best.append(f_best := float(fitness[best]))
+        self._note_best(X, best, f_best)
 
         selected = order[: p.mu]
         # "clip" never acts on argsort's indices; the default mode would buffer out
-        Y_sel = np.take(self._Y, selected, axis=0, out=self._kept_Y[self._n_kept], mode="clip")
+        Y_sel = self._Y.take(selected, axis=0, out=self._kept_Y[self._n_kept], mode="clip")
         mean_step = recombine.weighted_mean_step(Y_sel, p.weights)
         m_new = recombine.update_mean(self.m, self.sigma, mean_step)
 
-        if p.mode == "csa":
+        if p.mode != "tpa_legacy":  # which updates the mean after the step-size
             self.m = m_new
+        if p.mode == "csa":
             mean_z = recombine.weighted_mean_step(self._Z[selected], p.weights)
             self.p_sigma, multiplier = stepsize.csa_update(self.p_sigma, mean_z, p)
             self.sigma *= multiplier
             h_sigma = stepsize.csa_stall_indicator(self.p_sigma, self.generation + 1, p)
             self._finish_generation(mean_step, h_sigma)
         else:
-            self._test_round = _TestRound(m_new, mean_step)
-            if p.mode == "tpa":
-                self.m = m_new
+            self._test_round = m_new, mean_step
 
     def _tell_test_points(self, fitness: np.ndarray) -> None:
         p = self.params
-        f_plus, f_minus = float(fitness[0]), float(fitness[1])
+        f_plus, f_minus = fitness.tolist()
+        if math.isnan(f_plus) or math.isnan(f_minus):
+            raise ValueError(_NAN_FITNESS)
         X, self._pending = self._pending, None
-        test_round, self._test_round = self._test_round, None
+        (_, mean_step), self._test_round = self._test_round, None
         self.evals += 2
-        self._note_best(X[0], f_plus)
-        self._note_best(X[1], f_minus)
+        self._note_best(X, 0, f_plus)
+        self._note_best(X, 1, f_minus)
 
         self.alpha_s, multiplier = stepsize.tpa_update(self.alpha_s, f_plus, f_minus, p)
         self.sigma *= multiplier
-        if p.mode == "tpa_legacy":
-            with np.errstate(over="ignore", invalid="ignore"):  # ask() judges the points
-                # self.m is still the mean before the update
-                self.m = recombine.update_mean(self.m, self.sigma, test_round.mean_step)
+        if p.mode == "tpa_legacy":  # self.m is still the mean before the update
+            self.m = _unwarned(recombine.update_mean, self.m, self.sigma, mean_step)
         h_sigma = cov_mod.stall_indicator(self.alpha_s, self.generation + 1, p)
-        self._finish_generation(test_round.mean_step, h_sigma)
+        self._finish_generation(mean_step, h_sigma)
 
-    def _note_best(self, x: np.ndarray, fitness: float) -> None:
+    def _note_best(self, X: np.ndarray, i: int, fitness: float) -> None:
         if fitness < self.best_f:
-            self.best_f = float(fitness)
-            self.best_x = x.copy()
+            self.best_f, self.best_x = fitness, X[i].copy()
 
     def _finish_generation(self, mean_step: np.ndarray, h_sigma: int) -> None:
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):  # the generation is not counted
+        if not 0.0 < self.sigma < math.inf:  # the generation is not counted
             raise RunAborted(f"step-size became {self.sigma}", self)
         self.p_c = cov_mod.update_path(self.p_c, mean_step, h_sigma, self.params)
         self._kept_p_c[self._n_kept] = self.p_c  # beside its selected steps

@@ -75,28 +75,29 @@ def evaluate_population(
     order), so batched and one-by-one evaluation consume the stream
     identically.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if (xs := np.asarray(xs, dtype=float)).ndim < 2:
+        xs = np.atleast_2d(xs)
     if xs.ndim != 2:
         raise ValueError(f"points must be a (k, n) batch, got shape {xs.shape}")
     if xs.shape[1] != spec.n:
         raise ValueError(f"points have dimension {xs.shape[1]}, objective expects {spec.n}")
-    if not np.isfinite(xs).all():
+    if np.count_nonzero(np.isfinite(xs)) < xs.size:  # a count: cheaper than all()
         raise ValueError("points must be finite")
     if spec.stochastic and rng is None:
         raise ValueError(f"objective {spec.kind!r} needs a random stream")
 
-    if spec.kind == "sphere":
-        return (xs**2).sum(axis=1)
+    if spec.kind == "sphere":  # np.add.reduce is the row sum, without the method's wrapper
+        return np.add.reduce(xs**2, axis=1)
     if spec.kind == "ellipsoid":
-        return (_ellipsoid_scales(spec.n, spec.condition) * xs**2).sum(axis=1)
+        return np.add.reduce(_ellipsoid_scales(spec.n, spec.condition) * xs**2, axis=1)
     if spec.kind == "rosenbrock":
         head = xs[:, :-1]
-        return (100.0 * (xs[:, 1:] - head**2) ** 2 + (1.0 - head) ** 2).sum(axis=1)
+        return np.add.reduce(100.0 * (xs[:, 1:] - head**2) ** 2 + (1.0 - head) ** 2, axis=1)
     if spec.kind == "rastrigin":
-        return 10.0 * spec.n + (xs**2 - 10.0 * np.cos(2.0 * np.pi * xs)).sum(axis=1)
+        return 10.0 * spec.n + np.add.reduce(xs**2 - 10.0 * np.cos(2.0 * np.pi * xs), axis=1)
     if spec.kind == "noisy_sphere":
         noise = rng.standard_normal(xs.shape[0])
-        return (xs**2).sum(axis=1) * (1.0 + spec.noise_level * noise)
+        return np.add.reduce(xs**2, axis=1) * (1.0 + spec.noise_level * noise)
     # random_fitness: independent of x
     return rng.random(xs.shape[0])
 

@@ -42,7 +42,7 @@ class StrategyParams:
             alpha_test/(1+alpha_test), and the mean update is deferred
             until after the step-size update and uses the new step-size.
 
-    Derived from n and lam:
+    Derived from the settings:
         mu_prime: weight-shape parameter lam/2.
         mu: number of selected parents, the integer closest to mu_prime,
             with ties going to the smaller one so that the last weight
@@ -56,6 +56,10 @@ class StrategyParams:
         c_sigma: path learning rate of the cumulative (baseline) step-size
             controller.
         d_sigma: damping of the cumulative controller.
+        rank_mu_scales: the column sqrt(c_mu w_i) that scales the selected
+            steps in the covariance update.
+        test_widths: the column of the test points' signed widths, alpha_test
+            and -alpha_test, or -alpha_test/(1+alpha_test) under "tpa_legacy".
     """
 
     n: int
@@ -74,6 +78,8 @@ class StrategyParams:
     c_mu: float = field(init=False)
     c_sigma: float = field(init=False)
     d_sigma: float = field(init=False)
+    rank_mu_scales: np.ndarray = field(init=False)
+    test_widths: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # the float bounds are written so that NaN fails them
@@ -103,7 +109,6 @@ class StrategyParams:
         mu = int(math.ceil(mu_prime - 0.5))
         raw = np.log(mu_prime + 0.5) - np.log(np.arange(1, mu + 1, dtype=float))
         weights = raw / raw.sum()
-        weights.flags.writeable = False
         mu_w = float(1.0 / np.sum(weights**2))
 
         c_c = 4.0 / (n + 4.0)
@@ -112,10 +117,15 @@ class StrategyParams:
         c_mu = min(2.0 * (mu_w - 2.0 + 1.0 / mu_w) / ((n + 2.0) ** 2 + mu_w), 1.0 - c_1)
         c_sigma = (mu_w + 2.0) / (n + mu_w + 3.0)
         d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_w - 1.0) / (n + 1.0)) - 1.0) + c_sigma
+        a = self.alpha_test
+        test_widths = np.array([[a], [-a / (1.0 + a) if self.mode == "tpa_legacy" else -a]], float)
 
         derived = dict(mu_prime=mu_prime, mu=mu, weights=weights, mu_w=mu_w, c_c=c_c,
-                       c_1=c_1, c_mu=c_mu, c_sigma=c_sigma, d_sigma=d_sigma)
+                       c_1=c_1, c_mu=c_mu, c_sigma=c_sigma, d_sigma=d_sigma,
+                       rank_mu_scales=np.sqrt(c_mu * weights)[:, None], test_widths=test_widths)
         for name, value in dict(n=n, lam=lam, **derived).items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
 

@@ -15,10 +15,10 @@ def rank(fitness: np.ndarray) -> np.ndarray:
     """Selection order of a population, best first (0-based indices).
 
     The sort is stable and ascending in fitness (minimization); ties keep
-    sampling order and +inf (a failed evaluation) ranks last.  ``fitness``
-    holds no NaN: ``CmaEs.tell`` rejects it.
+    sampling order and +inf (a failed evaluation) ranks last but for NaN,
+    which ``CmaEs`` rejects as it finds it there.
     """
-    return np.argsort(fitness, kind="stable")
+    return np.asarray(fitness).argsort(kind="stable")
 
 
 def weighted_mean_step(Y_sel: np.ndarray, weights: np.ndarray) -> np.ndarray:

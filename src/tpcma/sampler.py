@@ -44,8 +44,9 @@ class CovarianceFactor:
     trace: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "axis_ratio", float(self.scales[-1] / self.scales[0]))
-        object.__setattr__(self, "trace", float((self.scales**2).sum()))
+        scales = self.scales  # the reduce is the sum's, without the method's wrapper
+        object.__setattr__(self, "axis_ratio", float(scales[-1] / scales[0]))
+        object.__setattr__(self, "trace", float(np.add.reduce(np.square(scales))))
 
 
 def _floored_scales(eigenvalues: np.ndarray) -> np.ndarray:
@@ -53,7 +54,9 @@ def _floored_scales(eigenvalues: np.ndarray) -> np.ndarray:
     largest = eigenvalues[-1]
     if largest <= 0.0:
         raise ValueError("covariance matrix has no positive eigenvalue")
-    return np.sqrt(np.maximum(eigenvalues, EIGENVALUE_FLOOR * largest))
+    if eigenvalues[0] >= (floor := EIGENVALUE_FLOOR * largest):  # none to raise
+        return np.sqrt(eigenvalues)
+    return np.sqrt(np.maximum(eigenvalues, floor))
 
 
 def decompose(C: np.ndarray) -> CovarianceFactor:

@@ -45,13 +45,10 @@ def tpa_test_points(
     m - a' sigma <y>, where a' is alpha_test, <y> is the mean step used in
     this generation's mean update and sigma is the step-size the population
     was sampled with.  In mode "tpa_legacy" the downward point uses the
-    width a'/(1+a') instead.
+    width a'/(1+a') instead: both widths are ``params.test_widths``.
     """
-    shift = sigma * mean_step
-    a = params.alpha_test
-    a_down = a / (1.0 + a) if params.mode == "tpa_legacy" else a
     # m + (-w) shift is exactly m - w shift in floating point
-    return m_new + np.multiply.outer((a, -a_down), shift)
+    return m_new + params.test_widths * (sigma * mean_step)
 
 
 def tpa_update(

@@ -215,6 +215,73 @@ class TestAskTellProtocol:
         np.testing.assert_array_equal(opt.ask(), ref.ask())
         assert opt.evals == ref.evals == 7
 
+    @pytest.mark.parametrize("mode", ["tpa", "tpa_legacy", "csa"])
+    @pytest.mark.parametrize("infeasible", [2, 5], ids=["selectable", "too-many-inf"])
+    @pytest.mark.parametrize("where", [0, 3, 6], ids=["first", "middle", "last"])
+    def test_nan_beside_infinities_is_rejected_in_the_population_round(
+        self, mode, infeasible, where
+    ):
+        # NaN is judged on the ranked order, where it ranks after +inf, and
+        # before the +inf count: 5 of 7 infeasible alone would abort the run
+        spec = ObjectiveSpec("sphere", 3)  # lam 7, mu 3
+        opt = CmaEs(replace(default_params(3), mode=mode), np.zeros(3), 1.0,
+                    rng=np.random.default_rng(4))
+        X = opt.ask()
+        others = [-math.inf] + [math.inf] * infeasible + [1.0, 2.0, 0.5][: 5 - infeasible]
+        bad = others[:where] + [math.nan] + others[where:]
+        with pytest.raises(ValueError, match="^NaN fitness; map failed evaluations to"):
+            opt.tell(bad)
+        assert (opt.evals, opt.generation, opt.best_f) == (0, 0, math.inf)
+        with pytest.raises(RuntimeError, match="twice"):
+            opt.ask()  # the ask is still pending
+        opt.tell(evaluate_population(spec, X))
+        assert opt.evals == 7
+
+    @pytest.mark.parametrize("mode", ["tpa", "tpa_legacy"])
+    @pytest.mark.parametrize(
+        "bad",
+        [[math.nan, math.inf], [math.inf, math.nan], [math.nan, -math.inf],
+         [-math.inf, math.nan], [math.nan, math.nan]],
+        ids=["first+inf", "last+inf", "first-inf", "last-inf", "both"],
+    )
+    def test_nan_beside_infinities_is_rejected_in_the_test_point_round(self, mode, bad):
+        spec = ObjectiveSpec("sphere", 3)  # lam 7
+        opt = CmaEs(replace(default_params(3), mode=mode), np.zeros(3), 1.0,
+                    rng=np.random.default_rng(4))
+        opt.tell(evaluate_population(spec, opt.ask()))
+        points = opt.ask()
+        before = (opt.sigma, opt.alpha_s, opt.best_f, opt.m.tobytes(), opt.p_c.tobytes())
+        with pytest.raises(ValueError, match="^NaN fitness; map failed evaluations to"):
+            opt.tell(bad)
+        assert (opt.evals, opt.generation) == (7, 0)
+        assert (opt.sigma, opt.alpha_s, opt.best_f, opt.m.tobytes(), opt.p_c.tobytes()) == before
+        with pytest.raises(RuntimeError, match="twice"):
+            opt.ask()  # the ask is still pending
+        opt.tell(evaluate_population(spec, points))
+        assert (opt.evals, opt.generation) == (9, 1)
+
+    @pytest.mark.parametrize("mode", ["tpa", "csa"])
+    @pytest.mark.parametrize("n", [2, 3, 10])  # (lam, mu): (6, 3), (7, 3), (10, 5)
+    def test_selection_runs_on_with_mu_feasible_values_and_aborts_below(self, mode, n):
+        params = replace(default_params(n), mode=mode)
+        lam, mu = params.lam, params.mu
+        rng = np.random.default_rng(n)
+        for k in range(lam - mu, lam + 1):
+            opt = CmaEs(params, np.zeros(n), 1.0, rng=np.random.default_rng(0))
+            opt.ask()
+            fitness = rng.permutation(np.r_[-math.inf, np.arange(1.0, lam)])
+            fitness[rng.permutation(lam)[:k]] = math.inf  # -inf is feasible
+            if k == lam - mu:
+                opt.tell(fitness)
+                assert opt.evals == lam
+                continue
+            message = (f"^{k} of {lam} evaluations infeasible; "
+                       f"selection needs at least {mu} finite values$")
+            with pytest.raises(RunAborted, match=message) as exc_info:
+                opt.tell(fitness)
+            assert exc_info.value.optimizer is opt
+            assert (opt.evals, opt.generation) == (0, 0)
+
     @pytest.mark.parametrize("mode", ["tpa", "csa"])
     def test_both_modes_sample_from_the_cholesky_factor(self, mode):
         params = replace(default_params(3), mode=mode)
@@ -634,6 +701,44 @@ class TestTermination:
         result = run(config)
         assert result.termination in ("tol_fun", "target_f")
 
+    @pytest.mark.parametrize("mode", ["tpa", "csa"])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-3, 1.0])
+    def test_tol_fun_stops_where_the_window_spans_less_than_it(self, mode, tol):
+        # should_stop() takes the window's span only when its newest two are
+        # within tol; each generation it must decide as max(w) - min(w) < tol
+        # does, over seeded generation-bests with -inf, ties, near ties and
+        # windows where only old entries differ
+        params = replace(default_params(2), mode=mode)  # lam 6: a window of 20
+        size = 10 + math.ceil(30 * 2 / params.lam)
+        seen = {"fired": 0, "old_entries_differ": 0}
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            opt = CmaEs(params, np.zeros(2), 1.0, criteria=TerminationCriteria(tol_fun=tol),
+                        rng=np.random.default_rng(seed))
+            bests, level = [], 0.0
+            for _ in range(3 * size):
+                kind = rng.integers(10)
+                if kind == 0:
+                    level = float(rng.normal() * 10.0 ** rng.integers(-2, 3))
+                best = (-math.inf if kind == 1 else level + tol * rng.uniform(-0.6, 0.6)
+                        if kind < 4 else level)
+                fitness = best + 1.0 + rng.random(params.lam)
+                fitness[rng.integers(params.lam)] = best
+                opt.ask()
+                opt.tell(fitness)
+                if mode != "csa":
+                    opt.ask()
+                    opt.tell([0.0, 1.0])
+                bests.append(best)
+                window = bests[-size:]
+                stops = len(window) == size and max(window) - min(window) < tol
+                assert (opt.should_stop() == "tol_fun") == stops, (seed, len(bests))
+                seen["fired"] += stops
+                seen["old_entries_differ"] += (
+                    not stops and len(window) == size and abs(window[-1] - window[-2]) < tol
+                )
+        assert seen["fired"] and seen["old_entries_differ"]
+
     @pytest.mark.parametrize(
         "settings",
         [
@@ -684,7 +789,8 @@ class TestTermination:
         assert len(opt.trace) == opt.generation
         if seed == 21:  # the overflow falls on generation 0's test points
             assert opt.generation == 0 and opt._test_round is not None
-            assert np.isfinite(opt._test_round.m_new).all() and np.isfinite(opt.m).all()
+            m_new, _ = opt._test_round
+            assert np.isfinite(m_new).all() and np.isfinite(opt.m).all()
 
 
 class TestDeterminism:

@@ -8,7 +8,9 @@ import pytest
 from tpcma.params import StrategyParams, default_params
 
 SETTINGS = ("n", "lam", "alpha_test", "alpha_change", "beta_bias", "c_alpha", "mode")
-DERIVED = ("mu_prime", "mu", "weights", "mu_w", "c_c", "c_1", "c_mu", "c_sigma", "d_sigma")
+DERIVED = ("mu_prime", "mu", "weights", "mu_w", "c_c", "c_1", "c_mu", "c_sigma", "d_sigma",
+           "rank_mu_scales", "test_widths")
+ARRAYS = ("weights", "rank_mu_scales", "test_widths")
 
 
 def weights_oracle(mu_prime, mu):
@@ -73,7 +75,7 @@ class TestDefaults:
         # an np.float64 constant would print as "np.float64(...)" in a trace CSV header
         p = default_params(np.int64(10), lam=np.int64(6))
         assert [type(getattr(p, name)) for name in ("n", "lam", "mu")] == [int] * 3
-        floats = [name for name in DERIVED if name not in ("mu", "weights")]
+        floats = [name for name in DERIVED if name != "mu" and name not in ARRAYS]
         assert [type(getattr(p, name)) for name in floats] == [float] * len(floats)
 
     def test_overrides_validated_not_clamped(self):
@@ -143,6 +145,48 @@ class TestDefaults:
         match = f"{field} is declared with init=False" if field in DERIVED else f"{field} must be"
         with pytest.raises(ValueError, match=match):
             replace(default_params(10), **{field: value})
+
+
+class TestDerivedColumns:
+    # each column replaces an expression the layers evaluated every generation;
+    # the trajectories stay bit-identical only if it is that expression's value
+
+    @staticmethod
+    def assert_same_bits(actual, expected):
+        assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+        assert actual.tobytes() == expected.tobytes()
+
+    def check(self, p):
+        # sqrt(c_mu w) as a column, once in covariance.update_covariance
+        self.assert_same_bits(p.rank_mu_scales, np.sqrt(p.c_mu * p.weights)[:, None])
+        # the widths stepsize.tpa_test_points passed to np.multiply.outer
+        a = p.alpha_test
+        a_down = a / (1.0 + a) if p.mode == "tpa_legacy" else a
+        self.assert_same_bits(p.test_widths, np.array((a, -a_down), dtype=float)[:, None])
+        shift = np.random.default_rng(p.lam).standard_normal(p.n)
+        self.assert_same_bits(p.test_widths * shift, np.multiply.outer((a, -a_down), shift))
+        for name in ARRAYS:
+            assert not getattr(p, name).flags.writeable, name
+
+    @pytest.mark.parametrize("mode", ["tpa", "tpa_legacy", "csa"])
+    @pytest.mark.parametrize("n,lam", [(1, 2), (2, None), (10, None), (20, 7), (400, None)])
+    def test_equal_the_expressions_they_replace(self, mode, n, lam):
+        self.check(replace(default_params(n, lam), mode=mode))
+
+    @pytest.mark.parametrize("mode", ["tpa", "tpa_legacy", "csa"])
+    @pytest.mark.parametrize(
+        "changes",
+        [{"alpha_test": 0.8}, {"alpha_test": 1e-300}, {"alpha_test": 3}, {"lam": 50},
+         {"mode": "tpa"}, {"mode": "tpa_legacy"}, {"mode": "csa"},
+         {"mode": "tpa_legacy", "alpha_test": 2.5, "lam": 4}],
+    )
+    def test_a_replaced_setting_derives_them_again(self, mode, changes):
+        p = replace(replace(default_params(10), mode=mode), **changes)
+        self.check(p)
+        fresh = StrategyParams(n=10, lam=changes.get("lam", 10), mode=changes.get("mode", mode),
+                               alpha_test=changes.get("alpha_test", 0.5))
+        for name in ("rank_mu_scales", "test_widths"):
+            self.assert_same_bits(getattr(p, name), getattr(fresh, name))
 
 
 class TestRounding:
