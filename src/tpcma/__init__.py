@@ -4,8 +4,8 @@ The public surface:
 
 * :func:`default_params` derives all strategy constants.
 * :class:`CmaEs` is the ask/tell optimizer.
-* :func:`run` / :func:`run_with_restarts` drive full runs against the
-  built-in benchmark objectives.
+* :func:`run` drives a full run, restarts included, against the built-in
+  benchmark objectives; :class:`RunConfig` holds its settings.
 * ``python -m tpcma.cli`` (or the ``tpcma`` script) runs benchmark grids.
 
 The building blocks (sampling, recombination, covariance and step-size
@@ -18,13 +18,11 @@ surface is this package's API, and the optimizer's state attributes
 from .engine import (
     CONTROLLERS,
     CmaEs,
-    RestartPolicy,
     RunAborted,
     RunConfig,
     RunResult,
     TerminationCriteria,
     run,
-    run_with_restarts,
 )
 from .objectives import OBJECTIVE_KINDS, ObjectiveSpec, evaluate, evaluate_population
 from .params import StrategyParams, default_params
@@ -36,7 +34,6 @@ __all__ = [
     "OBJECTIVE_KINDS",
     "CmaEs",
     "ObjectiveSpec",
-    "RestartPolicy",
     "RunAborted",
     "RunConfig",
     "RunResult",
@@ -46,5 +43,4 @@ __all__ = [
     "evaluate",
     "evaluate_population",
     "run",
-    "run_with_restarts",
 ]

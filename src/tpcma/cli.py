@@ -26,16 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import (
-    CONTROLLERS,
-    RestartPolicy,
-    RunConfig,
-    RunRecord,
-    RunResult,
-    TerminationCriteria,
-    run,
-    run_with_restarts,
-)
+from .engine import CONTROLLERS, RunConfig, RunRecord, RunResult, TerminationCriteria, run
 from .objectives import OBJECTIVE_KINDS, ObjectiveSpec
 from .params import is_integer
 
@@ -113,13 +104,13 @@ class ExperimentConfig:
 
         # each object is judged on its own, so a bad setting of one cannot hide another's
         criteria = check(lambda: _criteria_for(self)) or TerminationCriteria()
-        check(lambda: RestartPolicy(max_restarts=self.restarts))
         for kind, n in itertools.product(self.objectives, self.dimensions):
             check(lambda: _objective_for(self, kind, n))
         # RunConfig's rules do not depend on the objective kind: a sphere of
-        # dimension n (1 where n is bad) stands in; an empty seed list is reported above
-        seeds = self.seeds or (0,)
-        for n, controller, seed in itertools.product(self.dimensions, self.controllers, seeds):
+        # dimension n (1 where n is bad) stands in; an empty grid, reported
+        # above, stands in as n=1, "tpa" or seed 0
+        grid = (self.dimensions or (1,), self.controllers or ("tpa",), self.seeds or (0,))
+        for n, controller, seed in itertools.product(*grid):
             sphere = ObjectiveSpec("sphere", max(n, 1))
             check(lambda: _run_config(self, sphere, controller, criteria, seed))
         if problems:
@@ -165,7 +156,7 @@ def _run_config(cfg: ExperimentConfig, objective: ObjectiveSpec, controller: str
                 criteria: TerminationCriteria, seed: int) -> RunConfig:
     return RunConfig(objective=objective, controller=controller, seed=seed, m0=cfg.m0,
                      sigma0=cfg.sigma0, lam=cfg.lam, beta_bias=cfg.beta, c_alpha=cfg.c_alpha,
-                     criteria=criteria)
+                     criteria=criteria, max_restarts=cfg.restarts)
 
 
 def _run_config_for(cell: _Cell) -> RunConfig:
@@ -218,11 +209,7 @@ def write_trace_csv(path: Path, cell: _Cell, result: RunResult, *, timestamp: bo
 def _execute_cell(cell: _Cell) -> _CellOutcome:
     outcome = _CellOutcome(cell=cell)
     try:
-        config = _run_config_for(cell)
-        if cell.config.restarts > 0:
-            result = run_with_restarts(config, RestartPolicy(max_restarts=cell.config.restarts))
-        else:
-            result = run(config)
+        result = run(_run_config_for(cell))
         outcome.solved = result.termination == "target_f"
         outcome.evals_to_target = result.evals if outcome.solved else cell.config.budget
         out_dir = Path(cell.config.out)

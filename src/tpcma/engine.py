@@ -4,9 +4,8 @@ The core object is :class:`CmaEs`, an ask/tell optimizer.  In two-point
 mode each generation has two ask/tell rounds: first the lam offspring, then
 (after the mean update) the two step-size test points.  In cumulative
 (baseline) mode a single round completes the generation.
-:func:`run_with_restarts` drives optimizers against a benchmark objective,
-restarting with increasing population size; :func:`run` is its case
-without restarts.
+:func:`run` drives optimizers against a benchmark objective, restarting
+with increasing population size up to ``RunConfig.max_restarts`` times.
 """
 
 from __future__ import annotations
@@ -30,11 +29,9 @@ __all__ = [
     "RunRecord",
     "RunResult",
     "RunConfig",
-    "RestartPolicy",
     "RestartSegment",
     "RunAborted",
     "run",
-    "run_with_restarts",
 ]
 
 # controller name -> StrategyParams overrides of the defaults, the step-size
@@ -393,7 +390,8 @@ class RunConfig:
     """Everything needed to reproduce one optimization run.
 
     ``lam``, ``beta_bias`` and ``c_alpha``, when set, override the defaults
-    and the controller's preset in ``CONTROLLERS``.
+    and the controller's preset in ``CONTROLLERS``.  ``max_restarts`` is
+    the number of restarts, each with lam doubled, that :func:`run` may make.
     """
 
     objective: obj_mod.ObjectiveSpec
@@ -405,11 +403,14 @@ class RunConfig:
     beta_bias: float | None = None
     c_alpha: float | None = None
     criteria: TerminationCriteria = field(default_factory=TerminationCriteria)
+    max_restarts: int = 0
 
     def __post_init__(self):
         problems = _start_problems(self.initial_mean(), self.sigma0, self.objective.n)
         if not (is_integer(self.seed) and self.seed >= 0):
             problems.append(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not (is_integer(self.max_restarts) and self.max_restarts >= 0):
+            problems.append(f"max_restarts must be an integer >= 0, got {self.max_restarts!r}")
         if self.controller not in CONTROLLERS:
             problems.append(
                 f"controller must be one of {tuple(CONTROLLERS)}, got {self.controller!r}"
@@ -437,30 +438,15 @@ class RunConfig:
         return replace(default_params(self.objective.n), **{**preset, **explicit})
 
 
-@dataclass(frozen=True)
-class RestartPolicy:
-    """Restart schedule: double lam on each of up to ``max_restarts`` restarts."""
-
-    max_restarts: int = 0
-
-    def __post_init__(self):
-        if not (is_integer(self.max_restarts) and self.max_restarts >= 0):
-            raise ValueError(f"max_restarts must be an integer >= 0, got {self.max_restarts!r}")
-
-
 def run(config: RunConfig) -> RunResult:
-    """One optimization run, deterministic for a given (config, seed)."""
-    return run_with_restarts(config, RestartPolicy())
+    """One optimization run, deterministic for a given config, seed included.
 
-
-def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
-    """Run with restarts at increasing population size.
-
-    Each non-target termination restarts from a fresh state (the
-    configured initial mean and sigma0, unit covariance, zeroed paths and
-    signals) with lam doubled; the evaluation budget is global across
-    restarts.  The random stream continues across segments.  The result's
-    termination is that of the last segment.
+    Each non-target termination, up to ``config.max_restarts`` of them,
+    restarts from a fresh state (the configured initial mean and sigma0,
+    unit covariance, zeroed paths and signals) with lam doubled; the
+    evaluation budget is global across restarts.  The random stream
+    continues across segments.  The result's termination is that of the
+    last segment.
     """
     spec = config.objective
     rng = np.random.default_rng(config.seed)
@@ -474,7 +460,7 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
     evals = 0
     generations = 0
 
-    for attempt in range(policy.max_restarts + 1):
+    for attempt in range(config.max_restarts + 1):
         params = config.build_params(lam)
         opt = CmaEs(params, config.initial_mean(), config.sigma0, rng=rng,
                     criteria=replace(config.criteria, max_evals=budget - evals))
@@ -516,3 +502,13 @@ def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
         trace=trace,
         segments=segments,
     )
+
+
+# run() with max_restarts set, in the two-argument form that perfbench/workloads.py
+# calls; kept only for that caller
+class RestartPolicy(NamedTuple):
+    max_restarts: int
+
+
+def run_with_restarts(config: RunConfig, policy: RestartPolicy) -> RunResult:
+    return run(replace(config, max_restarts=policy.max_restarts))

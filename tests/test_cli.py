@@ -77,6 +77,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed list is empty"):
             parse_config(["--seeds", ""])
 
+    @pytest.mark.parametrize("grid", ["dimensions", "controllers", "seeds"])
+    def test_empty_grid_hides_no_run_setting(self, grid):
+        # the run settings are judged by RunConfig, which an empty grid would otherwise skip
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**{grid: ()}, restarts=-1, lam=1)
+        problems = str(info.value).split("; ")
+        assert len(problems) == 3, problems
+        assert "max_restarts must be an integer >= 0, got -1" in problems
+        assert any(p.startswith("lam must be an integer >= 2") for p in problems), problems
+
     def test_all_problems_reported_at_once(self):
         with pytest.raises(ConfigError) as exc_info:
             parse_config(["--objective", "wat", "--n", "0", "--seeds", "1,1"])

@@ -10,15 +10,7 @@ import numpy as np
 import pytest
 
 from tpcma import engine, sampler, stepsize
-from tpcma.engine import (
-    CmaEs,
-    RestartPolicy,
-    RunAborted,
-    RunConfig,
-    TerminationCriteria,
-    run,
-    run_with_restarts,
-)
+from tpcma.engine import CmaEs, RunAborted, RunConfig, TerminationCriteria, run
 from tpcma.objectives import ObjectiveSpec, evaluate_population
 from tpcma.params import StrategyParams, default_params
 
@@ -398,8 +390,9 @@ class TestFactorRefresh:
             m0=3.0,
             sigma0=2.0,
             criteria=TerminationCriteria(max_evals=3000, target_f=1e-8, tol_fun=1e-10),
+            max_restarts=3,
         )
-        result = run_with_restarts(config, RestartPolicy(max_restarts=3))
+        result = run(config)
         assert len(result.segments) > 1
         assert len(calls) == result.generations - len(result.segments)
 
@@ -503,8 +496,9 @@ def test_trace_rows_hold_python_numbers(controller, restarts):
         m0=3.0,
         sigma0=2.0,
         criteria=TerminationCriteria(max_evals=3000, target_f=-1.0, tol_fun=1e-8),
+        max_restarts=restarts,
     )
-    result = run_with_restarts(config, RestartPolicy(max_restarts=restarts))
+    result = run(config)
     assert (len(result.segments) > 1) == (restarts > 0)  # rows were stitched
     for row in result.trace:
         assert [type(value) for value in row] == [int, int] + [float] * 5
@@ -880,19 +874,23 @@ class TestRestarts:
             m0=3.0,
             sigma0=2.0,
             criteria=TerminationCriteria(max_evals=200_000, target_f=-1.0, tol_fun=1e-12),
+            max_restarts=2,
         )
-        result = run_with_restarts(config, RestartPolicy(max_restarts=2))
+        result = run(config)
         assert [seg.lam for seg in result.segments] == [10, 20, 40]
         assert result.termination == result.segments[-1].termination == "tol_fun"
         assert result.evals == sum(seg.evals for seg in result.segments)
 
-    def test_zero_restarts_identical_to_plain_run(self):
+    def test_unused_restart_allowance_changes_nothing(self):
+        # the first segment reaches the target, so no restart is made
         config = sphere_config(4, seed=5, max_evals=3000, target_f=1e-9)
-        plain = run(config)
-        restarted = run_with_restarts(config, RestartPolicy(max_restarts=0))
-        assert plain.trace == restarted.trace
-        assert plain.best_f == restarted.best_f
-        assert plain.termination == restarted.termination
+        plain, allowed = run(config), run(replace(config, max_restarts=3))
+        assert plain.termination == "target_f" and len(plain.segments) == 1
+        assert allowed.trace == plain.trace
+        assert allowed.segments == plain.segments
+        np.testing.assert_array_equal(allowed.best_x, plain.best_x)
+        assert (allowed.best_f, allowed.termination, allowed.evals, allowed.generations) == (
+            plain.best_f, plain.termination, plain.evals, plain.generations)
 
     def test_budget_is_global_across_segments(self):
         config = RunConfig(
@@ -901,8 +899,9 @@ class TestRestarts:
             m0=3.0,
             sigma0=2.0,
             criteria=TerminationCriteria(max_evals=6000, target_f=1e-8, tol_fun=1e-12),
+            max_restarts=10,
         )
-        result = run_with_restarts(config, RestartPolicy(max_restarts=10))
+        result = run(config)
         assert result.evals <= 6000 + default_params(5, lam=10 * 2**10).lam + 2
         assert result.evals == sum(seg.evals for seg in result.segments)
         # trace rows carry cumulative counters and the run's best so far
@@ -932,8 +931,9 @@ class TestRestarts:
             m0=m0,
             sigma0=2.0,
             criteria=TerminationCriteria(max_evals=20_000, target_f=-1.0, tol_fun=1e-10),
+            max_restarts=3,
         )
-        result = run_with_restarts(config, RestartPolicy(max_restarts=3))
+        result = run(config)
         assert len(starts) == len(result.segments) == 4
         lam0 = config.build_params().lam
         run_rng = starts[0][2]
@@ -957,10 +957,34 @@ class TestRestarts:
     )
     def test_rejects_bad_max_restarts(self, value):
         with pytest.raises(ValueError, match="max_restarts must be an integer >= 0"):
-            RestartPolicy(max_restarts=value)
+            replace(sphere_config(2), max_restarts=value)
+        # judged with the config's other settings: both problems are listed at once
+        with pytest.raises(ValueError) as info:
+            replace(sphere_config(2), seed=-1, max_restarts=value)
+        problems = str(info.value).split("; ")
+        assert problems == [
+            "seed must be an integer >= 0, got -1",
+            f"max_restarts must be an integer >= 0, got {value!r}",
+        ]
 
-    def test_policy_fields(self):
-        assert [f.name for f in dataclasses.fields(RestartPolicy)] == ["max_restarts"]
+    def test_restart_adapter_matches_run(self):
+        """perfbench/workloads.py drives its restart workload through the
+        two-argument form, so it must stay the very run that run() makes."""
+        config = RunConfig(
+            objective=ObjectiveSpec("rastrigin", 5),
+            seed=1,
+            m0=3.0,
+            sigma0=2.0,
+            criteria=TerminationCriteria(max_evals=6000, target_f=1e-8, tol_fun=1e-10),
+        )
+        adapted = engine.run_with_restarts(config, engine.RestartPolicy(max_restarts=3))
+        direct = run(replace(config, max_restarts=3))
+        assert len(direct.segments) > 1
+        assert adapted.trace == direct.trace
+        assert adapted.segments == direct.segments
+        np.testing.assert_array_equal(adapted.best_x, direct.best_x)
+        assert (adapted.best_f, adapted.termination, adapted.evals) == (
+            direct.best_f, direct.termination, direct.evals)
 
     def test_restarts_solve_rastrigin_more_often(self):
         # paired-seed comparison on a multimodal function
@@ -975,9 +999,7 @@ class TestRestarts:
                 criteria=TerminationCriteria(max_evals=25_000, target_f=1e-8, tol_fun=1e-12),
             )
             wins_plain += run(config).best_f < 1e-8
-            wins_restart += (
-                run_with_restarts(config, RestartPolicy(max_restarts=8)).best_f < 1e-8
-            )
+            wins_restart += run(replace(config, max_restarts=8)).best_f < 1e-8
         assert wins_restart > wins_plain
 
 

@@ -12,24 +12,22 @@ import math
 import numpy as np
 import pytest
 
-from tpcma.engine import RestartPolicy, RunConfig, TerminationCriteria, run, run_with_restarts
+from tpcma.engine import RunConfig, TerminationCriteria, run
 from tpcma.objectives import ObjectiveSpec
 
 CONTROLLERS = ("tpa", "tpa_noise", "tpa_legacy", "csa")
 
-# cell -> (objective, budget, target_f, restart policy or None)
+# cell -> (objective, budget, target_f, max_restarts)
 CELLS = {
-    "sphere": (ObjectiveSpec("sphere", 10), 1500, 1e-9, None),
-    "ellipsoid": (ObjectiveSpec("ellipsoid", 10), 1500, 1e-9, None),
-    "rosenbrock": (ObjectiveSpec("rosenbrock", 10), 1500, 1e-9, None),
-    "ellipsoid_n20": (ObjectiveSpec("ellipsoid", 20), 3000, 1e-9, None),
-    "rosenbrock_n20": (ObjectiveSpec("rosenbrock", 20), 3000, 1e-9, None),
+    "sphere": (ObjectiveSpec("sphere", 10), 1500, 1e-9, 0),
+    "ellipsoid": (ObjectiveSpec("ellipsoid", 10), 1500, 1e-9, 0),
+    "rosenbrock": (ObjectiveSpec("rosenbrock", 10), 1500, 1e-9, 0),
+    "ellipsoid_n20": (ObjectiveSpec("ellipsoid", 20), 3000, 1e-9, 0),
+    "rosenbrock_n20": (ObjectiveSpec("rosenbrock", 20), 3000, 1e-9, 0),
     # lam 16, so the factor is refreshed every 3rd generation
-    "ellipsoid_n60": (ObjectiveSpec("ellipsoid", 60), 2000, 1e-9, None),
-    "noisy_sphere": (ObjectiveSpec("noisy_sphere", 5, noise_level=1.0), 600, -math.inf, None),
-    "rastrigin_restarts": (
-        ObjectiveSpec("rastrigin", 5), 3000, 1e-8, RestartPolicy(max_restarts=3),
-    ),
+    "ellipsoid_n60": (ObjectiveSpec("ellipsoid", 60), 2000, 1e-9, 0),
+    "noisy_sphere": (ObjectiveSpec("noisy_sphere", 5, noise_level=1.0), 600, -math.inf, 0),
+    "rastrigin_restarts": (ObjectiveSpec("rastrigin", 5), 3000, 1e-8, 3),
 }
 
 GOLDEN = {
@@ -88,7 +86,7 @@ def digest(result) -> str:
 @pytest.mark.parametrize("controller", CONTROLLERS)
 @pytest.mark.parametrize("cell", list(CELLS))
 def test_golden_trajectory(cell, controller):
-    spec, budget, target, policy = CELLS[cell]
+    spec, budget, target, max_restarts = CELLS[cell]
     config = RunConfig(
         objective=spec,
         controller=controller,
@@ -96,6 +94,6 @@ def test_golden_trajectory(cell, controller):
         m0=3.0,
         sigma0=2.0,
         criteria=TerminationCriteria(max_evals=budget, target_f=target, tol_fun=1e-10),
+        max_restarts=max_restarts,
     )
-    result = run(config) if policy is None else run_with_restarts(config, policy)
-    assert digest(result) == GOLDEN[(cell, controller)]
+    assert digest(run(config)) == GOLDEN[(cell, controller)]
