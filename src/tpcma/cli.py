@@ -2,7 +2,22 @@
 
 Runs a grid of (objective x dimension x controller x seed) cells, writes
 one trace CSV per run plus a summary CSV with median and interquartile
-evaluation counts to target, and prints the summary table.
+evaluation counts to target, and prints the summary table.  A run that
+misses the target counts at the budget; a run that fails is reported and
+tallied in the failed column, and the rest of the grid runs on.
+
+Unless set, runs start at mean (3, ..., 3) with step-size 2, a budget of
+100000 evaluations, target-f 1e-9 and tol-fun 1e-12.  --config reads the
+flags from key=value lines, such as target-f=1e-9; a # at the start of a
+line or after whitespace begins a comment, and explicit flags override the
+file.
+
+Every setting is checked before any run starts, and each problem is
+printed; the exit status is then 2 and no output directory is created.
+--beta and --c-alpha warn when the grid has the csa controller, which
+ignores them.  A finite target-f warns on a stochastic objective, where one
+noise draw below the target stops a run as solved; --target-f=-inf (with
+=, as the value starts with a dash) turns the target off.
 
 Example:
     tpcma --objective sphere,rosenbrock --n 10,20 --controller tpa,csa \\
@@ -59,9 +74,13 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """A grid of runs plus shared run settings and output options.
 
-    Construction raises ConfigError listing every problem.  The grid and
-    worker rules are the CLI's own; every run setting, each seed included,
-    is judged by the library objects that a cell builds from it.
+    Construction raises ConfigError listing every problem, each once.  The
+    grid and worker rules are the CLI's own: each grid is non-empty and
+    without repeats, and ``workers`` is an integer >= 1.  Every run setting,
+    each seed included, is judged by the library objects that a cell builds
+    from it (``TerminationCriteria``, ``ObjectiveSpec``, ``RunConfig``), so a
+    message names the library field: ``budget`` is reported as ``max_evals``,
+    ``restarts`` as ``max_restarts`` and ``beta`` as ``beta_bias``.
     """
 
     objectives: tuple[str, ...] = ("sphere",)
@@ -181,9 +200,15 @@ def _atomic_write(path: Path):
 def write_trace_csv(path: Path, cell: _Cell, result: RunResult, *, timestamp: bool) -> None:
     """One row per generation, fixed column order, deterministic bytes.
 
-    Header comment lines carry the run configuration; the creation
-    timestamp line is suppressed with timestamp=False so that reruns are
-    byte-identical.  The file is written atomically.
+    The columns are the :class:`RunRecord` fields, each written as its
+    ``repr``.  Header comment lines carry the run configuration (not
+    ``tol_fun``, ``tol_x``, ``noise_level`` or ``condition``), the strategy
+    constants of ``_HEADER_PARAMS`` and the termination; in a restart run the
+    constants are the first segment's, and the termination line gives the
+    last segment's reason with the run's evaluations and best f.  The
+    creation timestamp line is suppressed with timestamp=False so that
+    reruns are byte-identical.  The file is written atomically: a failed
+    write leaves no partial file.
     """
     params = _run_config_for(cell).build_params()
     with _atomic_write(path) as fh:

@@ -53,9 +53,10 @@ def update_covariance(
     j's rows sqrt(c_1) p_c and sqrt(c_mu w_i) y_i (``params.rank_mu_scales``),
     scaled by sqrt(d^(k-1-j)), which is 1 for the newest.  All k (mu + 1) rows
     are one product V^T V, which BLAS ``syrk`` computes in one triangle and
-    mirrors, so C' is a new, exactly symmetric array.  The decayed C is added in
-    row blocks, so C' and V are the only arrays allocated (a freed n x n one
-    would be faulted in again), and each entry is still rounded as v + (d^k c).
+    mirrors, so C' is a new, exactly symmetric array; C is not written.  The
+    decayed C is added in row blocks, so C' and V are the only arrays
+    allocated (a freed n x n one would be faulted in again), and each entry
+    is still rounded as v + (d^k c).
     """
     n = len(C)
     k, decay = p_c.size // n, 1.0 - params.c_1 - params.c_mu

@@ -1,11 +1,7 @@
 """The generation loop: sampling, selection, step-size and covariance updates.
 
-The core object is :class:`CmaEs`, an ask/tell optimizer.  In two-point
-mode each generation has two ask/tell rounds: first the lam offspring, then
-(after the mean update) the two step-size test points.  In cumulative
-(baseline) mode a single round completes the generation.
-:func:`run` drives optimizers against a benchmark objective, restarting
-with increasing population size up to ``RunConfig.max_restarts`` times.
+:class:`CmaEs` is the ask/tell optimizer; :func:`run` drives it against a
+benchmark objective, as :class:`RunConfig` sets out.
 """
 
 from __future__ import annotations
@@ -134,7 +130,8 @@ class RestartSegment:
 
 @dataclass
 class RunResult:
-    """Outcome of a run: best solution, termination reason, full trace."""
+    """Outcome of a run: best solution, termination reason, full trace, and
+    one :class:`RestartSegment` per (re)start."""
 
     best_x: np.ndarray | None
     best_f: float
@@ -162,9 +159,12 @@ class CmaEs:
 
     The caller owns evaluation: ``ask()`` yields candidate points as the
     rows of a (k, n) matrix, ``tell(fitnesses)`` feeds back their objective
-    values (minimization; failures mapped to +inf, never NaN).  Under a
-    two-point rule ("tpa" or "tpa_legacy") a generation is two rounds: the
-    lam offspring, then the two test points formed by the following ``ask()``.
+    values (minimization; failures mapped to +inf, never NaN; -inf is an
+    ordinary fitness).  Under a two-point rule ("tpa" or "tpa_legacy") a
+    generation is two rounds: the lam offspring, then the two test points
+    formed by the following ``ask()``.  Each counted generation appends one
+    :class:`RunRecord` to ``trace``, so ``len(trace) == generation`` holds
+    after any abort.
 
     The state is held in plain attributes: ``m``, ``sigma``, ``C`` and its
     path ``p_c``, the two-point signal ``alpha_s`` (NaN in cumulative mode)
@@ -183,14 +183,16 @@ class CmaEs:
     mean step as the weighted mean of the selected draws z, which is
     A^(-1) <y> and needs no second factorization.  C = I starts as its own
     factor, refreshed once gap = max(1, n // lam) generations are kept, about
-    once per n offspring, so its O(n^3) cost is O(n^2) per offspring (every
-    generation but the first for n < 2 lam); it lags C by at most
+    once per n offspring (every generation but the first for n < 2 lam), so
+    its O(n^3) cost is O(n^2) per offspring, as in the lazy update of
+    Hansen's tutorial (arXiv:1604.00772); it lags C by at most
     (gap - 1)(c_1 + c_mu), under 1%.  Sampling, the cumulative controller's
     whitening and the trace's ``axis_ratio``/``trace_C`` all read this
     factor, the last two as computed when it was built.  C is formed once per
     refresh too: a generation keeps only its p_c and selected steps, and the
     refresh forms C from all kept ones, judges, folds in and factors it, so
-    C is not judged after the last refresh before a stop.  Reading ``C``
+    C is not judged after the last refresh before a stop, and after a
+    non-finite C every ``ask()`` raises again.  Reading ``C``
     applies the kept ones without folding, and ``tol_x`` reads only their
     diagonal.  ``C`` is read-only: modify a copy.
     """

@@ -1,10 +1,10 @@
 """Strategy constants: population size, recombination weights, learning rates.
 
 Only the dimension ``n``, the population size ``lam``, the step-size rule
-and its settings are chosen; the recombination weights and the learning
-rates are derived from ``n`` and ``lam`` on construction and cannot be set.
-Settings are changed with ``dataclasses.replace``, which checks them and
-derives the rest again.
+and its settings are chosen; every other constant (the recombination
+weights, the learning rates and the columns the updates scale by) is derived
+from these settings on construction and cannot be set.  Settings are changed
+with ``dataclasses.replace``, which checks them and derives the rest again.
 """
 
 from __future__ import annotations

@@ -31,10 +31,8 @@ class CovarianceFactor:
     ``scales`` are the square roots of C's eigenvalues, ascending, raised
     to a floor of EIGENVALUE_FLOOR times the largest one.  A trace row's
     ``axis_ratio``, longest over shortest principal axis, and ``trace``, the
-    sum of the floored eigenvalues, are computed from them once, on building.
-
-    The engine starts with ``decompose(I)``'s factor, I itself, and refreshes
-    it once gap = max(1, n // lam) generations are kept, lagging C by gap - 1.
+    sum of the floored eigenvalues, are computed from them once, on building;
+    the floor caps ``axis_ratio`` at 1e7.
     """
 
     transform: np.ndarray

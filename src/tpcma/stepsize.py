@@ -5,8 +5,7 @@ Two controllers are provided:
 * two-point adaptation: after the mean update, two extra points placed
   symmetrically along the realized mean shift are evaluated; whichever wins
   decides a raw up/down signal that is exponentially smoothed and applied
-  multiplicatively to sigma.  A legacy variant of this scheme (asymmetric
-  downward point, mean updated with the new sigma) is the step-size rule
+  multiplicatively to sigma.  Its legacy variant is the step-size rule
   ``StrategyParams.mode == "tpa_legacy"``.
 * cumulative adaptation (baseline): the classic whitened evolution path
   whose length is compared against its expectation under random selection;
@@ -96,8 +95,9 @@ def csa_update(
     of the selected standard-normal draws: A^(-1) <y> for the sampling
     matrix A of ``sampler.CovarianceFactor``.  It differs from
     C^(-1/2) <y> by a rotation only, so the path length and its expectation
-    under random selection are those of the textbook rule.  Returns the new
-    path, as a new array, and the sigma multiplier
+    under random selection are those of the textbook rule (Krause, Arbones
+    and Igel, NeurIPS 2016, also whiten with a triangular factor).  Returns
+    the new path, as a new array, and the sigma multiplier
     exp((c_sigma/d_sigma) (||p|| / E||N(0,I)|| - 1)).
     """
     cs = params.c_sigma
