@@ -3,8 +3,9 @@
 Runs a grid of (objective x dimension x controller x seed) cells, writes
 one trace CSV per run plus a summary CSV with median and interquartile
 evaluation counts to target, and prints the summary table.  A run that
-misses the target counts at the budget; a run that fails is reported and
-tallied in the failed column, and the rest of the grid runs on.
+misses the target counts at the budget; a run that fails, its trace CSV
+write included, is reported, tallied in the failed column and never counted
+as solved, and the rest of the grid runs on.
 
 Unless set, runs start at mean (3, ..., 3) with step-size 2, a budget of
 100000 evaluations, target-f 1e-9 and tol-fun 1e-12.  --config reads the
@@ -121,16 +122,17 @@ class ExperimentConfig:
                     if problem not in problems:
                         problems.append(problem)
 
-        # each object is judged on its own, so a bad setting of one cannot hide another's
+        # each object is judged on its own, so a bad setting of one cannot hide another's;
+        # an empty grid, reported above, stands in as sphere, n=1, "tpa" or seed 0
         criteria = check(lambda: _criteria_for(self)) or TerminationCriteria()
-        for kind, n in itertools.product(self.objectives, self.dimensions):
+        for kind, n in itertools.product(self.objectives or ("sphere",), self.dimensions):
             check(lambda: _objective_for(self, kind, n))
-        # RunConfig's rules do not depend on the objective kind: a sphere of
-        # dimension n (1 where n is bad) stands in; an empty grid, reported
-        # above, stands in as n=1, "tpa" or seed 0
-        grid = (self.dimensions or (1,), self.controllers or ("tpa",), self.seeds or (0,))
+        # RunConfig's rules do not depend on the objective kind: a sphere of each
+        # valid dimension stands in, judged above, and n=1 when none is valid
+        dimensions = tuple(n for n in self.dimensions if is_integer(n) and n >= 1)
+        grid = (dimensions or (1,), self.controllers or ("tpa",), self.seeds or (0,))
         for n, controller, seed in itertools.product(*grid):
-            sphere = ObjectiveSpec("sphere", max(n, 1))
+            sphere = ObjectiveSpec("sphere", n)
             check(lambda: _run_config(self, sphere, controller, criteria, seed))
         if problems:
             raise ConfigError("; ".join(problems))
@@ -149,11 +151,11 @@ class _Cell:
         return f"{self.objective}_n{self.n}_{self.controller}_seed{self.seed}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _CellOutcome:
     cell: _Cell
-    solved: bool = False
-    evals_to_target: int | None = None
+    solved: bool
+    evals_to_target: int
     error: str | None = None
 
 
@@ -232,19 +234,14 @@ def write_trace_csv(path: Path, cell: _Cell, result: RunResult, *, timestamp: bo
 
 
 def _execute_cell(cell: _Cell) -> _CellOutcome:
-    outcome = _CellOutcome(cell=cell)
+    cfg = cell.config
     try:
         result = run(_run_config_for(cell))
-        outcome.solved = result.termination == "target_f"
-        outcome.evals_to_target = result.evals if outcome.solved else cell.config.budget
-        out_dir = Path(cell.config.out)
-        write_trace_csv(
-            out_dir / f"{cell.name}.csv", cell, result, timestamp=cell.config.timestamp
-        )
+        write_trace_csv(Path(cfg.out) / f"{cell.name}.csv", cell, result, timestamp=cfg.timestamp)
     except Exception as exc:  # failures are per-cell, not fatal to the batch
-        outcome.error = f"{type(exc).__name__}: {exc}"
-        outcome.evals_to_target = cell.config.budget
-    return outcome
+        return _CellOutcome(cell, False, cfg.budget, f"{type(exc).__name__}: {exc}")
+    solved = result.termination == "target_f"
+    return _CellOutcome(cell, solved, result.evals if solved else cfg.budget)
 
 
 def run_experiment(config: ExperimentConfig) -> list[dict]:

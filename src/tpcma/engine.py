@@ -131,7 +131,12 @@ class RestartSegment:
 @dataclass
 class RunResult:
     """Outcome of a run: best solution, termination reason, full trace, and
-    one :class:`RestartSegment` per (re)start."""
+    one :class:`RestartSegment` per (re)start.
+
+    ``evals`` and ``generations`` are the segments' sums, with
+    ``generations == len(trace)``; ``best_f`` and ``best_x`` are those of the
+    best segment, the earliest on a tie, and ``termination`` the last one's.
+    """
 
     best_x: np.ndarray | None
     best_f: float
@@ -447,63 +452,39 @@ def run(config: RunConfig) -> RunResult:
     restarts from a fresh state (the configured initial mean and sigma0,
     unit covariance, zeroed paths and signals) with lam doubled; the
     evaluation budget is global across restarts.  The random stream
-    continues across segments.  The result's termination is that of the
-    last segment.
+    continues across segments.
     """
     spec = config.objective
     rng = np.random.default_rng(config.seed)
     budget = config.criteria.max_evals
     lam = config.lam
-
-    trace: list[RunRecord] = []
-    segments: list[RestartSegment] = []
-    best_x: np.ndarray | None = None
-    best_f = math.inf
-    evals = 0
-    generations = 0
-
-    for attempt in range(config.max_restarts + 1):
+    result = RunResult(best_x=None, best_f=math.inf, termination="", evals=0, generations=0,
+                       trace=[])
+    for _ in range(config.max_restarts + 1):
         params = config.build_params(lam)
         opt = CmaEs(params, config.initial_mean(), config.sigma0, rng=rng,
-                    criteria=replace(config.criteria, max_evals=budget - evals))
+                    criteria=replace(config.criteria, max_evals=budget - result.evals))
         while (termination := opt.should_stop()) is None:
             opt.tell(obj_mod.evaluate_population(spec, opt.ask(), rng))
 
-        if attempt == 0:
-            trace += opt.trace
-        else:  # a later segment's rows carry the run's counters and best so far
-            trace += [
-                row._replace(generation=row.generation + generations, evals=row.evals + evals,
-                             best_f=min(row.best_f, best_f))
-                for row in opt.trace
-            ]
-        segments.append(
-            RestartSegment(
-                lam=params.lam,
-                evals=opt.evals,
-                generations=opt.generation,
-                termination=termination,
-                best_f=opt.best_f,
-            )
-        )
-        evals += opt.evals
-        generations += opt.generation
-        if opt.best_f < best_f:
-            best_f = opt.best_f
-            best_x = opt.best_x
-        if termination == "target_f" or evals >= budget:
+        # a segment's rows carry the run's counters and best so far; at offsets 0 and a
+        # best of inf, the first segment's rows keep their own values
+        result.trace += [
+            row._replace(generation=row.generation + result.generations,
+                         evals=row.evals + result.evals, best_f=min(row.best_f, result.best_f))
+            for row in opt.trace
+        ]
+        result.segments.append(
+            RestartSegment(params.lam, opt.evals, opt.generation, termination, opt.best_f))
+        result.termination = termination
+        result.evals += opt.evals
+        result.generations += opt.generation
+        if opt.best_f < result.best_f:
+            result.best_f, result.best_x = opt.best_f, opt.best_x
+        if termination == "target_f" or result.evals >= budget:
             break
         lam = 2 * params.lam
-
-    return RunResult(
-        best_x=best_x,
-        best_f=best_f,
-        termination=termination,
-        evals=evals,
-        generations=generations,
-        trace=trace,
-        segments=segments,
-    )
+    return result
 
 
 # run() with max_restarts set, in the two-argument form that perfbench/workloads.py

@@ -87,6 +87,12 @@ class TestParseConfig:
         assert "max_restarts must be an integer >= 0, got -1" in problems
         assert any(p.startswith("lam must be an integer >= 2") for p in problems), problems
 
+    def test_empty_objective_grid_hides_no_dimension_problem(self):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(objectives=(), dimensions=(0,))
+        assert str(info.value).split("; ") == [
+            "objective grid is empty", "dimension must be an integer >= 1, got 0"]
+
     def test_all_problems_reported_at_once(self):
         with pytest.raises(ConfigError) as exc_info:
             parse_config(["--objective", "wat", "--n", "0", "--seeds", "1,1"])
@@ -153,6 +159,7 @@ class TestRunExperiment:
         for row in summary:
             assert row["runs"] == 5
             assert row["solved"] == 5
+            assert row["solved"] + row["failed"] <= row["runs"]
             assert row["median_evals"] <= 20_000
         files = sorted(p.name for p in tmp_path.glob("*.csv"))
         assert "summary.csv" in files
@@ -267,6 +274,19 @@ class TestRunExperiment:
         assert list(tmp_path.iterdir()) == []
         cli.write_trace_csv(tmp_path / "cell.csv", cell, result, timestamp=False)
         assert [p.name for p in tmp_path.iterdir()] == ["cell.csv"]
+
+    def test_failed_trace_write_is_not_counted_as_solved(self, tmp_path, capsys):
+        config = ExperimentConfig(dimensions=(2,), controllers=("tpa",), seeds=(0,),
+                                  budget=3000, out=str(tmp_path), timestamp=False)
+        cell = cli._Cell("sphere", 2, "tpa", 0, config)
+        assert cli.run(cli._run_config_for(cell)).termination == "target_f"
+        # a directory where the trace CSV goes fails its write after the run
+        (tmp_path / f"{cell.name}.csv").mkdir()
+        [row] = run_experiment(config)
+        assert (row["runs"], row["solved"], row["failed"]) == (1, 0, 1)
+        assert row["median_evals"] == 3000  # failures count at budget
+        assert f"run {cell.name} failed: IsADirectoryError" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{cell.name}.csv", "summary.csv"]
 
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "file"
@@ -423,10 +443,25 @@ class TestMain:
         assert_listed_once(err.removeprefix("error: ").rstrip("\n"))
         assert not (tmp_path / "out").exists()  # no cell ran
 
-    @pytest.mark.parametrize("seeds", [(0, 1.5), (True,)], ids=["fraction", "bool"])
-    def test_config_is_judged_when_built(self, seeds):
-        with pytest.raises(ConfigError, match=f"seed must be an integer >= 0, got {seeds[-1]!r}"):
-            ExperimentConfig(seeds=seeds)
+    @pytest.mark.parametrize("lam", [None, 1], ids=["alone", "with-lam"])
+    @pytest.mark.parametrize(
+        "grid, values, problem",
+        [
+            ("seeds", (0, 1.5), "seed must be an integer >= 0, got 1.5"),
+            ("seeds", (True,), "seed must be an integer >= 0, got True"),
+            ("dimensions", (2.5,), "dimension must be an integer >= 1, got 2.5"),
+            ("dimensions", (True,), "dimension must be an integer >= 1, got True"),
+            ("dimensions", ("3",), "dimension must be an integer >= 1, got '3'"),
+        ],
+        ids=["seed-fraction", "seed-bool", "dimension-fraction", "dimension-bool",
+             "dimension-str"],
+    )
+    def test_config_is_judged_when_built(self, grid, values, problem, lam):
+        # a bad entry stands in for no RunConfig, so a run-setting problem is listed beside it
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**{grid: values}, lam=lam)
+        expected = [problem] + (["lam must be an integer >= 2, got 1"] if lam else [])
+        assert sorted(str(info.value).split("; ")) == sorted(expected)
 
     @pytest.mark.parametrize("workers", [2.5, True], ids=["fraction", "bool"])
     def test_non_integer_workers_rejected_before_any_run(self, workers, tmp_path):

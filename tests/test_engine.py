@@ -892,6 +892,37 @@ class TestRestarts:
         assert (allowed.best_f, allowed.termination, allowed.evals, allowed.generations) == (
             plain.best_f, plain.termination, plain.evals, plain.generations)
 
+    @pytest.mark.parametrize("controller", ["tpa", "csa"])
+    @pytest.mark.parametrize("max_restarts", [0, 3])
+    def test_run_totals_are_the_segments(self, monkeypatch, controller, max_restarts):
+        optimizers = []
+
+        class Recorded(CmaEs):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(engine, "CmaEs", Recorded)
+        config = RunConfig(
+            objective=ObjectiveSpec("rastrigin", 5),
+            controller=controller,
+            seed=1,
+            m0=3.0,
+            sigma0=2.0,
+            criteria=TerminationCriteria(max_evals=40_000, target_f=-1.0, tol_fun=1e-10),
+            max_restarts=max_restarts,
+        )
+        result = run(config)
+        segments = result.segments
+        assert len(optimizers) == len(segments) == (4 if max_restarts else 1)
+        assert result.generations == len(result.trace) == sum(s.generations for s in segments)
+        assert [row.generation for row in result.trace] == list(range(1, result.generations + 1))
+        assert result.evals == sum(s.evals for s in segments)
+        assert result.termination == segments[-1].termination
+        best = min(range(len(segments)), key=lambda k: segments[k].best_f)  # the earliest on a tie
+        assert result.best_f == segments[best].best_f == optimizers[best].best_f
+        np.testing.assert_array_equal(result.best_x, optimizers[best].best_x)
+
     def test_budget_is_global_across_segments(self):
         config = RunConfig(
             objective=ObjectiveSpec("rastrigin", 5),
