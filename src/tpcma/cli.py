@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import math
 import os
 import re
@@ -77,11 +76,13 @@ class ExperimentConfig:
 
     Construction raises ConfigError listing every problem, each once.  The
     grid and worker rules are the CLI's own: each grid is non-empty and
-    without repeats, and ``workers`` is an integer >= 1.  Every run setting,
-    each seed included, is judged by the library objects that a cell builds
-    from it (``TerminationCriteria``, ``ObjectiveSpec``, ``RunConfig``), so a
-    message names the library field: ``budget`` is reported as ``max_evals``,
-    ``restarts`` as ``max_restarts`` and ``beta`` as ``beta_bias``.
+    without entries that compare equal, and ``workers`` is an integer >= 1.
+    Every other setting and each grid entry is judged once, by the library
+    object a cell builds from it (``TerminationCriteria``, ``ObjectiveSpec``,
+    ``RunConfig``), each of which judges every field on its own; only a
+    sequence ``m0`` is judged against every dimension.  So a message names
+    the library field: ``budget`` is reported as ``max_evals``, ``restarts``
+    as ``max_restarts`` and ``beta`` as ``beta_bias``.
     """
 
     objectives: tuple[str, ...] = ("sphere",)
@@ -107,9 +108,9 @@ class ExperimentConfig:
     def __post_init__(self):
         lists = {"objective grid": self.objectives, "dimension grid": self.dimensions,
                  "controller grid": self.controllers, "seed list": self.seeds}
-        problems = [f"{name} is empty" for name, values in lists.items() if not values]
-        problems += [f"{name} entries must be distinct, got {values}"
-                     for name, values in lists.items() if len(set(values)) != len(values)]
+        problems = [f"{name} is empty" for name, grid in lists.items() if not grid]
+        problems += [f"{name} entries must be distinct, got {grid}"
+                     for name, grid in lists.items() if any(grid.count(v) > 1 for v in grid)]
         if not (is_integer(self.workers) and self.workers >= 1):
             problems.append(f"workers must be an integer >= 1, got {self.workers!r}")
 
@@ -122,18 +123,17 @@ class ExperimentConfig:
                     if problem not in problems:
                         problems.append(problem)
 
-        # each object is judged on its own, so a bad setting of one cannot hide another's;
-        # an empty grid, reported above, stands in as sphere, n=1, "tpa" or seed 0
+        # one object per entry, the other axes at the first valid n (or 1), "tpa" and seed 0
         criteria = check(lambda: _criteria_for(self)) or TerminationCriteria()
-        for kind, n in itertools.product(self.objectives or ("sphere",), self.dimensions):
-            check(lambda: _objective_for(self, kind, n))
-        # RunConfig's rules do not depend on the objective kind: a sphere of each
-        # valid dimension stands in, judged above, and n=1 when none is valid
-        dimensions = tuple(n for n in self.dimensions if is_integer(n) and n >= 1)
-        grid = (dimensions or (1,), self.controllers or ("tpa",), self.seeds or (0,))
-        for n, controller, seed in itertools.product(*grid):
-            sphere = ObjectiveSpec("sphere", n)
-            check(lambda: _run_config(self, sphere, controller, criteria, seed))
+        first = next((n for n in self.dimensions if is_integer(n) and n >= 1), 1)
+        for kind in self.objectives or ("sphere",):
+            check(lambda: _objective_for(self, kind, first))
+        runs = ([(n, "tpa", 0) for n in self.dimensions]
+                + [(first, controller, 0) for controller in self.controllers or ("tpa",)]
+                + [(first, "tpa", seed) for seed in self.seeds])
+        for n, controller, seed in runs:
+            check(lambda: _run_config(self, ObjectiveSpec("sphere", n), controller,
+                                      criteria, seed))
         if problems:
             raise ConfigError("; ".join(problems))
 

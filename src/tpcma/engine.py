@@ -16,7 +16,7 @@ import numpy as np
 from . import covariance as cov_mod
 from . import objectives as obj_mod
 from . import recombine, sampler, stepsize
-from .params import StrategyParams, default_params, is_integer
+from .params import StrategyParams, default_params, is_integer, is_real
 
 __all__ = [
     "CONTROLLERS",
@@ -87,11 +87,11 @@ class TerminationCriteria:
         problems = []
         if not (is_integer(self.max_evals) and self.max_evals >= 0):
             problems.append(f"max_evals must be an integer >= 0, got {self.max_evals!r}")
-        if not self.target_f < math.inf:
-            problems.append(f"target_f must be finite or -inf, got {self.target_f}")
+        if not (is_real(self.target_f) and self.target_f < math.inf):
+            problems.append(f"target_f must be finite or -inf, got {self.target_f!r}")
         for name in ("tol_x", "tol_fun"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                problems.append(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+            if not (is_real(tol := getattr(self, name)) and 0.0 <= tol < math.inf):
+                problems.append(f"{name} must be >= 0 and finite, got {tol!r}")
         if problems:
             raise ValueError("; ".join(problems))
 
@@ -147,15 +147,17 @@ class RunResult:
     segments: list[RestartSegment] = field(default_factory=list)
 
 
-def _start_problems(m0: np.ndarray, sigma0: float, n: int) -> list[str]:
+def _start_problems(m0: np.ndarray | object, sigma0: object, n: int) -> list[str]:
     """What is wrong with an initial mean and step-size in dimension n."""
     problems = []
-    if m0.shape != (n,):
+    if not isinstance(m0, np.ndarray):
+        problems.append(f"m0 must be a float or a sequence of floats, got {m0!r}")
+    elif m0.shape != (n,):
         problems.append(f"m0 must have shape ({n},), got {m0.shape}")
     elif not np.isfinite(m0).all():
         problems.append("m0 must be finite")
-    if not 0.0 < sigma0 < math.inf:
-        problems.append(f"sigma0 must be positive and finite, got {sigma0}")
+    if not (is_real(sigma0) and 0.0 < sigma0 < math.inf):
+        problems.append(f"sigma0 must be positive and finite, got {sigma0!r}")
     return problems
 
 
@@ -413,15 +415,19 @@ class RunConfig:
     max_restarts: int = 0
 
     def __post_init__(self):
-        problems = _start_problems(self.initial_mean(), self.sigma0, self.objective.n)
+        try:  # read as floats before the broadcast to n, whose failure is not m0's problem
+            np.asarray(self.m0, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # complex, text, ragged or too large
+            problems = _start_problems(self.m0, self.sigma0, self.objective.n)
+        else:
+            problems = _start_problems(self.initial_mean(), self.sigma0, self.objective.n)
         if not (is_integer(self.seed) and self.seed >= 0):
             problems.append(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (is_integer(self.max_restarts) and self.max_restarts >= 0):
             problems.append(f"max_restarts must be an integer >= 0, got {self.max_restarts!r}")
-        if self.controller not in CONTROLLERS:
-            problems.append(
-                f"controller must be one of {tuple(CONTROLLERS)}, got {self.controller!r}"
-            )
+        if not (isinstance(self.controller, str) and self.controller in CONTROLLERS):
+            problems.append(f"controller must be one of {tuple(CONTROLLERS)}, "
+                            f"got {self.controller!r}")
         try:  # with no preset when the controller is unknown
             self.build_params()
         except ValueError as exc:
@@ -438,7 +444,7 @@ class RunConfig:
     def build_params(self, lam: int | None = None) -> StrategyParams:
         """The controller's strategy constants, its step-size rule included;
         ``lam`` overrides the configured population size."""
-        preset = CONTROLLERS.get(self.controller, {})
+        preset = CONTROLLERS.get(self.controller, {}) if isinstance(self.controller, str) else {}
         settings = (("lam", self.lam if lam is None else lam), ("beta_bias", self.beta_bias),
                     ("c_alpha", self.c_alpha))
         explicit = {name: value for name, value in settings if value is not None}

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import is_integer
+from .params import is_integer, is_real
 
 __all__ = ["ObjectiveSpec", "OBJECTIVE_KINDS", "evaluate", "evaluate_population"]
 
@@ -46,10 +46,10 @@ class ObjectiveSpec:
             problems.append(f"objective kind must be one of {OBJECTIVE_KINDS}, got {self.kind!r}")
         if not (is_integer(self.n) and self.n >= 1):
             problems.append(f"dimension must be an integer >= 1, got {self.n!r}")
-        if not 0.0 <= self.noise_level < math.inf:
-            problems.append(f"noise_level must be >= 0 and finite, got {self.noise_level}")
-        if not 0.0 < self.condition < math.inf:
-            problems.append(f"condition must be positive and finite, got {self.condition}")
+        if not (is_real(self.noise_level) and 0.0 <= self.noise_level < math.inf):
+            problems.append(f"noise_level must be >= 0 and finite, got {self.noise_level!r}")
+        if not (is_real(self.condition) and 0.0 < self.condition < math.inf):
+            problems.append(f"condition must be positive and finite, got {self.condition!r}")
         if problems:
             raise ValueError("; ".join(problems))
 

@@ -10,6 +10,7 @@ with ``dataclasses.replace``, which checks them and derives the rest again.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,15 +89,16 @@ class StrategyParams:
             value = getattr(self, name)
             if not (is_integer(value) and value >= low):
                 problems.append(f"{name} must be an integer >= {low}, got {value!r}")
-        if not 0.0 < self.alpha_test < math.inf:
-            problems.append(f"alpha_test must be positive and finite, got {self.alpha_test}")
-        if not 0.0 <= self.alpha_change < math.inf:
+        a, change, beta, c = self.alpha_test, self.alpha_change, self.beta_bias, self.c_alpha
+        if not (is_real(a) and 0.0 < a < math.inf):
+            problems.append(f"alpha_test must be positive and finite, got {a!r}")
+        if not (is_real(change) and 0.0 <= change < math.inf):
             # zero is allowed: it freezes the step-size entirely
-            problems.append(f"alpha_change must be >= 0 and finite, got {self.alpha_change}")
-        if not 0.0 <= self.beta_bias < math.inf:
-            problems.append(f"beta_bias must be >= 0 and finite, got {self.beta_bias}")
-        if not 0.0 < self.c_alpha <= 1.0:
-            problems.append(f"c_alpha must be in (0, 1], got {self.c_alpha}")
+            problems.append(f"alpha_change must be >= 0 and finite, got {change!r}")
+        if not (is_real(beta) and 0.0 <= beta < math.inf):
+            problems.append(f"beta_bias must be >= 0 and finite, got {beta!r}")
+        if not (is_real(c) and 0.0 < c <= 1.0):
+            problems.append(f"c_alpha must be in (0, 1], got {c!r}")
         if self.mode not in ("tpa", "tpa_legacy", "csa"):
             problems.append(f"mode must be 'tpa', 'tpa_legacy' or 'csa', got {self.mode!r}")
         if problems:
@@ -117,7 +119,6 @@ class StrategyParams:
         c_mu = min(2.0 * (mu_w - 2.0 + 1.0 / mu_w) / ((n + 2.0) ** 2 + mu_w), 1.0 - c_1)
         c_sigma = (mu_w + 2.0) / (n + mu_w + 3.0)
         d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_w - 1.0) / (n + 1.0)) - 1.0) + c_sigma
-        a = self.alpha_test
         test_widths = np.array([[a], [-a / (1.0 + a) if self.mode == "tpa_legacy" else -a]], float)
 
         derived = dict(mu_prime=mu_prime, mu=mu, weights=weights, mu_w=mu_w, c_c=c_c,
@@ -132,6 +133,11 @@ class StrategyParams:
 def is_integer(value: object) -> bool:
     """Whether value is an int or a numpy integer; a bool is neither."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value: object) -> bool:
+    """Whether value is a real number (numbers.Real), a bool included; so are nan and ±inf."""
+    return isinstance(value, numbers.Real)
 
 
 def default_lambda(n: int) -> int:

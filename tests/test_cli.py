@@ -8,7 +8,8 @@ import pytest
 
 from tpcma import cli
 from tpcma.cli import ConfigError, ExperimentConfig, parse_config, run_experiment
-from tpcma.engine import RunRecord, RunResult
+from tpcma.engine import CONTROLLERS, RunRecord, RunResult
+from tpcma.objectives import OBJECTIVE_KINDS
 
 
 def read_rows(path):
@@ -462,6 +463,56 @@ class TestMain:
             ExperimentConfig(**{grid: values}, lam=lam)
         expected = [problem] + (["lam must be an integer >= 2, got 1"] if lam else [])
         assert sorted(str(info.value).split("; ")) == sorted(expected)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ({"dimensions": ([2],)}, ["dimension must be an integer >= 1, got [2]"]),
+            ({"seeds": ([0],)}, ["seed must be an integer >= 0, got [0]"]),
+            ({"controllers": (["tpa"],)},
+             [f"controller must be one of {tuple(CONTROLLERS)}, got ['tpa']"]),
+            ({"objectives": (["sphere"],)},
+             [f"objective kind must be one of {OBJECTIVE_KINDS}, got ['sphere']"]),
+            ({"seeds": ([0], [0])},
+             ["seed list entries must be distinct, got ([0], [0])",
+              "seed must be an integer >= 0, got [0]"]),
+            ({"seeds": (1, True)},
+             ["seed list entries must be distinct, got (1, True)",
+              "seed must be an integer >= 0, got True"]),
+            ({"dimensions": (2, 2.0)},
+             ["dimension grid entries must be distinct, got (2, 2.0)",
+              "dimension must be an integer >= 1, got 2.0"]),
+            ({"dimensions": (), "condition": math.nan},
+             ["dimension grid is empty", "condition must be positive and finite, got nan"]),
+            ({"objectives": ("noisy_sphere",), "dimensions": (), "noise_level": -1},
+             ["dimension grid is empty", "noise_level must be >= 0 and finite, got -1"]),
+            ({"target_f": None}, ["target_f must be finite or -inf, got None"]),
+            ({"tol_fun": "x", "tol_x": "x"},
+             ["tol_x must be >= 0 and finite, got 'x'", "tol_fun must be >= 0 and finite, got 'x'"]),
+            ({"objectives": ("noisy_sphere",), "noise_level": "x", "condition": "x"},
+             ["noise_level must be >= 0 and finite, got 'x'",
+              "condition must be positive and finite, got 'x'"]),
+            ({"beta": "x", "c_alpha": "x"},
+             ["beta_bias must be >= 0 and finite, got 'x'", "c_alpha must be in (0, 1], got 'x'"]),
+            ({"m0": 1 + 2j, "sigma0": "a"},
+             ["m0 must be a float or a sequence of floats, got (1+2j)",
+              "sigma0 must be positive and finite, got 'a'"]),
+        ],
+        ids=["dimension-list", "seed-list", "controller-list", "objective-list",
+             "seed-lists-repeated", "seed-bool-repeats-int", "dimension-float-repeats-int",
+             "no-dimension-condition", "no-dimension-noise-level", "target-f-none",
+             "tolerance-text", "objective-text", "strategy-text", "start-not-floats"],
+    )
+    def test_each_entry_and_setting_is_judged_with_its_own_problem(self, values, expected):
+        # an unhashable entry, an empty grid or a value of the wrong type hides no problem
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**values)
+        assert str(info.value).split("; ") == expected
+
+    def test_a_sequence_m0_is_judged_against_every_dimension(self):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(dimensions=(2, 3), m0=(1.0, 2.0))
+        assert str(info.value).split("; ") == ["m0 must have shape (3,), got (2,)"]
 
     @pytest.mark.parametrize("workers", [2.5, True], ids=["fraction", "bool"])
     def test_non_integer_workers_rejected_before_any_run(self, workers, tmp_path):

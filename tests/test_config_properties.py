@@ -1,0 +1,55 @@
+"""Property test of the experiment settings' judges: values of any type
+either build an ExperimentConfig or raise ConfigError, and a problem that
+one field brings in is listed whatever the other fields hold.
+
+Hypothesis runs derandomized and without its example database, so the
+examples, and this suite, are the same on every run.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tpcma.cli import ConfigError, ExperimentConfig
+from tpcma.engine import CONTROLLERS
+from tpcma.objectives import OBJECTIVE_KINDS
+
+# small ints cross every bound (0, 1 and 2); a dimension or lam in the billions
+# would be judged by allocating that many floats
+SCALARS = st.one_of(
+    st.integers(-2, 12),
+    st.floats(),  # nan and ±inf included
+    st.booleans(),
+    st.sampled_from(OBJECTIVE_KINDS + tuple(CONTROLLERS)),
+    st.text("ab1.", max_size=3),
+    st.complex_numbers(),
+    st.none(),
+)
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=2), st.just(()))
+GRIDS = ("objectives", "dimensions", "controllers", "seeds")
+SETTINGS = ("budget", "target_f", "tol_fun", "tol_x", "lam", "beta", "c_alpha", "sigma0",
+            "noise_level", "condition", "restarts", "workers")
+# each field is left at its default or drawn; a sequence m0, whose shape reads n,
+# is the one setting that couples two fields, so m0 is drawn as a scalar
+CONFIGS = st.fixed_dictionaries({}, optional={
+    **{name: st.lists(VALUES, max_size=3).map(tuple) for name in GRIDS},
+    **{name: VALUES for name in SETTINGS},
+    "m0": SCALARS,
+})
+
+
+def problems(**values) -> list[str]:
+    try:
+        ExperimentConfig(**values)
+    except ConfigError as exc:
+        return str(exc).split("; ")
+    return []
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(CONFIGS)
+def test_a_problem_of_one_field_is_listed_whatever_the_others_hold(values):
+    # any exception but ConfigError fails the test
+    listed = problems(**values)
+    for name, value in values.items():
+        alone = problems(**{name: value})
+        assert set(alone) <= set(listed), (name, alone, listed)

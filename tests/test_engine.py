@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tpcma import engine, sampler, stepsize
-from tpcma.engine import CmaEs, RunAborted, RunConfig, TerminationCriteria, run
+from tpcma.engine import CONTROLLERS, CmaEs, RunAborted, RunConfig, TerminationCriteria, run
 from tpcma.objectives import ObjectiveSpec, evaluate_population
 from tpcma.params import StrategyParams, default_params
 
@@ -617,6 +617,18 @@ class TestCriteriaValidation:
         with pytest.raises(ValueError, match=field):
             TerminationCriteria(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, bound",
+        [("target_f", None, "finite or -inf"), ("tol_x", "x", ">= 0 and finite"),
+         ("tol_fun", "x", ">= 0 and finite")],
+    )
+    def test_a_non_number_is_listed_beside_the_others(self, field, value, bound):
+        # these used to raise a bare TypeError from the bound's comparison
+        with pytest.raises(ValueError) as info:
+            TerminationCriteria(max_evals=-1, **{field: value})
+        assert str(info.value) == (
+            f"max_evals must be an integer >= 0, got -1; {field} must be {bound}, got {value!r}")
+
     def test_names_every_bad_field(self):
         with pytest.raises(ValueError) as info:
             TerminationCriteria(max_evals=-5, tol_x=-1.0)
@@ -1055,6 +1067,23 @@ class TestRunConfig:
             RunConfig(objective=ObjectiveSpec("sphere", 2), m0=m0, sigma0=sigma0)
         with pytest.raises(ValueError, match=message):
             CmaEs(default_params(2), np.broadcast_to(m0, np.shape(m0) or (2,)), sigma0)
+
+    @pytest.mark.parametrize(
+        "changes, problem",
+        [
+            ({"sigma0": "a"}, "sigma0 must be positive and finite, got 'a'"),
+            ({"m0": 1 + 2j}, "m0 must be a float or a sequence of floats, got (1+2j)"),
+            ({"m0": [1.0, "a"]}, "m0 must be a float or a sequence of floats, got [1.0, 'a']"),
+            ({"controller": ["tpa"]},
+             f"controller must be one of {tuple(CONTROLLERS)}, got ['tpa']"),
+        ],
+        ids=["sigma0-text", "m0-complex", "m0-text", "controller-list"],
+    )
+    def test_a_value_of_the_wrong_type_is_listed_beside_the_others(self, changes, problem):
+        # these used to raise a bare TypeError, or numpy's own ValueError for text
+        with pytest.raises(ValueError) as info:
+            RunConfig(objective=ObjectiveSpec("sphere", 2), lam=1, **changes)
+        assert str(info.value).split("; ") == [problem, "lam must be an integer >= 2, got 1"]
 
     def test_names_every_bad_setting_when_built(self):
         # the strategy settings are judged with no preset when the name is unknown

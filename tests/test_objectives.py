@@ -28,6 +28,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             ObjectiveSpec("noisy_sphere", 3, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, bound", [("noise_level", ">= 0 and finite"), ("condition", "positive and finite")])
+    def test_a_non_number_is_listed_beside_the_others(self, field, bound):
+        # a string used to raise a bare TypeError from the bound's comparison
+        with pytest.raises(ValueError) as info:
+            ObjectiveSpec("noisy_sphere", 0, **{field: "x"})
+        assert str(info.value) == (
+            f"dimension must be an integer >= 1, got 0; {field} must be {bound}, got 'x'")
+
     @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(3.0), True])
     def test_rejects_non_integer_dimension(self, n):
         with pytest.raises(ValueError, match="dimension must be an integer >= 1"):

@@ -121,6 +121,24 @@ class TestDefaults:
             "mode must be 'tpa', 'tpa_legacy' or 'csa', got 'cma'"
         )
 
+    @pytest.mark.parametrize("value", ["0.5", None, 0.5j, [0.5]], ids=repr)
+    @pytest.mark.parametrize(
+        "name, bound",
+        [("alpha_test", "positive and finite"), ("alpha_change", ">= 0 and finite"),
+         ("beta_bias", ">= 0 and finite"), ("c_alpha", "in (0, 1]")],
+    )
+    def test_a_non_number_setting_is_listed_beside_the_others(self, name, bound, value):
+        # these used to raise a bare TypeError from the bound's comparison
+        with pytest.raises(ValueError) as info:
+            replace(default_params(2), mode="cma", **{name: value})
+        assert str(info.value) == (f"{name} must be {bound}, got {value!r}; "
+                                   "mode must be 'tpa', 'tpa_legacy' or 'csa', got 'cma'")
+
+    def test_bool_settings_stay_accepted(self):
+        p = replace(default_params(2), alpha_test=True, alpha_change=False, beta_bias=True,
+                    c_alpha=True)
+        assert (p.alpha_test, p.alpha_change, p.beta_bias, p.c_alpha) == (1, 0, 1, 1)
+
     @pytest.mark.parametrize("mode", ["no", "legacy", "TPA", "", True, None, 1])
     def test_rejects_every_mode_but_the_three_rules(self, mode):
         # a truthy flag used to run the legacy geometry; no value is taken for one now
