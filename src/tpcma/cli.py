@@ -43,7 +43,7 @@ import numpy as np
 
 from .engine import CONTROLLERS, RunConfig, RunRecord, RunResult, TerminationCriteria, run
 from .objectives import OBJECTIVE_KINDS, ObjectiveSpec
-from .params import is_integer
+from .params import MAX_ENTRIES, is_integer
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run_experiment", "main"]
 
@@ -125,7 +125,7 @@ class ExperimentConfig:
 
         # one object per entry, the other axes at the first valid n (or 1), "tpa" and seed 0
         criteria = check(lambda: _criteria_for(self)) or TerminationCriteria()
-        first = next((n for n in self.dimensions if is_integer(n) and n >= 1), 1)
+        first = next((n for n in self.dimensions if is_integer(n) and 1 <= n <= MAX_ENTRIES), 1)
         for kind in self.objectives or ("sphere",):
             check(lambda: _objective_for(self, kind, first))
         runs = ([(n, "tpa", 0) for n in self.dimensions]

@@ -147,14 +147,18 @@ class RunResult:
     segments: list[RestartSegment] = field(default_factory=list)
 
 
-def _start_problems(m0: np.ndarray | object, sigma0: object, n: int) -> list[str]:
-    """What is wrong with an initial mean and step-size in dimension n."""
+def _start_problems(m0: object, sigma0: object, n: int) -> list[str]:
+    """What is wrong with an initial mean, read as given, and step-size in dimension n."""
     problems = []
-    if not isinstance(m0, np.ndarray):
+    try:  # a float is never broadcast to n, so judging a large n allocates nothing
+        mean = np.asarray(m0, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # complex, text, ragged or too large
+        mean = None
+    if mean is None:
         problems.append(f"m0 must be a float or a sequence of floats, got {m0!r}")
-    elif m0.shape != (n,):
-        problems.append(f"m0 must have shape ({n},), got {m0.shape}")
-    elif not np.isfinite(m0).all():
+    elif mean.ndim and mean.shape != (n,):
+        problems.append(f"m0 must have shape ({n},), got {mean.shape}")
+    elif not np.isfinite(mean).all():
         problems.append("m0 must be finite")
     if not (is_real(sigma0) and 0.0 < sigma0 < math.inf):
         problems.append(f"sigma0 must be positive and finite, got {sigma0!r}")
@@ -173,15 +177,18 @@ class CmaEs:
     :class:`RunRecord` to ``trace``, so ``len(trace) == generation`` holds
     after any abort.
 
-    The state is held in plain attributes: ``m``, ``sigma``, ``C`` and its
-    path ``p_c``, the two-point signal ``alpha_s`` (NaN in cumulative mode)
-    and the cumulative path ``p_sigma`` (None in two-point mode), for
-    reading.  They are the state's only record: a ``RunAborted`` carries
-    the optimizer itself.  The optimizer alone judges the values it runs
-    on: ``m0``, ``sigma0``, the told fitness, sigma, C and every
-    point ``ask()`` forms, before handing it out, so a mean, step-size or C
-    that leaves the floating-point range ends the run in ``RunAborted``,
-    and the generation it ends is not counted; the layers check nothing again.
+    The search starts at mean ``m0``, a float used for every coordinate or n
+    floats (as ``RunConfig.m0``), with step-size ``sigma0``; both must be
+    finite, and sigma0 positive.  The state is held in plain attributes:
+    ``m``, ``sigma``, ``C`` and its path ``p_c``, the two-point signal
+    ``alpha_s`` (NaN in cumulative mode) and the cumulative path ``p_sigma``
+    (None in two-point mode), for reading.  They are the state's only
+    record: a ``RunAborted`` carries the optimizer itself.  The optimizer
+    alone judges the values it runs on: ``m0``, ``sigma0``, the told
+    fitness, sigma, C and every point ``ask()`` forms, before handing it
+    out, so a mean, step-size or C that leaves the floating-point range ends
+    the run in ``RunAborted``, and the generation it ends is not counted;
+    the layers check nothing again.
 
     Offspring are sampled as y = A z from a factor of C (see
     ``sampler.decompose``) in both modes: its Cholesky factor, or the
@@ -207,13 +214,12 @@ class CmaEs:
     def __init__(
         self,
         params: StrategyParams,
-        m0: np.ndarray,
+        m0: float | Sequence[float],
         sigma0: float,
         *,
         criteria: TerminationCriteria | None = None,
         rng: np.random.Generator | None = None,
     ):
-        m0 = np.array(m0, dtype=float)
         if problems := _start_problems(m0, sigma0, params.n):
             raise ValueError("; ".join(problems))
 
@@ -222,7 +228,7 @@ class CmaEs:
         self.rng = rng if rng is not None else np.random.default_rng()
 
         self._test_round: tuple | None = None  # (updated mean, mean step) between the tpa rounds
-        self.m = m0
+        self.m = np.full(params.n, m0, dtype=float)  # a float for every coordinate, or a copy
         self.sigma = float(sigma0)
         self._C, self._n_kept = np.eye(params.n), 0  # no generations kept yet
         self._C.flags.writeable = False
@@ -415,12 +421,7 @@ class RunConfig:
     max_restarts: int = 0
 
     def __post_init__(self):
-        try:  # read as floats before the broadcast to n, whose failure is not m0's problem
-            np.asarray(self.m0, dtype=float)
-        except (TypeError, ValueError, OverflowError):  # complex, text, ragged or too large
-            problems = _start_problems(self.m0, self.sigma0, self.objective.n)
-        else:
-            problems = _start_problems(self.initial_mean(), self.sigma0, self.objective.n)
+        problems = _start_problems(self.m0, self.sigma0, self.objective.n)
         if not (is_integer(self.seed) and self.seed >= 0):
             problems.append(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (is_integer(self.max_restarts) and self.max_restarts >= 0):
@@ -434,12 +435,6 @@ class RunConfig:
             problems.append(str(exc))
         if problems:
             raise ValueError("; ".join(problems))
-
-    def initial_mean(self) -> np.ndarray:
-        m0 = np.asarray(self.m0, dtype=float)
-        if m0.ndim == 0:
-            return np.full(self.objective.n, float(m0))
-        return m0
 
     def build_params(self, lam: int | None = None) -> StrategyParams:
         """The controller's strategy constants, its step-size rule included;
@@ -468,7 +463,7 @@ def run(config: RunConfig) -> RunResult:
                        trace=[])
     for _ in range(config.max_restarts + 1):
         params = config.build_params(lam)
-        opt = CmaEs(params, config.initial_mean(), config.sigma0, rng=rng,
+        opt = CmaEs(params, config.m0, config.sigma0, rng=rng,
                     criteria=replace(config.criteria, max_evals=budget - result.evals))
         while (termination := opt.should_stop()) is None:
             opt.tell(obj_mod.evaluate_population(spec, opt.ask(), rng))

@@ -17,6 +17,8 @@ import numpy as np
 
 __all__ = ["StrategyParams", "default_params"]
 
+MAX_ENTRIES = np.iinfo(np.intp).max // 8  # float64s in one array: an n-vector, or lam points
+
 
 @dataclass(frozen=True)
 class StrategyParams:
@@ -89,6 +91,8 @@ class StrategyParams:
             value = getattr(self, name)
             if not (is_integer(value) and value >= low):
                 problems.append(f"{name} must be an integer >= {low}, got {value!r}")
+            elif value > MAX_ENTRIES:  # before deriving: no array holds them, and 10**400 no float
+                problems.append(f"{name} must be at most {MAX_ENTRIES}, got {value!r}")
         a, change, beta, c = self.alpha_test, self.alpha_change, self.beta_bias, self.c_alpha
         if not (is_real(a) and 0.0 < a < math.inf):
             problems.append(f"alpha_test must be positive and finite, got {a!r}")
@@ -136,8 +140,14 @@ def is_integer(value: object) -> bool:
 
 
 def is_real(value: object) -> bool:
-    """Whether value is a real number (numbers.Real), a bool included; so are nan and ±inf."""
-    return isinstance(value, numbers.Real)
+    """Whether value is a numbers.Real that a float holds, a bool, nan or ±inf included."""
+    if not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def default_lambda(n: int) -> int:

@@ -10,6 +10,7 @@ from tpcma import cli
 from tpcma.cli import ConfigError, ExperimentConfig, parse_config, run_experiment
 from tpcma.engine import CONTROLLERS, RunRecord, RunResult
 from tpcma.objectives import OBJECTIVE_KINDS
+from tpcma.params import MAX_ENTRIES
 
 
 def read_rows(path):
@@ -513,6 +514,15 @@ class TestMain:
         with pytest.raises(ConfigError) as info:
             ExperimentConfig(dimensions=(2, 3), m0=(1.0, 2.0))
         assert str(info.value).split("; ") == ["m0 must have shape (3,), got (2,)"]
+
+    def test_a_huge_dimension_hides_no_other_problem(self, tmp_path, capsys):
+        # judging it used to build the n-vector of m0, and numpy's "array is too big" was all
+        # that was listed
+        argv = ["--n", str(2**62), "--lambda", "1", "--seeds", "0", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.removeprefix("error: ").rstrip("\n").split("; ") == [
+            f"n must be at most {MAX_ENTRIES}, got {2**62}", "lam must be an integer >= 2, got 1"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [2.5, True], ids=["fraction", "bool"])
     def test_non_integer_workers_rejected_before_any_run(self, workers, tmp_path):

@@ -6,17 +6,21 @@ Hypothesis runs derandomized and without its example database, so the
 examples, and this suite, are the same on every run.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpcma.cli import ConfigError, ExperimentConfig
 from tpcma.engine import CONTROLLERS
 from tpcma.objectives import OBJECTIVE_KINDS
+from tpcma.params import MAX_ENTRIES
 
-# small ints cross every bound (0, 1 and 2); a dimension or lam in the billions
-# would be judged by allocating that many floats
+# small ints cross every bound (0, 1 and 2); 2**62 is a dimension no n-vector
+# fits, and 10**400 an int that no float holds.  No int lies in between: a lam
+# in the billions is judged by allocating its recombination weights
 SCALARS = st.one_of(
     st.integers(-2, 12),
+    st.sampled_from((2**62, 10**400)),
     st.floats(),  # nan and ±inf included
     st.booleans(),
     st.sampled_from(OBJECTIVE_KINDS + tuple(CONTROLLERS)),
@@ -53,3 +57,30 @@ def test_a_problem_of_one_field_is_listed_whatever_the_others_hold(values):
     for name, value in values.items():
         alone = problems(**{name: value})
         assert set(alone) <= set(listed), (name, alone, listed)
+
+
+BEYOND_FLOAT = 10**400
+
+
+@pytest.mark.parametrize("field, problem", [
+    ("target_f", "target_f must be finite or -inf"),
+    ("tol_fun", "tol_fun must be >= 0 and finite"),
+    ("tol_x", "tol_x must be >= 0 and finite"),
+    ("beta", "beta_bias must be >= 0 and finite"),
+    ("c_alpha", "c_alpha must be in (0, 1]"),
+    ("sigma0", "sigma0 must be positive and finite"),
+    ("m0", "m0 must be a float or a sequence of floats"),
+    ("noise_level", "noise_level must be >= 0 and finite"),
+    ("condition", "condition must be positive and finite"),
+    ("lam", f"lam must be at most {MAX_ENTRIES}"),
+])
+def test_an_int_beyond_the_float_range_is_listed(field, problem):
+    # each used to build, and every run then raised OverflowError (lam: at once)
+    listed = problems(objectives=("noisy_sphere",), **{field: BEYOND_FLOAT})
+    assert listed == [f"{problem}, got {BEYOND_FLOAT!r}"]
+
+
+def test_a_dimension_beyond_the_float_range_is_listed():
+    # numpy's broadcast error stood in for this problem
+    problem = f"n must be at most {MAX_ENTRIES}, got {BEYOND_FLOAT!r}"
+    assert problems(dimensions=(BEYOND_FLOAT,)) == [problem]

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -147,7 +148,7 @@ class TestAskTellProtocol:
     def test_aborted_run_survives_a_pickle_round_trip(self, controller):
         # as a RunAborted crosses a process pool
         config = replace(sphere_config(3), controller=controller)
-        opt = CmaEs(config.build_params(), config.initial_mean(), config.sigma0,
+        opt = CmaEs(config.build_params(), config.m0, config.sigma0,
                     rng=np.random.default_rng(0))
         while opt.generation < 3:
             opt.tell(evaluate_population(config.objective, opt.ask()))
@@ -564,7 +565,7 @@ class TestEngineOutput:
         config = RunConfig(objective=ObjectiveSpec(objective, 2), controller=controller, m0=3.0,
                            sigma0=2.0, criteria=TerminationCriteria(max_evals=60_000))
         rng = np.random.default_rng(config.seed)
-        opt = CmaEs(config.build_params(), config.initial_mean(), config.sigma0,
+        opt = CmaEs(config.build_params(), config.m0, config.sigma0,
                     criteria=config.criteria, rng=rng)
         with warnings.catch_warnings(), pytest.raises(RuntimeWarning, match="divide by zero"):
             warnings.simplefilter("error")
@@ -669,7 +670,7 @@ class TestTermination:
     @pytest.mark.parametrize("controller", ["tpa", "tpa_legacy"])
     def test_a_reported_stop_fires_only_between_generations(self, controller):
         config = replace(sphere_config(3, max_evals=30), controller=controller)
-        opt = CmaEs(config.build_params(), config.initial_mean(), config.sigma0,
+        opt = CmaEs(config.build_params(), config.m0, config.sigma0,
                     criteria=config.criteria, rng=np.random.default_rng(0))
         spec = config.objective
         while opt.should_stop() is None:
@@ -982,7 +983,7 @@ class TestRestarts:
         run_rng = starts[0][2]
         assert starts[0][3] == np.random.default_rng(config.seed).bit_generator.state
         for k, (start, lam, rng, _) in enumerate(starts):
-            np.testing.assert_array_equal(start["m"], config.initial_mean())
+            np.testing.assert_array_equal(start["m"], np.broadcast_to(config.m0, 3))
             assert start["sigma"] == 2.0
             np.testing.assert_array_equal(start["C"], np.eye(3))
             np.testing.assert_array_equal(start["p_c"], np.zeros(3))
@@ -1084,6 +1085,40 @@ class TestRunConfig:
         with pytest.raises(ValueError) as info:
             RunConfig(objective=ObjectiveSpec("sphere", 2), lam=1, **changes)
         assert str(info.value).split("; ") == [problem, "lam must be an integer >= 2, got 1"]
+
+    @pytest.mark.parametrize("m0", ["a", 1 + 2j, [1.0, "a"], [[1.0], [2.0, 3.0]], 10**400],
+                             ids=["text", "complex", "text-entry", "ragged", "beyond-float"])
+    def test_the_optimizer_lists_the_m0_problem_the_config_lists(self, m0):
+        # CmaEs used to raise numpy's bare ValueError or TypeError here
+        problem = f"m0 must be a float or a sequence of floats, got {m0!r}"
+        with pytest.raises(ValueError) as config_info:
+            RunConfig(objective=ObjectiveSpec("sphere", 2), m0=m0)
+        with pytest.raises(ValueError) as opt_info:
+            CmaEs(default_params(2), m0, 1.0)
+        assert str(opt_info.value) == str(config_info.value) == problem
+
+    @pytest.mark.parametrize("controller", ["tpa", "tpa_legacy", "csa"])
+    def test_a_float_m0_runs_as_its_n_vector(self, controller):
+        spec = ObjectiveSpec("ellipsoid", 5)
+        params = RunConfig(spec, controller).build_params()
+
+        def trace(m0):
+            opt = CmaEs(params, m0, 2.0, rng=np.random.default_rng(4),
+                        criteria=TerminationCriteria(max_evals=600))
+            while opt.should_stop() is None:
+                opt.tell(evaluate_population(spec, opt.ask()))
+            return np.array(opt.trace).tobytes() + opt.m.tobytes()
+
+        assert trace(3.0) == trace(np.full(5, 3.0)) == trace([3.0] * 5)
+
+    def test_judging_a_large_dimension_allocates_no_mean(self):
+        tracemalloc.start()
+        try:
+            RunConfig(ObjectiveSpec("sphere", 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # an n-vector of floats alone takes 7.6 MiB
 
     def test_names_every_bad_setting_when_built(self):
         # the strategy settings are judged with no preset when the name is unknown

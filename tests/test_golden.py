@@ -2,17 +2,23 @@
 
 Each cell hashes the float64 bytes of every trace row, best_x, best_f,
 evals and the restart segments.  Hashing bytes rather than reprs keeps the
-digest independent of the Python type a value happens to have.  A change
-that alters trajectories on purpose re-blesses these digests and says why.
+digest independent of the Python type a value happens to have.  Beside each
+digest, ``golden_rows.json`` keeps the cell's first trace rows, so that a
+mismatch names the first row and column that differ.  A change that alters
+trajectories on purpose re-blesses both and says why:
+``PYTHONPATH=src python tests/test_golden.py`` rewrites the rows and prints
+the digests.
 """
 
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tpcma.engine import RunConfig, TerminationCriteria, run
+from tpcma.engine import RunConfig, RunRecord, TerminationCriteria, run
 from tpcma.objectives import ObjectiveSpec
 
 CONTROLLERS = ("tpa", "tpa_noise", "tpa_legacy", "csa")
@@ -66,6 +72,10 @@ GOLDEN = {
 }
 
 
+ROWS_PATH = Path(__file__).with_name("golden_rows.json")
+BLESSED_ROWS = 16
+
+
 def digest(result) -> str:
     h = hashlib.sha256()
 
@@ -83,11 +93,20 @@ def digest(result) -> str:
     return h.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("controller", CONTROLLERS)
-@pytest.mark.parametrize("cell", list(CELLS))
-def test_golden_trajectory(cell, controller):
+def first_difference(trace, blessed) -> str:
+    """Where a trace first departs from its blessed rows, compared as float64 bytes."""
+    for i, row in enumerate(blessed):
+        if i == len(trace):
+            return f"the trace ends after {i} rows; {len(blessed)} are blessed"
+        for name, got, expected in zip(RunRecord._fields, trace[i], row):
+            if np.float64(got).tobytes() != np.float64(expected).tobytes():
+                return f"trace row {i}, column {name}: blessed {expected!r}, got {got!r}"
+    return f"the first {len(blessed)} trace rows agree; the difference lies later"
+
+
+def run_cell(cell, controller):
     spec, budget, target, max_restarts = CELLS[cell]
-    config = RunConfig(
+    return run(RunConfig(
         objective=spec,
         controller=controller,
         seed=3,
@@ -95,5 +114,43 @@ def test_golden_trajectory(cell, controller):
         sigma0=2.0,
         criteria=TerminationCriteria(max_evals=budget, target_f=target, tol_fun=1e-10),
         max_restarts=max_restarts,
-    )
-    assert digest(run(config)) == GOLDEN[(cell, controller)]
+    ))
+
+
+@pytest.fixture(scope="module")
+def blessed_rows():
+    return json.loads(ROWS_PATH.read_text())
+
+
+@pytest.mark.parametrize("controller", CONTROLLERS)
+@pytest.mark.parametrize("cell", list(CELLS))
+def test_golden_trajectory(cell, controller, blessed_rows):
+    result = run_cell(cell, controller)
+    if (got := digest(result)) != (blessed := GOLDEN[(cell, controller)]):
+        where = first_difference(result.trace, blessed_rows[f"{cell} {controller}"])
+        pytest.fail(f"digest {got}, blessed {blessed}: {where}")
+
+
+def test_first_difference_names_the_row_and_column():
+    rows = [RunRecord(1, 8, 2.0, 1.0, math.nan, 1.0, 3.0),
+            RunRecord(2, 16, 1.0, 0.5, math.nan, 1.5, 3.0)]
+    blessed = [list(row) for row in rows]
+    # NaN matches NaN, as in the digest's bytes
+    assert first_difference(rows, blessed) == "the first 2 trace rows agree; the difference lies later"
+    moved = [rows[0], rows[1]._replace(sigma=0.5000000000000001)]
+    assert first_difference(moved, blessed) == (
+        "trace row 1, column sigma: blessed 0.5, got 0.5000000000000001")
+    assert first_difference(rows[:1], blessed) == "the trace ends after 1 rows; 2 are blessed"
+
+
+if __name__ == "__main__":  # rewrites the rows, and prints the digests for GOLDEN
+    blessed = {}
+    for cell in CELLS:
+        for controller in CONTROLLERS:
+            result = run_cell(cell, controller)
+            blessed[f"{cell} {controller}"] = [list(row) for row in result.trace[:BLESSED_ROWS]]
+            print(f'    ("{cell}", "{controller}"): "{digest(result)}",')
+    # one row a line, so that a re-blessing diffs by row
+    cells = (f"  {json.dumps(key)}: [\n" + ",\n".join(f"    {json.dumps(row)}" for row in rows)
+             + "\n  ]" for key, rows in blessed.items())
+    ROWS_PATH.write_text("{\n" + ",\n".join(cells) + "\n}\n")
