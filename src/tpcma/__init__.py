@@ -22,7 +22,7 @@ from .engine import (
     TerminationCriteria,
     run,
 )
-from .objectives import OBJECTIVE_KINDS, ObjectiveSpec, evaluate, evaluate_population
+from .objectives import OBJECTIVE_KINDS, ObjectiveSpec, evaluate_population
 from .params import StrategyParams, default_params
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "StrategyParams",
     "TerminationCriteria",
     "default_params",
-    "evaluate",
     "evaluate_population",
     "run",
 ]

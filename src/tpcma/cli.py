@@ -38,12 +38,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .engine import CONTROLLERS, RunConfig, RunRecord, RunResult, TerminationCriteria, run
 from .objectives import OBJECTIVE_KINDS, ObjectiveSpec
-from .params import MAX_ENTRIES, is_integer
+from .params import StrategyParams, field_problems, integer, setting
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run_experiment", "main"]
 
@@ -102,7 +103,7 @@ class ExperimentConfig:
     condition: float = 1e6
     restarts: int = 0
     out: str = "results"
-    workers: int = 1
+    workers: int = setting(integer(1), default=1)
     timestamp: bool = True
 
     def __post_init__(self):
@@ -111,8 +112,7 @@ class ExperimentConfig:
         problems = [f"{name} is empty" for name, grid in lists.items() if not grid]
         problems += [f"{name} entries must be distinct, got {grid}"
                      for name, grid in lists.items() if any(grid.count(v) > 1 for v in grid)]
-        if not (is_integer(self.workers) and self.workers >= 1):
-            problems.append(f"workers must be an integer >= 1, got {self.workers!r}")
+        problems += field_problems(ExperimentConfig, self)
 
         def check(build):
             try:
@@ -125,7 +125,8 @@ class ExperimentConfig:
 
         # one object per entry, the other axes at the first valid n (or 1), "tpa" and seed 0
         criteria = check(lambda: _criteria_for(self)) or TerminationCriteria()
-        first = next((n for n in self.dimensions if is_integer(n) and 1 <= n <= MAX_ENTRIES), 1)
+        first = next((n for n in self.dimensions
+                      if not field_problems(StrategyParams, SimpleNamespace(n=n))), 1)
         for kind in self.objectives or ("sphere",):
             check(lambda: _objective_for(self, kind, first))
         runs = ([(n, "tpa", 0) for n in self.dimensions]
@@ -415,9 +416,7 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     config = ExperimentConfig(**values)
     ignored = [flag for flag, value in (("--beta", config.beta), ("--c-alpha", config.c_alpha))
                if value is not None]
-    csa = any(RunConfig(ObjectiveSpec("sphere", 1), c).build_params().mode == "csa"
-              for c in config.controllers)
-    if ignored and csa:
+    if ignored and any(CONTROLLERS[c].get("mode") == "csa" for c in config.controllers):
         print(f"warning: no effect on the csa controller: {', '.join(ignored)}", file=sys.stderr)
     noisy = [kind for kind in config.objectives if ObjectiveSpec(kind, 1).stochastic]
     if noisy and math.isfinite(config.target_f):

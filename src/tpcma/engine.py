@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -16,7 +17,8 @@ import numpy as np
 from . import covariance as cov_mod
 from . import objectives as obj_mod
 from . import recombine, sampler, stepsize
-from .params import StrategyParams, default_params, is_integer, is_real
+from .params import (StrategyParams, default_params, field_problems, integer, is_real, nonnegative,
+                     positive, rule, setting)
 
 __all__ = [
     "CONTROLLERS",
@@ -77,22 +79,14 @@ class TerminationCriteria:
     generations span less than it; 0 turns either off.
     """
 
-    max_evals: int = 100_000
-    target_f: float = -math.inf
-    tol_x: float = 0.0
-    tol_fun: float = 0.0
+    max_evals: int = setting(integer(0), default=100_000)
+    target_f: float = setting(rule("finite or -inf", lambda f: is_real(f) and f < math.inf),
+                              default=-math.inf)
+    tol_x: float = setting(nonnegative, default=0.0)
+    tol_fun: float = setting(nonnegative, default=0.0)
 
     def __post_init__(self):
-        # each bound is written so that NaN fails it
-        problems = []
-        if not (is_integer(self.max_evals) and self.max_evals >= 0):
-            problems.append(f"max_evals must be an integer >= 0, got {self.max_evals!r}")
-        if not (is_real(self.target_f) and self.target_f < math.inf):
-            problems.append(f"target_f must be finite or -inf, got {self.target_f!r}")
-        for name in ("tol_x", "tol_fun"):
-            if not (is_real(tol := getattr(self, name)) and 0.0 <= tol < math.inf):
-                problems.append(f"{name} must be >= 0 and finite, got {tol!r}")
-        if problems:
+        if problems := field_problems(TerminationCriteria, self):
             raise ValueError("; ".join(problems))
 
 
@@ -147,8 +141,8 @@ class RunResult:
     segments: list[RestartSegment] = field(default_factory=list)
 
 
-def _start_problems(m0: object, sigma0: object, n: int) -> list[str]:
-    """What is wrong with an initial mean, read as given, and step-size in dimension n."""
+def _start_problems(m0: object, sigma0: object, n: int | None) -> list[str]:
+    """Problems of an initial mean, read as given, and step-size in dimension n (any if None)."""
     problems = []
     try:  # a float is never broadcast to n, so judging a large n allocates nothing
         mean = np.asarray(m0, dtype=float)
@@ -156,12 +150,12 @@ def _start_problems(m0: object, sigma0: object, n: int) -> list[str]:
         mean = None
     if mean is None:
         problems.append(f"m0 must be a float or a sequence of floats, got {m0!r}")
-    elif mean.ndim and mean.shape != (n,):
+    elif mean.ndim and n is not None and mean.shape != (n,):
         problems.append(f"m0 must have shape ({n},), got {mean.shape}")
     elif not np.isfinite(mean).all():
         problems.append("m0 must be finite")
-    if not (is_real(sigma0) and 0.0 < sigma0 < math.inf):
-        problems.append(f"sigma0 must be positive and finite, got {sigma0!r}")
+    if bound := positive(sigma0):
+        problems.append(f"sigma0 must be {bound}, got {sigma0!r}")
     return problems
 
 
@@ -409,41 +403,41 @@ class RunConfig:
     the number of restarts, each with lam doubled, that :func:`run` may make.
     """
 
-    objective: obj_mod.ObjectiveSpec
-    controller: str = "tpa"
-    seed: int = 0
+    objective: obj_mod.ObjectiveSpec = setting(
+        rule("an ObjectiveSpec", lambda objective: isinstance(objective, obj_mod.ObjectiveSpec)))
+    controller: str = setting(
+        rule(f"one of {tuple(CONTROLLERS)}", lambda c: isinstance(c, str) and c in CONTROLLERS),
+        default="tpa")
+    seed: int = setting(integer(0), default=0)
     m0: float | Sequence[float] = 0.0
     sigma0: float = 1.0
     lam: int | None = None
     beta_bias: float | None = None
     c_alpha: float | None = None
-    criteria: TerminationCriteria = field(default_factory=TerminationCriteria)
-    max_restarts: int = 0
+    criteria: TerminationCriteria = setting(
+        rule("a TerminationCriteria", lambda criteria: isinstance(criteria, TerminationCriteria)),
+        default_factory=TerminationCriteria)
+    max_restarts: int = setting(integer(0), default=0)
 
     def __post_init__(self):
-        problems = _start_problems(self.m0, self.sigma0, self.objective.n)
-        if not (is_integer(self.seed) and self.seed >= 0):
-            problems.append(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not (is_integer(self.max_restarts) and self.max_restarts >= 0):
-            problems.append(f"max_restarts must be an integer >= 0, got {self.max_restarts!r}")
-        if not (isinstance(self.controller, str) and self.controller in CONTROLLERS):
-            problems.append(f"controller must be one of {tuple(CONTROLLERS)}, "
-                            f"got {self.controller!r}")
-        try:  # with no preset when the controller is unknown
-            self.build_params()
-        except ValueError as exc:
-            problems.append(str(exc))
+        # judged by StrategyParams' rules, the strategy settings build no weights
+        n = self.objective.n if isinstance(self.objective, obj_mod.ObjectiveSpec) else None
+        problems = _start_problems(self.m0, self.sigma0, n) + field_problems(RunConfig, self)
+        problems += field_problems(StrategyParams, SimpleNamespace(**self._strategy_settings(n=n)))
         if problems:
             raise ValueError("; ".join(problems))
+
+    def _strategy_settings(self, n: int | None = None, lam: int | None = None) -> dict:
+        """The controller's preset (none if unknown) with the given settings over it."""
+        preset = CONTROLLERS.get(self.controller, {}) if isinstance(self.controller, str) else {}
+        settings = (("n", n), ("lam", self.lam if lam is None else lam),
+                    ("beta_bias", self.beta_bias), ("c_alpha", self.c_alpha))
+        return {**preset, **{name: value for name, value in settings if value is not None}}
 
     def build_params(self, lam: int | None = None) -> StrategyParams:
         """The controller's strategy constants, its step-size rule included;
         ``lam`` overrides the configured population size."""
-        preset = CONTROLLERS.get(self.controller, {}) if isinstance(self.controller, str) else {}
-        settings = (("lam", self.lam if lam is None else lam), ("beta_bias", self.beta_bias),
-                    ("c_alpha", self.c_alpha))
-        explicit = {name: value for name, value in settings if value is not None}
-        return replace(default_params(self.objective.n), **{**preset, **explicit})
+        return replace(default_params(self.objective.n), **self._strategy_settings(lam=lam))
 
 
 def run(config: RunConfig) -> RunResult:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import is_integer, is_real
+from .params import field_problems, integer, nonnegative, positive, rule, setting
 
 __all__ = ["ObjectiveSpec", "OBJECTIVE_KINDS", "evaluate", "evaluate_population"]
 
@@ -34,23 +33,14 @@ class ObjectiveSpec:
     and pure; the stochastic kinds draw from the caller's random stream.
     """
 
-    kind: str
-    n: int
-    noise_level: float = 0.0
-    condition: float = 1e6
+    kind: str = setting(rule(f"one of {OBJECTIVE_KINDS}", lambda kind: kind in OBJECTIVE_KINDS),
+                        label="objective kind")
+    n: int = setting(integer(1), label="dimension")
+    noise_level: float = setting(nonnegative, default=0.0)
+    condition: float = setting(positive, default=1e6)
 
     def __post_init__(self):
-        # each bound is written so that NaN fails it
-        problems = []
-        if self.kind not in OBJECTIVE_KINDS:
-            problems.append(f"objective kind must be one of {OBJECTIVE_KINDS}, got {self.kind!r}")
-        if not (is_integer(self.n) and self.n >= 1):
-            problems.append(f"dimension must be an integer >= 1, got {self.n!r}")
-        if not (is_real(self.noise_level) and 0.0 <= self.noise_level < math.inf):
-            problems.append(f"noise_level must be >= 0 and finite, got {self.noise_level!r}")
-        if not (is_real(self.condition) and 0.0 < self.condition < math.inf):
-            problems.append(f"condition must be positive and finite, got {self.condition!r}")
-        if problems:
+        if problems := field_problems(ObjectiveSpec, self):
             raise ValueError("; ".join(problems))
 
     @property

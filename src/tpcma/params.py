@@ -9,15 +9,70 @@ with ``dataclasses.replace``, which checks them and derives the rest again.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable
 
 import numpy as np
 
 __all__ = ["StrategyParams", "default_params"]
 
 MAX_ENTRIES = np.iinfo(np.intp).max // 8  # float64s in one array: an n-vector, or lam points
+
+# A rule maps a setting's value to the bound it breaks, or to None; each bound is
+# written so that NaN fails it.
+
+
+def is_real(value: object) -> bool:
+    """Whether value is a numbers.Real that a float holds, a bool, nan or ±inf included."""
+    # a float first: isinstance against the numbers.Real ABC takes about 9x as long
+    if type(value) is not float and not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def integer(low: int, most: int | None = None) -> Callable[[Any], str | None]:
+    """The rule "an integer >= low" (no bool), and "at most most" where most is given."""
+    def broken(v: Any) -> str | None:
+        if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= low):
+            return f"an integer >= {low}"
+        return f"at most {most}" if most is not None and v > most else None
+    return broken
+
+
+def rule(bound: str, holds: Callable[[Any], bool]) -> Callable[[Any], str | None]:
+    """The rule that a value breaks ``bound`` unless ``holds(value)``."""
+    return lambda value: None if holds(value) else bound
+
+
+nonnegative = rule(">= 0 and finite", lambda value: is_real(value) and 0.0 <= value < math.inf)
+positive = rule("positive and finite", lambda value: is_real(value) and 0.0 < value < math.inf)
+
+
+def setting(check: Callable[[Any], str | None], label: str | None = None, **kwargs: Any) -> Any:
+    """A dataclass field judged by ``check``, named ``label`` if given; kwargs go to field()."""
+    return field(metadata={"rule": check, "label": label}, **kwargs)
+
+
+def field_problems(cls: type, settings: object) -> list[str]:
+    """Each problem of the fields ``settings`` holds, as attributes, against their rules in
+    ``cls``, in field order, as "<label> must be <bound>, got <value!r>"."""
+    # not vars(settings): in CPython 3.11 reading an instance's dict slows its attribute loads ~3x
+    return [f"{label} must be {bound}, got {value!r}" for name, label, check in _rules(cls)
+            if (value := getattr(settings, name, MISSING)) is not MISSING
+            and (bound := check(value)) is not None]
+
+
+@functools.cache  # read once per class: dataclasses.fields costs more than the judging
+def _rules(cls: type) -> tuple[tuple[str, str, Callable[[Any], str | None]], ...]:
+    return tuple((f.name, f.metadata["label"] or f.name, f.metadata["rule"])
+                 for f in fields(cls) if "rule" in f.metadata)
 
 
 @dataclass(frozen=True)
@@ -65,13 +120,14 @@ class StrategyParams:
             and -alpha_test, or -alpha_test/(1+alpha_test) under "tpa_legacy".
     """
 
-    n: int
-    lam: int
-    alpha_test: float = 0.5
-    alpha_change: float = 0.5
-    beta_bias: float = 0.0
-    c_alpha: float = 0.3
-    mode: str = "tpa"
+    n: int = setting(integer(1, most=MAX_ENTRIES))  # no array holds more, and 10**400 no float
+    lam: int = setting(integer(2, most=MAX_ENTRIES))
+    alpha_test: float = setting(positive, default=0.5)
+    alpha_change: float = setting(nonnegative, default=0.5)  # zero freezes the step-size
+    beta_bias: float = setting(nonnegative, default=0.0)
+    c_alpha: float = setting(rule("in (0, 1]", lambda c: is_real(c) and 0 < c <= 1), default=0.3)
+    mode: str = setting(rule("'tpa', 'tpa_legacy' or 'csa'",
+                             lambda mode: mode in ("tpa", "tpa_legacy", "csa")), default="tpa")
     mu_prime: float = field(init=False)
     mu: int = field(init=False)
     weights: np.ndarray = field(init=False)
@@ -85,29 +141,10 @@ class StrategyParams:
     test_widths: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # the float bounds are written so that NaN fails them
-        problems = []
-        for name, low in (("n", 1), ("lam", 2)):
-            value = getattr(self, name)
-            if not (is_integer(value) and value >= low):
-                problems.append(f"{name} must be an integer >= {low}, got {value!r}")
-            elif value > MAX_ENTRIES:  # before deriving: no array holds them, and 10**400 no float
-                problems.append(f"{name} must be at most {MAX_ENTRIES}, got {value!r}")
-        a, change, beta, c = self.alpha_test, self.alpha_change, self.beta_bias, self.c_alpha
-        if not (is_real(a) and 0.0 < a < math.inf):
-            problems.append(f"alpha_test must be positive and finite, got {a!r}")
-        if not (is_real(change) and 0.0 <= change < math.inf):
-            # zero is allowed: it freezes the step-size entirely
-            problems.append(f"alpha_change must be >= 0 and finite, got {change!r}")
-        if not (is_real(beta) and 0.0 <= beta < math.inf):
-            problems.append(f"beta_bias must be >= 0 and finite, got {beta!r}")
-        if not (is_real(c) and 0.0 < c <= 1.0):
-            problems.append(f"c_alpha must be in (0, 1], got {c!r}")
-        if self.mode not in ("tpa", "tpa_legacy", "csa"):
-            problems.append(f"mode must be 'tpa', 'tpa_legacy' or 'csa', got {self.mode!r}")
-        if problems:
+        if problems := field_problems(StrategyParams, self):
             raise ValueError("; ".join(problems))
 
+        a = self.alpha_test
         # stored as ints: a numpy integer would make every derived constant a numpy scalar
         n, lam = int(self.n), int(self.lam)
         mu_prime = lam / 2.0
@@ -125,34 +162,13 @@ class StrategyParams:
         d_sigma = 1.0 + 2.0 * max(0.0, math.sqrt((mu_w - 1.0) / (n + 1.0)) - 1.0) + c_sigma
         test_widths = np.array([[a], [-a / (1.0 + a) if self.mode == "tpa_legacy" else -a]], float)
 
-        derived = dict(mu_prime=mu_prime, mu=mu, weights=weights, mu_w=mu_w, c_c=c_c,
-                       c_1=c_1, c_mu=c_mu, c_sigma=c_sigma, d_sigma=d_sigma,
-                       rank_mu_scales=np.sqrt(c_mu * weights)[:, None], test_widths=test_widths)
-        for name, value in dict(n=n, lam=lam, **derived).items():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+        rank_mu_scales = np.sqrt(c_mu * weights)[:, None]
+        for array in (weights, rank_mu_scales, test_widths):
+            array.flags.writeable = False
+        for name, value in dict(n=n, lam=lam, mu_prime=mu_prime, mu=mu, weights=weights, mu_w=mu_w,
+                                c_c=c_c, c_1=c_1, c_mu=c_mu, c_sigma=c_sigma, d_sigma=d_sigma,
+                                rank_mu_scales=rank_mu_scales, test_widths=test_widths).items():
             object.__setattr__(self, name, value)
-
-
-def is_integer(value: object) -> bool:
-    """Whether value is an int or a numpy integer; a bool is neither."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def is_real(value: object) -> bool:
-    """Whether value is a numbers.Real that a float holds, a bool, nan or ±inf included."""
-    if not isinstance(value, numbers.Real):
-        return False
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
-
-
-def default_lambda(n: int) -> int:
-    """Default population size 4 + floor(3 ln n)."""
-    return 4 + int(math.floor(3.0 * math.log(n)))
 
 
 def default_params(n: int, lam: int | None = None) -> StrategyParams:
@@ -160,5 +176,6 @@ def default_params(n: int, lam: int | None = None) -> StrategyParams:
 
     ``lam`` overrides the default population size 4 + floor(3 ln n).
     """
-    # a bad n is reported by StrategyParams; 1 stands in for the default lam
-    return StrategyParams(n=n, lam=default_lambda(max(n, 1)) if lam is None else lam)
+    if lam is None:  # a bad n is reported by StrategyParams; 1 stands in for it here
+        lam = 4 + int(math.floor(3.0 * math.log(max(n, 1))))
+    return StrategyParams(n=n, lam=lam)

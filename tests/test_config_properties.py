@@ -6,6 +6,8 @@ Hypothesis runs derandomized and without its example database, so the
 examples, and this suite, are the same on every run.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +17,13 @@ from tpcma.engine import CONTROLLERS
 from tpcma.objectives import OBJECTIVE_KINDS
 from tpcma.params import MAX_ENTRIES
 
-# small ints cross every bound (0, 1 and 2); 2**62 is a dimension no n-vector
-# fits, and 10**400 an int that no float holds.  No int lies in between: a lam
-# in the billions is judged by allocating its recombination weights
+# small ints cross every bound (0, 1 and 2); the larger ones reach MAX_ENTRIES, the
+# largest n or lam, which no judge allocates for; 2**62 is a dimension no n-vector
+# fits, and 10**400 an int that no float holds
 SCALARS = st.one_of(
     st.integers(-2, 12),
-    st.sampled_from((2**62, 10**400)),
+    st.integers(13, MAX_ENTRIES),
+    st.sampled_from((10**6, 10**9, 2**40, MAX_ENTRIES, 2**62, 10**400)),
     st.floats(),  # nan and ±inf included
     st.booleans(),
     st.sampled_from(OBJECTIVE_KINDS + tuple(CONTROLLERS)),
@@ -84,3 +87,13 @@ def test_a_dimension_beyond_the_float_range_is_listed():
     # numpy's broadcast error stood in for this problem
     problem = f"n must be at most {MAX_ENTRIES}, got {BEYOND_FLOAT!r}"
     assert problems(dimensions=(BEYOND_FLOAT,)) == [problem]
+
+
+def test_judging_a_large_lam_allocates_no_weights():
+    tracemalloc.start()
+    try:
+        ExperimentConfig(lam=10**6, seeds=(0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # building its recombination weights peaked at 15.3 MiB

@@ -1086,6 +1086,35 @@ class TestRunConfig:
             RunConfig(objective=ObjectiveSpec("sphere", 2), lam=1, **changes)
         assert str(info.value).split("; ") == [problem, "lam must be an integer >= 2, got 1"]
 
+    SEED_PROBLEM = "seed must be an integer >= 0, got -1"
+    LAM_PROBLEM = "lam must be an integer >= 2, got 1"
+
+    @pytest.mark.parametrize(
+        "changes, expected",
+        [
+            ({"objective": "sphere"},
+             ["objective must be an ObjectiveSpec, got 'sphere'", SEED_PROBLEM, LAM_PROBLEM]),
+            ({"criteria": "x"},
+             [SEED_PROBLEM, "criteria must be a TerminationCriteria, got 'x'", LAM_PROBLEM]),
+            ({"criteria": None},
+             [SEED_PROBLEM, "criteria must be a TerminationCriteria, got None", LAM_PROBLEM]),
+        ],
+        ids=["objective-text", "criteria-text", "criteria-none"],
+    )
+    def test_a_wrong_typed_objective_or_criteria_is_listed_beside_the_others(self, changes,
+                                                                              expected):
+        # a text objective raised a bare AttributeError; such criteria built, and run() then
+        # raised AttributeError on max_evals
+        values = {"objective": ObjectiveSpec("sphere", 2), "seed": -1, "lam": 1, **changes}
+        with pytest.raises(ValueError) as info:
+            RunConfig(**values)
+        assert str(info.value).split("; ") == expected
+
+    def test_a_sequence_m0_is_not_judged_against_a_wrong_typed_objective(self):
+        with pytest.raises(ValueError) as info:
+            RunConfig(objective=None, m0=[1.0, 2.0, 3.0])
+        assert str(info.value) == "objective must be an ObjectiveSpec, got None"
+
     @pytest.mark.parametrize("m0", ["a", 1 + 2j, [1.0, "a"], [[1.0], [2.0, 3.0]], 10**400],
                              ids=["text", "complex", "text-entry", "ragged", "beyond-float"])
     def test_the_optimizer_lists_the_m0_problem_the_config_lists(self, m0):
