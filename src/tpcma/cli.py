@@ -44,7 +44,7 @@ import numpy as np
 
 from .engine import CONTROLLERS, RunConfig, RunRecord, RunResult, TerminationCriteria, run
 from .objectives import OBJECTIVE_KINDS, ObjectiveSpec
-from .params import StrategyParams, field_problems, integer, setting
+from .params import StrategyParams, field_problems, integer, raise_problems, setting
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run_experiment", "main"]
 
@@ -75,15 +75,15 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """A grid of runs plus shared run settings and output options.
 
-    Construction raises ConfigError listing every problem, each once.  The
-    grid and worker rules are the CLI's own: each grid is non-empty and
-    without entries that compare equal, and ``workers`` is an integer >= 1.
-    Every other setting and each grid entry is judged once, by the library
-    object a cell builds from it (``TerminationCriteria``, ``ObjectiveSpec``,
-    ``RunConfig``), each of which judges every field on its own; only a
-    sequence ``m0`` is judged against every dimension.  So a message names
-    the library field: ``budget`` is reported as ``max_evals``, ``restarts``
-    as ``max_restarts`` and ``beta`` as ``beta_bias``.
+    Construction raises ConfigError whose ``problems`` lists every problem,
+    each once.  The grid and worker rules are the CLI's own: each grid is
+    non-empty and without entries that compare equal, and ``workers`` is an
+    integer >= 1.  Every other setting and each grid entry is judged once,
+    by the library object a cell builds from it (``TerminationCriteria``,
+    ``ObjectiveSpec``, ``RunConfig``), whose error lists all its problems as
+    ``problems``; only a sequence ``m0`` is judged against every dimension.
+    So a problem names the library field: ``budget`` is reported as
+    ``max_evals``, ``restarts`` as ``max_restarts`` and ``beta`` as ``beta_bias``.
     """
 
     objectives: tuple[str, ...] = ("sphere",)
@@ -118,10 +118,7 @@ class ExperimentConfig:
             try:
                 return build()
             except ValueError as exc:
-                # the library joins the problems of one object with "; "
-                for problem in str(exc).split("; "):
-                    if problem not in problems:
-                        problems.append(problem)
+                problems.extend([problem for problem in exc.problems if problem not in problems])
 
         # one object per entry, the other axes at the first valid n (or 1), "tpa" and seed 0
         criteria = check(lambda: _criteria_for(self)) or TerminationCriteria()
@@ -135,8 +132,7 @@ class ExperimentConfig:
         for n, controller, seed in runs:
             check(lambda: _run_config(self, ObjectiveSpec("sphere", n), controller,
                                       criteria, seed))
-        if problems:
-            raise ConfigError("; ".join(problems))
+        raise_problems(problems, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -170,7 +166,7 @@ def _criteria_for(cfg: ExperimentConfig) -> TerminationCriteria:
 
 
 def _objective_for(cfg: ExperimentConfig, kind: str, n: int) -> ObjectiveSpec:
-    noise_level = cfg.noise_level if kind == "noisy_sphere" else 0.0
+    noise_level = cfg.noise_level if isinstance(kind, str) and kind == "noisy_sphere" else 0.0
     return ObjectiveSpec(kind=kind, n=n, noise_level=noise_level, condition=cfg.condition)
 
 
@@ -397,8 +393,7 @@ def _parse_config_file(path: str) -> dict:
             values[field] = converter(value)
         except ValueError:
             problems.append(f"{path}:{lineno}: bad value {value!r} for {key.replace('_', '-')!r}")
-    if problems:
-        raise ConfigError("; ".join(problems))
+    raise_problems(problems, ConfigError)
     return values
 
 

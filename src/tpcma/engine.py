@@ -18,7 +18,7 @@ from . import covariance as cov_mod
 from . import objectives as obj_mod
 from . import recombine, sampler, stepsize
 from .params import (StrategyParams, default_params, field_problems, integer, is_real, nonnegative,
-                     positive, rule, setting)
+                     positive, raise_problems, rule, setting)
 
 __all__ = [
     "CONTROLLERS",
@@ -55,7 +55,10 @@ class RunAborted(RuntimeError):
 
     ``optimizer`` is the :class:`CmaEs` that raised it, as the abort left it:
     its state attributes, trace and best point so far.  In a restart run it
-    is the optimizer of the segment that aborted.
+    is the optimizer of the segment that aborted.  Raised by :func:`run`, it
+    also carries ``result``, the run so far as a :class:`RunResult` stitched
+    as a finished run's, whose termination and last segment's read "aborted";
+    otherwise ``result`` is None.
     """
 
     # optional: BaseException unpickles with its args alone, so a required
@@ -63,6 +66,7 @@ class RunAborted(RuntimeError):
     def __init__(self, message: str, optimizer: CmaEs | None = None):
         super().__init__(message)
         self.optimizer = optimizer
+        self.result: RunResult | None = None
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,7 @@ class TerminationCriteria:
     tol_fun: float = setting(nonnegative, default=0.0)
 
     def __post_init__(self):
-        if problems := field_problems(TerminationCriteria, self):
-            raise ValueError("; ".join(problems))
+        raise_problems(field_problems(TerminationCriteria, self))
 
 
 class RunRecord(NamedTuple):
@@ -214,8 +217,7 @@ class CmaEs:
         criteria: TerminationCriteria | None = None,
         rng: np.random.Generator | None = None,
     ):
-        if problems := _start_problems(m0, sigma0, params.n):
-            raise ValueError("; ".join(problems))
+        raise_problems(_start_problems(m0, sigma0, params.n))
 
         self.params = params
         self.criteria = criteria if criteria is not None else TerminationCriteria()
@@ -292,11 +294,9 @@ class CmaEs:
         if self._pending is not None:
             raise RuntimeError("ask() called twice without tell()")
         if self._n_kept == self._refresh_gap:  # never in a test round: its generation isn't kept
-            # self.C, with the whole buffers kept; judged unfolded: a second ask() raises too
-            C = cov_mod.update_covariance(self._C, self._kept_p_c, self._kept_Y, self.params)
+            C = self.C  # judged unfolded: a second ask() raises too
             if np.count_nonzero(np.isfinite(C)) < C.size:  # a count: cheaper than all()
                 raise RunAborted("covariance matrix became non-finite", self)
-            C.setflags(write=False)
             self._C, self._n_kept = C, 0  # fold the kept generations in
             # builds the row statistics here, so a warning leaves no generation without its row
             self._factor = sampler.decompose(self._C)
@@ -424,8 +424,7 @@ class RunConfig:
         n = self.objective.n if isinstance(self.objective, obj_mod.ObjectiveSpec) else None
         problems = _start_problems(self.m0, self.sigma0, n) + field_problems(RunConfig, self)
         problems += field_problems(StrategyParams, SimpleNamespace(**self._strategy_settings(n=n)))
-        if problems:
-            raise ValueError("; ".join(problems))
+        raise_problems(problems)
 
     def _strategy_settings(self, n: int | None = None, lam: int | None = None) -> dict:
         """The controller's preset (none if unknown) with the given settings over it."""
@@ -459,27 +458,36 @@ def run(config: RunConfig) -> RunResult:
         params = config.build_params(lam)
         opt = CmaEs(params, config.m0, config.sigma0, rng=rng,
                     criteria=replace(config.criteria, max_evals=budget - result.evals))
-        while (termination := opt.should_stop()) is None:
-            opt.tell(obj_mod.evaluate_population(spec, opt.ask(), rng))
-
-        # a segment's rows carry the run's counters and best so far; at offsets 0 and a
-        # best of inf, the first segment's rows keep their own values
-        result.trace += [
-            row._replace(generation=row.generation + result.generations,
-                         evals=row.evals + result.evals, best_f=min(row.best_f, result.best_f))
-            for row in opt.trace
-        ]
-        result.segments.append(
-            RestartSegment(params.lam, opt.evals, opt.generation, termination, opt.best_f))
-        result.termination = termination
-        result.evals += opt.evals
-        result.generations += opt.generation
-        if opt.best_f < result.best_f:
-            result.best_f, result.best_x = opt.best_f, opt.best_x
+        try:
+            while (termination := opt.should_stop()) is None:
+                opt.tell(obj_mod.evaluate_population(spec, opt.ask(), rng))
+        except RunAborted as exc:
+            _stitch(result, opt, "aborted")
+            exc.result = result
+            raise
+        _stitch(result, opt, termination)
         if termination == "target_f" or result.evals >= budget:
             break
         lam = 2 * params.lam
     return result
+
+
+def _stitch(result: RunResult, opt: CmaEs, termination: str) -> None:
+    """Append to ``result`` the segment that ``opt`` ran, ended by ``termination``."""
+    # a segment's rows carry the run's counters and best so far; at offsets 0 and a
+    # best of inf, the first segment's rows keep their own values
+    result.trace += [
+        row._replace(generation=row.generation + result.generations,
+                     evals=row.evals + result.evals, best_f=min(row.best_f, result.best_f))
+        for row in opt.trace
+    ]
+    result.segments.append(
+        RestartSegment(opt.params.lam, opt.evals, opt.generation, termination, opt.best_f))
+    result.termination = termination
+    result.evals += opt.evals
+    result.generations += opt.generation
+    if opt.best_f < result.best_f:
+        result.best_f, result.best_x = opt.best_f, opt.best_x
 
 
 # run() with max_restarts set, in the two-argument form that perfbench/workloads.py

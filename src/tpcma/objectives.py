@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import field_problems, integer, nonnegative, positive, rule, setting
+from .params import field_problems, integer, nonnegative, positive, raise_problems, rule, setting
 
 __all__ = ["ObjectiveSpec", "OBJECTIVE_KINDS", "evaluate", "evaluate_population"]
 
@@ -33,15 +33,15 @@ class ObjectiveSpec:
     and pure; the stochastic kinds draw from the caller's random stream.
     """
 
-    kind: str = setting(rule(f"one of {OBJECTIVE_KINDS}", lambda kind: kind in OBJECTIVE_KINDS),
+    kind: str = setting(rule(f"one of {OBJECTIVE_KINDS}",
+                             lambda kind: isinstance(kind, str) and kind in OBJECTIVE_KINDS),
                         label="objective kind")
     n: int = setting(integer(1), label="dimension")
     noise_level: float = setting(nonnegative, default=0.0)
     condition: float = setting(positive, default=1e6)
 
     def __post_init__(self):
-        if problems := field_problems(ObjectiveSpec, self):
-            raise ValueError("; ".join(problems))
+        raise_problems(field_problems(ObjectiveSpec, self))
 
     @property
     def stochastic(self) -> bool:

@@ -69,6 +69,14 @@ def field_problems(cls: type, settings: object) -> list[str]:
             and (bound := check(value)) is not None]
 
 
+def raise_problems(problems: list[str], error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` if there are problems, joined by "; " and listed as its ``problems``."""
+    if problems:
+        exc = error("; ".join(problems))
+        exc.problems = problems
+        raise exc
+
+
 @functools.cache  # read once per class: dataclasses.fields costs more than the judging
 def _rules(cls: type) -> tuple[tuple[str, str, Callable[[Any], str | None]], ...]:
     return tuple((f.name, f.metadata["label"] or f.name, f.metadata["rule"])
@@ -126,8 +134,8 @@ class StrategyParams:
     alpha_change: float = setting(nonnegative, default=0.5)  # zero freezes the step-size
     beta_bias: float = setting(nonnegative, default=0.0)
     c_alpha: float = setting(rule("in (0, 1]", lambda c: is_real(c) and 0 < c <= 1), default=0.3)
-    mode: str = setting(rule("'tpa', 'tpa_legacy' or 'csa'",
-                             lambda mode: mode in ("tpa", "tpa_legacy", "csa")), default="tpa")
+    mode: str = setting(rule("'tpa', 'tpa_legacy' or 'csa'", lambda mode: isinstance(mode, str)
+                             and mode in ("tpa", "tpa_legacy", "csa")), default="tpa")
     mu_prime: float = field(init=False)
     mu: int = field(init=False)
     weights: np.ndarray = field(init=False)
@@ -141,8 +149,7 @@ class StrategyParams:
     test_widths: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if problems := field_problems(StrategyParams, self):
-            raise ValueError("; ".join(problems))
+        raise_problems(field_problems(StrategyParams, self))
 
         a = self.alpha_test
         # stored as ints: a numpy integer would make every derived constant a numpy scalar

@@ -1,18 +1,23 @@
 """Property tests of the ask/tell state machine: random interleavings of
-good and bad calls never corrupt the optimizer.
+good and bad calls never corrupt the optimizer.  A rule-based model checks
+this after every call, in each mode at refresh gaps 1, 3 and 5.
 
 Hypothesis runs derandomized and without its example database, so the
 examples, and this suite, are the same on every run.
 """
 
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant, precondition, rule,
+                                 run_state_machine_as_test)
 
-from tpcma.engine import CmaEs, RunConfig
+from tpcma.engine import CmaEs, RunAborted, RunConfig
 from tpcma.objectives import ObjectiveSpec, evaluate_population
 
 SPEC = ObjectiveSpec("sphere", 3)  # lam = 7
@@ -96,3 +101,149 @@ def test_rejected_calls_change_nothing(controller, calls):
     if len(asked) > len(accepted):
         np.testing.assert_array_equal(ref.ask(), asked[-1])
     assert_same_state(opt, ref)
+
+
+class AskTellMachine(RuleBasedStateMachine):
+    """A model of the ask/tell rounds of one optimizer on the sphere, checked after every call.
+
+    The model knows which round comes next, the pending points, the values of the accepted
+    tells and the abort, if a tell aborted; after an abort no tell is made.
+    """
+
+    def __init__(self, controller, n, lam):
+        super().__init__()
+        self.spec = ObjectiveSpec("sphere", n)
+        self.params = RunConfig(objective=self.spec, controller=controller, lam=lam).build_params()
+        self.opt = self.new_optimizer()
+        self.test_round = False  # whether the next ask forms the two test points
+        self.pending = None  # the points of an untold ask, as handed out
+        self.asked, self.accepted = [], []  # the points of each ask, the values of each tell
+        self.aborted = None
+
+    def new_optimizer(self):
+        return CmaEs(self.params, np.ones(self.spec.n), 0.5, rng=np.random.default_rng(7))
+
+    def assert_rejected(self, call, error, match=None):
+        # a rejected call leaves the pending points, the random stream and the counters
+        opt = self.opt
+        before = opt.rng.bit_generator.state, opt.evals, opt.generation
+        with pytest.raises(error, match=match):
+            call()
+        assert opt._pending is self.pending
+        assert (opt.rng.bit_generator.state, opt.evals, opt.generation) == before
+
+    @rule()
+    def ask(self):
+        if self.aborted is not None or self.pending is not None:
+            self.assert_rejected(self.opt.ask, RuntimeError)  # a RunAborted is one too
+            return
+        self.pending = self.opt.ask()
+        assert self.pending.shape == (2 if self.test_round else self.params.lam, self.spec.n)
+        self.asked.append(self.pending.copy())
+
+    @precondition(lambda self: self.aborted is None)
+    @rule(call=st.sampled_from(("good", "good", "good", "inf", "short", "long", "nan")),
+          count=st.sampled_from((1, 1, 1, 8)), position=st.integers(0, 8), positive=st.booleans())
+    def tell(self, call, count, position, positive):
+        if self.pending is None:
+            self.assert_rejected(lambda: self.opt.tell(np.ones(2)), RuntimeError, "without")
+            return
+        f = evaluate_population(self.spec, self.pending)
+        if call == "inf":  # count values from position on; 8 +inf leave none to select
+            picked = (position + np.arange(min(count, len(f)))) % len(f)
+            f[picked] = math.inf if positive else -math.inf
+        elif call == "nan":
+            f[position % len(f)] = math.nan
+        elif call in ("short", "long"):
+            f = f[:-1] if call == "short" else np.append(f, 1.0)
+        if call in ("short", "long", "nan"):
+            self.assert_rejected(lambda: self.opt.tell(f), ValueError)
+            return
+        try:
+            self.opt.tell(f)
+        except RunAborted as exc:
+            assert not self.test_round and positive and count == 8
+            assert exc.optimizer is self.opt and exc.result is None
+            self.aborted = exc
+            return
+        self.accepted.append(f)
+        self.pending = None
+        self.test_round = not self.test_round and self.params.mode != "csa"
+
+    @precondition(lambda self: self.aborted is None)
+    @rule(rounds=st.integers(1, 6))
+    def good_rounds(self, rounds):
+        # asks and good tells alone, so that runs reach the refreshes at gaps 3 and 5
+        for _ in range(rounds):
+            if self.pending is None:
+                self.ask()
+            self.tell("good", 1, 0, True)
+
+    @rule()
+    def read_C(self):
+        C = self.opt.C
+        assert C.shape == (self.spec.n, self.spec.n)
+        np.testing.assert_array_equal(self.opt.C, C)  # reading folds nothing in
+
+    @rule()
+    def should_stop(self):
+        # tol_x reads C's largest variance from the kept generations, without forming C
+        opt, criteria = self.opt, self.opt.criteria
+        assert opt.should_stop() is None
+        if self.test_round or self.aborted is not None:
+            return
+        spread = opt.sigma * math.sqrt(np.diag(opt.C).max())
+        try:
+            opt.criteria = replace(criteria, tol_x=spread * (1 + 1e-9))
+            assert opt.should_stop() == "tol_x"
+            opt.criteria = replace(criteria, tol_x=spread * (1 - 1e-9))
+            assert opt.should_stop() is None
+        finally:
+            opt.criteria = criteria
+
+    @precondition(lambda self: self.aborted is not None)
+    @rule()
+    def pickle_abort(self):
+        copied = pickle.loads(pickle.dumps(self.aborted))
+        assert type(copied) is RunAborted and str(copied) == str(self.aborted)
+        assert copied.result is None and copied.optimizer is not self.opt
+        assert_same_state(copied.optimizer, self.opt)
+
+    @invariant()
+    def counters(self):
+        assert len(self.opt.trace) == self.opt.generation
+        assert self.opt.evals == sum(len(f) for f in self.accepted)
+
+    @invariant()
+    def no_stop_in_a_test_round(self):
+        if self.test_round:
+            assert self.opt.should_stop() is None
+
+    @invariant()
+    def C_is_a_covariance(self):
+        if self.aborted is None:
+            C = self.opt.C
+            assert not C.flags.writeable
+            np.testing.assert_array_equal(C, C.T)
+            assert np.isfinite(C).all()
+
+    def teardown(self):
+        # a fresh optimizer fed only the accepted calls, never reading C or should_stop(),
+        # asks the same points and ends in the same state
+        ref = self.new_optimizer()
+        for points, f in zip(self.asked, self.accepted):
+            np.testing.assert_array_equal(ref.ask(), points)
+            ref.tell(f)
+        if len(self.asked) > len(self.accepted):
+            np.testing.assert_array_equal(ref.ask(), self.asked[-1])
+        assert_same_state(self.opt, ref)
+
+
+# (n, lam) at refresh gaps 1, 3 and 5: C is folded every generation, or every 3rd or 5th
+@pytest.mark.parametrize("n, lam", [(3, None), (12, 4), (20, 4)], ids=["gap1", "gap3", "gap5"])
+@pytest.mark.parametrize("controller", ["tpa", "tpa_legacy", "csa"])
+def test_the_ask_tell_machine_keeps_its_invariants(controller, n, lam):
+    run_state_machine_as_test(
+        lambda: AskTellMachine(controller, n, lam),
+        settings=settings(derandomize=True, database=None, max_examples=10,
+                          stateful_step_count=60, deadline=None))

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -142,6 +143,40 @@ class TestParseConfig:
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config(["--config", "/nonexistent/exp.cfg"])
+
+    def test_a_problem_holding_the_separator_is_listed_whole(self):
+        # the problems were once split back out of the library's message on "; ", which
+        # listed the controller problem cut short at "got 'x"
+        expected = [f"objective kind must be one of {OBJECTIVE_KINDS}, got 'a; b'",
+                    f"controller must be one of {tuple(CONTROLLERS)}, got 'x; b'"]
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(objectives=("a; b",), controllers=("x; b",))
+        assert str(info.value) == "; ".join(expected)
+        assert info.value.problems == expected
+
+    @pytest.mark.parametrize("source", ["grid", "file"])
+    def test_a_config_error_lists_its_problems_through_pickle(self, source, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("budgett=10\nn=abc\n")
+        with pytest.raises(ConfigError) as info:
+            if source == "grid":
+                ExperimentConfig(objectives=("wat",), dimensions=(0,))
+            else:
+                parse_config(["--config", str(cfg)])
+        assert len(info.value.problems) == 2
+        assert info.value.problems == str(info.value).split("; ")
+        copied = pickle.loads(pickle.dumps(info.value))
+        assert type(copied) is ConfigError
+        assert (str(copied), copied.problems) == (str(info.value), info.value.problems)
+
+    def test_an_array_grid_entry_is_listed(self):
+        # comparing it with each kind used to raise numpy's "truth value ... is ambiguous",
+        # whose message was listed as the problem
+        kind = np.array(["sphere", "x"])
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(objectives=(kind,))
+        assert info.value.problems == [
+            f"objective kind must be one of {OBJECTIVE_KINDS}, got {kind!r}"]
 
 
 class TestRunExperiment:

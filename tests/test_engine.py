@@ -1030,6 +1030,58 @@ class TestRestarts:
         assert (adapted.best_f, adapted.termination, adapted.evals) == (
             direct.best_f, direct.termination, direct.evals)
 
+    def test_an_abort_keeps_the_run_so_far(self, monkeypatch):
+        # every evaluation fails from segment 1's 31st generation on; the abort used to carry
+        # segment 1's optimizer alone, and segment 0's rows, best and entry were lost
+        config = RunConfig(
+            objective=ObjectiveSpec("rastrigin", 10),
+            controller="csa",
+            m0=3.0,
+            sigma0=2.0,
+            criteria=TerminationCriteria(max_evals=100_000, target_f=1e-9, tol_fun=1e-12),
+            max_restarts=5,
+        )
+        first = run(replace(config, max_restarts=0))  # segment 0 alone
+        batches = []  # csa evaluates one batch per generation
+
+        def failing_in_segment_1(objective, X, rng=None):
+            batches.append(len(X))
+            f = evaluate_population(objective, X, rng)
+            return np.full(len(X), math.inf) if len(batches) > first.generations + 30 else f
+
+        monkeypatch.setattr(engine.obj_mod, "evaluate_population", failing_in_segment_1)
+        with pytest.raises(RunAborted, match="20 of 20 evaluations infeasible") as info:
+            run(config)
+        result, opt = info.value.result, info.value.optimizer
+        assert (opt.params.lam, opt.generation, opt.evals) == (20, 30, 600)
+        assert [(s.lam, s.generations, s.evals, s.termination) for s in result.segments] == [
+            (10, 499, 4990, "tol_fun"), (20, 30, 600, "aborted")]
+        assert result.segments[0] == first.segments[0]
+        assert result.segments[1].best_f == opt.best_f
+        assert result.termination == "aborted"
+        assert result.evals == result.trace[-1].evals == first.evals + opt.evals
+        assert result.generations == len(result.trace) == first.generations + opt.generation
+        np.testing.assert_array_equal(np.array(result.trace[: first.generations]),
+                                      np.array(first.trace))
+        best = first if first.best_f <= opt.best_f else opt  # the earliest on a tie
+        assert result.best_f == best.best_f == min(row.best_f for row in result.trace)
+        np.testing.assert_array_equal(result.best_x, best.best_x)
+
+        copied = pickle.loads(pickle.dumps(info.value))
+        assert str(copied) == str(info.value)
+        assert copied.optimizer.generation == opt.generation
+        assert copied.result.segments == result.segments
+        np.testing.assert_array_equal(np.array(copied.result.trace), np.array(result.trace))
+        assert (copied.result.best_f, copied.result.evals) == (result.best_f, result.evals)
+        np.testing.assert_array_equal(copied.result.best_x, result.best_x)
+
+    def test_an_abort_outside_run_carries_no_result(self):
+        opt = CmaEs(default_params(2), np.zeros(2), 1.0, rng=np.random.default_rng(0))
+        opt.ask()
+        with pytest.raises(RunAborted) as info:
+            opt.tell([math.inf] * 6)
+        assert info.value.result is None
+
     def test_restarts_solve_rastrigin_more_often(self):
         # paired-seed comparison on a multimodal function
         seeds = range(20)

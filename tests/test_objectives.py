@@ -50,6 +50,15 @@ class TestSpecValidation:
             ObjectiveSpec("banana", 0)
         assert "banana" in str(info.value) and "dimension" in str(info.value)
 
+    def test_an_array_kind_is_listed(self):
+        # comparing it with each kind used to raise numpy's "truth value ... is ambiguous"
+        kind = np.array(["sphere", "x"])
+        with pytest.raises(ValueError) as info:
+            ObjectiveSpec(kind, 0)
+        assert info.value.problems == [
+            f"objective kind must be one of {OBJECTIVE_KINDS}, got {kind!r}",
+            "dimension must be an integer >= 1, got 0"]
+
 
 class TestValues:
     def test_sphere(self):

@@ -1,11 +1,14 @@
 import math
+import pickle
 import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from tpcma.params import StrategyParams, default_params
+from tpcma.engine import CmaEs, RunConfig, TerminationCriteria
+from tpcma.objectives import ObjectiveSpec
+from tpcma.params import StrategyParams, default_params, raise_problems
 
 SETTINGS = ("n", "lam", "alpha_test", "alpha_change", "beta_bias", "c_alpha", "mode")
 DERIVED = ("mu_prime", "mu", "weights", "mu_w", "c_c", "c_1", "c_mu", "c_sigma", "d_sigma",
@@ -145,6 +148,13 @@ class TestDefaults:
         with pytest.raises(ValueError, match=f"mode must be .* got {re.escape(repr(mode))}$"):
             replace(default_params(2), mode=mode)
 
+    def test_an_array_mode_is_listed(self):
+        # comparing it with each rule used to raise numpy's "truth value ... is ambiguous"
+        mode = np.array(["tpa", "csa"])
+        with pytest.raises(ValueError) as info:
+            replace(default_params(2), mode=mode)
+        assert info.value.problems == [f"mode must be 'tpa', 'tpa_legacy' or 'csa', got {mode!r}"]
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -277,3 +287,42 @@ class TestInvariants:
             p.lam = 20
         with pytest.raises(ValueError):
             p.weights[0] = 0.9
+
+
+# one call per settings judge, each breaking two rules
+JUDGES = {
+    "StrategyParams": lambda: StrategyParams(n=0, lam=1),
+    "ObjectiveSpec": lambda: ObjectiveSpec("wat", 0),
+    "TerminationCriteria": lambda: TerminationCriteria(max_evals=-1, tol_x=math.nan),
+    "RunConfig": lambda: RunConfig(ObjectiveSpec("sphere", 2), controller="x", lam=1),
+    "CmaEs": lambda: CmaEs(default_params(2), (1.0,), 0.0),
+}
+
+
+class TestRaiseProblems:
+    @pytest.mark.parametrize("build", JUDGES.values(), ids=JUDGES)
+    def test_each_judge_raises_its_problems_as_a_list(self, build):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is ValueError
+        assert len(info.value.problems) == 2
+        assert info.value.problems == str(info.value).split("; ")
+
+    def test_a_settings_error_keeps_its_message_and_list_through_pickle(self):
+        # as it crosses a process pool
+        with pytest.raises(ValueError) as info:
+            StrategyParams(n=0, lam=1)
+        copied = pickle.loads(pickle.dumps(info.value))
+        assert type(copied) is ValueError
+        assert str(copied) == str(info.value)
+        assert copied.problems == info.value.problems == [
+            "n must be an integer >= 1, got 0", "lam must be an integer >= 2, got 1"]
+
+    def test_no_problem_raises_nothing(self):
+        assert raise_problems([]) is None
+
+    def test_a_problem_holding_the_separator_stays_whole(self):
+        with pytest.raises(ValueError) as info:
+            raise_problems(["kind got 'a; b'", "c"])
+        assert str(info.value) == "kind got 'a; b'; c"
+        assert info.value.problems == ["kind got 'a; b'", "c"]
