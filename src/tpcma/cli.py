@@ -30,15 +30,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import os
 import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -71,40 +73,73 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message lists every problem."""
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part != "")
+
+def _str_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+def _off(text: str) -> bool:
+    """A switch from its config-file text: true (or 1) turns its setting off."""
+    return ("false", "0", "true", "1").index(text.lower()) < 2  # ValueError on any other text
+
+
+def _option(default: Any, convert: Callable[[str], Any], help_text: str, target: str = "", *,
+            flags: tuple[str, ...] = (), check: Callable | None = None) -> Any:
+    """A field set by ``--<flag>`` and the config-file key ``<flag>``, for each of ``flags`` (its
+    name, dashed, if none), from text by ``convert`` (``_off``: a switch), judged by ``check``,
+    if given, and feeding the RunConfig setting at dotted path ``target``."""
+    meta = dict(convert=convert, help=help_text, target=target, flags=flags)
+    return (functools.partial(setting, check) if check else field)(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A grid of runs plus shared run settings and output options.
 
+    Each field declares its flag, help text and target, the RunConfig setting it feeds.
     Construction raises ConfigError whose ``problems`` lists every problem,
     each once.  The grid and worker rules are the CLI's own: each grid is
     non-empty and without entries that compare equal, and ``workers`` is an
     integer >= 1.  Every other setting and each grid entry is judged once,
-    by the library object a cell builds from it (``TerminationCriteria``,
-    ``ObjectiveSpec``, ``RunConfig``), whose error lists all its problems as
-    ``problems``; only a sequence ``m0`` is judged against every dimension.
-    So a problem names the library field: ``budget`` is reported as
-    ``max_evals``, ``restarts`` as ``max_restarts`` and ``beta`` as ``beta_bias``.
+    by the library object its target belongs to, whose error lists all its
+    problems as ``problems``, so a problem names the target (``max_evals``
+    for ``budget``); only a sequence ``m0`` is judged against every dimension.
     """
 
-    objectives: tuple[str, ...] = ("sphere",)
-    dimensions: tuple[int, ...] = (10,)
-    controllers: tuple[str, ...] = ("tpa", "csa")
-    seeds: tuple[int, ...] = tuple(range(11))
-    budget: int = 100_000
-    target_f: float = 1e-9
-    tol_fun: float = 1e-12
-    tol_x: float = 0.0
-    lam: int | None = None
-    beta: float | None = None
-    c_alpha: float | None = None
-    sigma0: float = 2.0
-    m0: float = 3.0
-    noise_level: float = 1.0
-    condition: float = 1e6
-    restarts: int = 0
-    out: str = "results"
-    workers: int = setting(integer(1), default=1)
-    timestamp: bool = True
+    objectives: tuple[str, ...] = _option(("sphere",), _str_list, "comma list of objectives; "
+                                          f"choose from {', '.join(OBJECTIVE_KINDS)}",
+                                          "objective.kind", flags=("objective",))
+    dimensions: tuple[int, ...] = _option((10,), _int_list, "comma list of dimensions",
+                                          "objective.n", flags=("n",))
+    controllers: tuple[str, ...] = _option(("tpa", "csa"), _str_list, "comma list of "
+                                           f"controllers; choose from {', '.join(CONTROLLERS)}",
+                                           "controller", flags=("controller",))
+    seeds: tuple[int, ...] = _option(tuple(range(11)), _int_list, "comma list of distinct RNG "
+                                     "seeds", "seed", flags=("seeds", "seed"))
+    lam: int | None = _option(None, int, "population size override (default 4 + floor(3 ln n))",
+                              "lam", flags=("lambda",))
+    beta: float | None = _option(None, float, "step-size increase bias (two-point controllers "
+                                 "only)", "beta_bias")
+    c_alpha: float | None = _option(None, float, "step-size signal smoothing rate in (0, 1]",
+                                    "c_alpha")
+    budget: int = _option(100_000, int, "max function evaluations per run", "criteria.max_evals")
+    target_f: float = _option(1e-9, float, "stop when a fitness below this is found",
+                              "criteria.target_f")
+    tol_fun: float = _option(1e-12, float, "stop on a flat best-fitness window (0 disables)",
+                             "criteria.tol_fun")
+    tol_x: float = _option(0.0, float, "stop when sigma * sqrt(largest diagonal of C) < this "
+                           "(0 disables)", "criteria.tol_x")
+    sigma0: float = _option(2.0, float, "initial step-size", "sigma0")
+    m0: float = _option(3.0, float, "initial mean, broadcast to all coordinates", "m0")
+    noise_level: float = _option(1.0, float, "multiplicative noise strength of noisy_sphere",
+                                 "objective.noise_level")
+    condition: float = _option(1e6, float, "ellipsoid condition number", "objective.condition")
+    restarts: int = _option(0, int, "max restarts with doubled population size", "max_restarts")
+    out: str = _option("results", str, "output directory for per-run CSVs and summary.csv")
+    workers: int = _option(1, int, "parallel worker processes", check=integer(1))
+    timestamp: bool = _option(True, _off, "omit the creation-time header line from CSVs",
+                              flags=("no-timestamp",))
 
     def __post_init__(self):
         lists = {"objective grid": self.objectives, "dimension grid": self.dimensions,
@@ -121,18 +156,47 @@ class ExperimentConfig:
                 problems.extend([problem for problem in exc.problems if problem not in problems])
 
         # one object per entry, the other axes at the first valid n (or 1), "tpa" and seed 0
-        criteria = check(lambda: _criteria_for(self)) or TerminationCriteria()
+        criteria = check(lambda: self._criteria) or TerminationCriteria()
         first = next((n for n in self.dimensions
                       if not field_problems(StrategyParams, SimpleNamespace(n=n))), 1)
         for kind in self.objectives or ("sphere",):
             check(lambda: _objective_for(self, kind, first))
-        runs = ([(n, "tpa", 0) for n in self.dimensions]
-                + [(first, controller, 0) for controller in self.controllers or ("tpa",)]
-                + [(first, "tpa", seed) for seed in self.seeds])
-        for n, controller, seed in runs:
-            check(lambda: _run_config(self, ObjectiveSpec("sphere", n), controller,
-                                      criteria, seed))
+        fed = dict(self._fed[""], controller="tpa", seed=0, criteria=criteria)
+        for n in self.dimensions:
+            check(lambda: RunConfig(**dict(fed, objective=ObjectiveSpec("sphere", n))))
+        fed["objective"] = ObjectiveSpec("sphere", first)
+        for controller in self.controllers or ("tpa",):
+            check(lambda: RunConfig(**dict(fed, controller=controller)))
+        for seed in self.seeds:
+            check(lambda: RunConfig(**dict(fed, seed=seed)))
         raise_problems(problems, ConfigError)
+
+    @functools.cached_property
+    def _fed(self) -> dict[str, dict[str, Any]]:
+        """The settings the fields feed, by part of a cell's RunConfig ("": its own settings)."""
+        fed: dict[str, dict[str, Any]] = {}
+        for name, _, meta in _options():
+            part, _, target = meta["target"].rpartition(".")
+            if target:
+                fed.setdefault(part, {})[target] = getattr(self, name)
+        return fed
+
+    @functools.cached_property
+    def _criteria(self) -> TerminationCriteria:
+        return TerminationCriteria(**self._fed["criteria"])
+
+
+@functools.cache  # read once: dataclasses.fields costs more than building a cell's RunConfig
+def _options() -> tuple[tuple[str, tuple[str, ...], Any], ...]:
+    """(field name, its flags, its metadata) for each ExperimentConfig field, in flag order."""
+    return tuple((f.name, f.metadata["flags"] or (f.name.replace("_", "-"),), f.metadata)
+                 for f in fields(ExperimentConfig))
+
+
+def _objective_for(cfg: ExperimentConfig, kind: str, n: int) -> ObjectiveSpec:
+    # the other kinds ignore the noise level, and judge none
+    noiseless = {} if isinstance(kind, str) and kind == "noisy_sphere" else {"noise_level": 0.0}
+    return ObjectiveSpec(**dict(cfg._fed["objective"], kind=kind, n=n, **noiseless))
 
 
 @dataclass(frozen=True)
@@ -156,31 +220,10 @@ class _CellOutcome:
     error: str | None = None
 
 
-def _criteria_for(cfg: ExperimentConfig) -> TerminationCriteria:
-    return TerminationCriteria(
-        max_evals=cfg.budget,
-        target_f=cfg.target_f,
-        tol_fun=cfg.tol_fun,
-        tol_x=cfg.tol_x,
-    )
-
-
-def _objective_for(cfg: ExperimentConfig, kind: str, n: int) -> ObjectiveSpec:
-    noise_level = cfg.noise_level if isinstance(kind, str) and kind == "noisy_sphere" else 0.0
-    return ObjectiveSpec(kind=kind, n=n, noise_level=noise_level, condition=cfg.condition)
-
-
-def _run_config(cfg: ExperimentConfig, objective: ObjectiveSpec, controller: str,
-                criteria: TerminationCriteria, seed: int) -> RunConfig:
-    return RunConfig(objective=objective, controller=controller, seed=seed, m0=cfg.m0,
-                     sigma0=cfg.sigma0, lam=cfg.lam, beta_bias=cfg.beta, c_alpha=cfg.c_alpha,
-                     criteria=criteria, max_restarts=cfg.restarts)
-
-
 def _run_config_for(cell: _Cell) -> RunConfig:
     cfg = cell.config
-    return _run_config(cfg, _objective_for(cfg, cell.objective, cell.n), cell.controller,
-                       _criteria_for(cfg), cell.seed)
+    return RunConfig(**dict(cfg._fed[""], objective=_objective_for(cfg, cell.objective, cell.n),
+                            controller=cell.controller, seed=cell.seed, criteria=cfg._criteria))
 
 
 @contextlib.contextmanager
@@ -307,38 +350,6 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
 # -- argument / config-file parsing -------------------------------------------
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part != "")
-
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-_OPTIONS: dict[str, tuple] = {
-    # flag -> (ExperimentConfig field, converter, help)
-    "objective": ("objectives", _str_list,
-                  f"comma list of objectives; choose from {', '.join(OBJECTIVE_KINDS)}"),
-    "n": ("dimensions", _int_list, "comma list of dimensions"),
-    "controller": ("controllers", _str_list,
-                   f"comma list of controllers; choose from {', '.join(CONTROLLERS)}"),
-    "seeds": ("seeds", _int_list, "comma list of distinct RNG seeds"),
-    "lambda": ("lam", int, "population size override (default 4 + floor(3 ln n))"),
-    "beta": ("beta", float, "step-size increase bias (two-point controllers only)"),
-    "c-alpha": ("c_alpha", float, "step-size signal smoothing rate in (0, 1]"),
-    "budget": ("budget", int, "max function evaluations per run"),
-    "target-f": ("target_f", float, "stop when a fitness below this is found"),
-    "tol-fun": ("tol_fun", float, "stop on a flat best-fitness window (0 disables)"),
-    "tol-x": ("tol_x", float, "stop when sigma * sqrt(largest diagonal of C) < this (0 disables)"),
-    "sigma0": ("sigma0", float, "initial step-size"),
-    "m0": ("m0", float, "initial mean, broadcast to all coordinates"),
-    "noise-level": ("noise_level", float, "multiplicative noise strength of noisy_sphere"),
-    "condition": ("condition", float, "ellipsoid condition number"),
-    "restarts": ("restarts", int, "max restarts with doubled population size"),
-    "out": ("out", str, "output directory for per-run CSVs and summary.csv"),
-    "workers": ("workers", int, "parallel worker processes"),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     # unset flags leave no attribute, so they never override the config file
     parser = argparse.ArgumentParser(
@@ -348,13 +359,9 @@ def _build_parser() -> argparse.ArgumentParser:
         argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--config", help="key=value config file; explicit flags override it")
-    for option, (field, converter, help_text) in _OPTIONS.items():
-        names = [f"--{option}"]
-        if option == "seeds":
-            names.append("--seed")  # convenient singular alias
-        parser.add_argument(*names, dest=field, type=converter, help=help_text)
-    parser.add_argument("--no-timestamp", dest="timestamp", action="store_false",
-                        help="omit the creation-time header line from CSVs")
+    for name, flags, meta in _options():
+        how = {"action": "store_false"} if meta["convert"] is _off else {"type": meta["convert"]}
+        parser.add_argument(*[f"--{flag}" for flag in flags], dest=name, help=meta["help"], **how)
     return parser
 
 
@@ -367,8 +374,7 @@ def _parse_config_file(path: str) -> dict:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    known = {opt.replace("-", "_"): opt for opt in _OPTIONS}
-    known["seed"] = "seeds"
+    known = {flag: (name, meta["convert"]) for name, flags, meta in _options() for flag in flags}
     for lineno, raw in enumerate(lines, start=1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()  # "runs#1" is a value
         if not line:
@@ -377,22 +383,15 @@ def _parse_config_file(path: str) -> dict:
             problems.append(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             continue
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key == "no_timestamp":
-            if value.lower() not in ("true", "false", "0", "1"):
-                problems.append(f"{path}:{lineno}: no-timestamp must be true/false")
-            else:
-                values["timestamp"] = value.lower() in ("false", "0")
-            continue
-        if key not in known:
-            problems.append(f"{path}:{lineno}: unknown key {key.replace('_', '-')!r}")
-            continue
-        field, converter, _ = _OPTIONS[known[key]]
+        flag, value = key.strip().replace("_", "-"), value.strip()
         try:
-            values[field] = converter(value)
+            name, convert = known[flag]
+            values[name] = convert(value)
+        except KeyError:
+            problems.append(f"{path}:{lineno}: unknown key {flag!r}")
         except ValueError:
-            problems.append(f"{path}:{lineno}: bad value {value!r} for {key.replace('_', '-')!r}")
+            problems.append(f"{path}:{lineno}: {flag} must be true/false" if convert is _off
+                            else f"{path}:{lineno}: bad value {value!r} for {flag!r}")
     raise_problems(problems, ConfigError)
     return values
 

@@ -55,9 +55,11 @@ nonnegative = rule(">= 0 and finite", lambda value: is_real(value) and 0.0 <= va
 positive = rule("positive and finite", lambda value: is_real(value) and 0.0 < value < math.inf)
 
 
-def setting(check: Callable[[Any], str | None], label: str | None = None, **kwargs: Any) -> Any:
-    """A dataclass field judged by ``check``, named ``label`` if given; kwargs go to field()."""
-    return field(metadata={"rule": check, "label": label}, **kwargs)
+def setting(check: Callable[[Any], str | None], label: str | None = None, *,
+            metadata: dict | None = None, **kwargs: Any) -> Any:
+    """A dataclass field judged by ``check``, named ``label`` if given; kwargs go to field(),
+    with ``metadata`` beside the rule's."""
+    return field(metadata={"rule": check, "label": label, **(metadata or {})}, **kwargs)
 
 
 def field_problems(cls: type, settings: object) -> list[str]:
