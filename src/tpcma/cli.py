@@ -46,7 +46,7 @@ import numpy as np
 
 from .engine import CONTROLLERS, RunConfig, RunRecord, RunResult, TerminationCriteria, run
 from .objectives import OBJECTIVE_KINDS, ObjectiveSpec
-from .params import StrategyParams, field_problems, integer, raise_problems, setting
+from .params import StrategyParams, field_problems, integer, raise_problems, rule, setting
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "run_experiment", "main"]
 
@@ -84,13 +84,34 @@ def _off(text: str) -> bool:
     return ("false", "0", "true", "1").index(text.lower()) < 2  # ValueError on any other text
 
 
-def _option(default: Any, convert: Callable[[str], Any], help_text: str, target: str = "", *,
-            flags: tuple[str, ...] = (), check: Callable | None = None) -> Any:
+def _option(default: Any, convert: Callable[[str], Any], help_text: str, target: str = "",
+            *, flags: tuple[str, ...] = (), check: Callable | None = None,
+            label: str | None = None) -> Any:
     """A field set by ``--<flag>`` and the config-file key ``<flag>``, for each of ``flags`` (its
     name, dashed, if none), from text by ``convert`` (``_off``: a switch), judged by ``check``,
-    if given, and feeding the RunConfig setting at dotted path ``target``."""
+    if given, as ``label``, and feeding the RunConfig setting at dotted path ``target``."""
     meta = dict(convert=convert, help=help_text, target=target, flags=flags)
-    return (functools.partial(setting, check) if check else field)(default=default, metadata=meta)
+    judged = functools.partial(setting, check, label) if check else field
+    return judged(default=default, metadata=meta)
+
+
+# the rule of a grid, whose entries feed one cell each
+_sequence = rule("a sequence", lambda grid: isinstance(grid, (tuple, list, range))
+                 or isinstance(grid, np.ndarray) and grid.ndim == 1)
+
+
+def _repeated(grid: tuple) -> bool:
+    """Whether two entries compare equal; one whose == has no truth value (an array's) equals
+    itself alone."""
+    def equal(a: Any, b: Any) -> bool:
+        try:
+            return a is b or bool(a == b)
+        except ValueError:
+            return False
+    try:
+        return any(grid.count(entry) > 1 for entry in grid)  # in C, unless an array's == raises
+    except ValueError:
+        return any(equal(a, b) for i, a in enumerate(grid) for b in grid[i + 1:])
 
 
 @dataclass(frozen=True)
@@ -99,24 +120,29 @@ class ExperimentConfig:
 
     Each field declares its flag, help text and target, the RunConfig setting it feeds.
     Construction raises ConfigError whose ``problems`` lists every problem,
-    each once.  The grid and worker rules are the CLI's own: each grid is
-    non-empty and without entries that compare equal, and ``workers`` is an
-    integer >= 1.  Every other setting and each grid entry is judged once,
-    by the library object its target belongs to, whose error lists all its
-    problems as ``problems``, so a problem names the target (``max_evals``
-    for ``budget``); only a sequence ``m0`` is judged against every dimension.
+    each once.  The grid and worker rules are the CLI's own: each grid is a
+    sequence (a tuple, list, range or 1-D array, kept as a tuple), non-empty
+    and without entries that compare equal, and ``workers`` is an integer
+    >= 1.  Every other setting and each grid entry is judged once, by the
+    library object its target belongs to, whose error lists all its problems
+    as ``problems``, so a problem names the target (``max_evals`` for
+    ``budget``); only a sequence ``m0`` is judged against every dimension.
     """
 
     objectives: tuple[str, ...] = _option(("sphere",), _str_list, "comma list of objectives; "
                                           f"choose from {', '.join(OBJECTIVE_KINDS)}",
-                                          "objective.kind", flags=("objective",))
+                                          "objective.kind", flags=("objective",),
+                                          check=_sequence, label="objective grid")
     dimensions: tuple[int, ...] = _option((10,), _int_list, "comma list of dimensions",
-                                          "objective.n", flags=("n",))
+                                          "objective.n", flags=("n",), check=_sequence,
+                                          label="dimension grid")
     controllers: tuple[str, ...] = _option(("tpa", "csa"), _str_list, "comma list of "
                                            f"controllers; choose from {', '.join(CONTROLLERS)}",
-                                           "controller", flags=("controller",))
+                                           "controller", flags=("controller",), check=_sequence,
+                                           label="controller grid")
     seeds: tuple[int, ...] = _option(tuple(range(11)), _int_list, "comma list of distinct RNG "
-                                     "seeds", "seed", flags=("seeds", "seed"))
+                                     "seeds", "seed", flags=("seeds", "seed"), check=_sequence,
+                                     label="seed list")
     lam: int | None = _option(None, int, "population size override (default 4 + floor(3 ln n))",
                               "lam", flags=("lambda",))
     beta: float | None = _option(None, float, "step-size increase bias (two-point controllers "
@@ -142,12 +168,17 @@ class ExperimentConfig:
                               flags=("no-timestamp",))
 
     def __post_init__(self):
-        lists = {"objective grid": self.objectives, "dimension grid": self.dimensions,
-                 "controller grid": self.controllers, "seed list": self.seeds}
-        problems = [f"{name} is empty" for name, grid in lists.items() if not grid]
-        problems += [f"{name} entries must be distinct, got {grid}"
-                     for name, grid in lists.items() if any(grid.count(v) > 1 for v in grid)]
-        problems += field_problems(ExperimentConfig, self)
+        declared = field_problems(ExperimentConfig, self)  # each grid that is no sequence; workers
+        grids = {}  # by label, each grid as a tuple, or None if it is no sequence
+        for name, _, meta in _options():
+            if meta.get("rule") is _sequence:
+                grid = getattr(self, name)
+                grids[meta["label"]] = grid = tuple(grid) if _sequence(grid) is None else None
+                object.__setattr__(self, name, grid or ())  # no sequence: judged as empty
+        problems = [f"{label} is empty" for label, grid in grids.items() if grid == ()]
+        problems += [f"{label} entries must be distinct, got {grid}"
+                     for label, grid in grids.items() if grid and _repeated(grid)]
+        problems += declared
 
         def check(build):
             try:
@@ -173,7 +204,8 @@ class ExperimentConfig:
 
     @functools.cached_property
     def _fed(self) -> dict[str, dict[str, Any]]:
-        """The settings the fields feed, by part of a cell's RunConfig ("": its own settings)."""
+        """The settings the fields feed, by part of a cell's RunConfig ("": its own settings);
+        a grid's target holds the whole grid, and each cell gives its own entry."""
         fed: dict[str, dict[str, Any]] = {}
         for name, _, meta in _options():
             part, _, target = meta["target"].rpartition(".")
@@ -186,7 +218,7 @@ class ExperimentConfig:
         return TerminationCriteria(**self._fed["criteria"])
 
 
-@functools.cache  # read once: dataclasses.fields costs more than building a cell's RunConfig
+@functools.cache  # read once per class, as params._rules does
 def _options() -> tuple[tuple[str, tuple[str, ...], Any], ...]:
     """(field name, its flags, its metadata) for each ExperimentConfig field, in flag order."""
     return tuple((f.name, f.metadata["flags"] or (f.name.replace("_", "-"),), f.metadata)
@@ -243,9 +275,10 @@ def write_trace_csv(path: Path, cell: _Cell, result: RunResult, *, timestamp: bo
     """One row per generation, fixed column order, deterministic bytes.
 
     The columns are the :class:`RunRecord` fields, each written as its
-    ``repr``.  Header comment lines carry the run configuration (not
-    ``tol_fun``, ``tol_x``, ``noise_level`` or ``condition``), the strategy
-    constants of ``_HEADER_PARAMS`` and the termination; in a restart run the
+    ``repr``.  Header comment lines carry the run configuration (the cell,
+    ``sigma0``, ``m0``, ``budget``, ``target_f`` and ``restarts``, in that
+    order; not the other settings), the strategy constants of
+    ``_HEADER_PARAMS`` and the termination; in a restart run the
     constants are the first segment's, and the termination line gives the
     last segment's reason with the run's evaluations and best f.  The
     creation timestamp line is suppressed with timestamp=False so that

@@ -202,10 +202,19 @@ class CmaEs:
     factor, the last two as computed when it was built.  C is formed once per
     refresh too: a generation keeps only its p_c and selected steps, and the
     refresh forms C from all kept ones, judges, folds in and factors it, so
-    C is not judged after the last refresh before a stop, and after a
-    non-finite C every ``ask()`` raises again.  Reading ``C``
+    C is not judged after the last refresh before a stop.  Reading ``C``
     applies the kept ones without folding, and ``tol_x`` reads only their
     diagonal.  ``C`` is read-only: modify a copy.
+
+    An abort is final: every later ``ask()`` and ``tell()`` raises
+    ``RunAborted`` with the first abort's message.  The state attributes
+    show the aborted generation only in part.  An abort in ``ask()`` (a
+    non-finite C, a point out of range) or on a population with too few
+    finite values leaves them as before the generation; only the random
+    stream may have moved on.  A step-size abort comes at the generation's
+    end: its ``m``, ``sigma``, ``alpha_s`` or ``p_sigma``, ``evals`` and
+    best point are applied, while ``p_c``, ``C``, ``generation`` and
+    ``trace`` are not.
     """
 
     def __init__(
@@ -239,6 +248,7 @@ class CmaEs:
         self.trace: list[RunRecord] = []
 
         self._pending: np.ndarray | None = None  # the points of an untold ask()
+        self._aborted: str | None = None  # the message of the abort, which every call raises
         self._factor = sampler.CovarianceFactor(self._C, np.ones(params.n))  # as decompose(I)
         # every generation for n < 2 lam, every 19th at n=400 (lam 21)
         self._refresh_gap = max(1, params.n // params.lam)
@@ -291,12 +301,14 @@ class CmaEs:
     def ask(self) -> np.ndarray:
         """Points to evaluate next, one per row: the lam offspring, or the
         two test points."""
+        if self._aborted is not None:
+            raise RunAborted(self._aborted, self)
         if self._pending is not None:
             raise RuntimeError("ask() called twice without tell()")
         if self._n_kept == self._refresh_gap:  # never in a test round: its generation isn't kept
-            C = self.C  # judged unfolded: a second ask() raises too
+            C = self.C
             if np.count_nonzero(np.isfinite(C)) < C.size:  # a count: cheaper than all()
-                raise RunAborted("covariance matrix became non-finite", self)
+                raise self._abort("covariance matrix became non-finite")
             self._C, self._n_kept = C, 0  # fold the kept generations in
             # builds the row statistics here, so a warning leaves no generation without its row
             self._factor = sampler.decompose(self._C)
@@ -307,7 +319,7 @@ class CmaEs:
             m_new, mean_step = self._test_round
             points = _unwarned(stepsize.tpa_test_points, m_new, self.sigma, mean_step, self.params)
         if np.count_nonzero(np.isfinite(points)) < points.size:
-            raise RunAborted("a point to evaluate left the floating-point range", self)
+            raise self._abort("a point to evaluate left the floating-point range")
         self._pending = points
         return points
 
@@ -319,6 +331,8 @@ class CmaEs:
         values are judged here (the shape) and in the round they are passed
         to (NaN, and +inf on a population's ranked order) and nowhere else.
         """
+        if self._aborted is not None:
+            raise RunAborted(self._aborted, self)
         if self._pending is None:
             raise RuntimeError("tell() called without a pending ask()")
         fitness = np.asarray(fitnesses, dtype=float)
@@ -333,8 +347,8 @@ class CmaEs:
         if math.isnan(fitness[order[-1]]):  # NaN ranks last
             raise ValueError(_NAN_FITNESS)
         if fitness[order[p.mu - 1]] == math.inf:  # +inf ranks after every finite value
-            raise RunAborted(f"{np.count_nonzero(fitness == math.inf)} of {p.lam} evaluations "
-                             f"infeasible; selection needs at least {p.mu} finite values", self)
+            raise self._abort(f"{np.count_nonzero(fitness == math.inf)} of {p.lam} evaluations "
+                              f"infeasible; selection needs at least {p.mu} finite values")
         X, self._pending = self._pending, None
         self.evals += p.lam
         best = order[0]
@@ -376,13 +390,18 @@ class CmaEs:
         h_sigma = cov_mod.stall_indicator(self.alpha_s, self.generation + 1, p)
         self._finish_generation(mean_step, h_sigma)
 
+    def _abort(self, message: str) -> RunAborted:
+        """The abort to raise, kept so that every later ask() and tell() raises it again."""
+        self._aborted = message
+        return RunAborted(message, self)
+
     def _note_best(self, X: np.ndarray, i: int, fitness: float) -> None:
         if fitness < self.best_f:
             self.best_f, self.best_x = fitness, X[i].copy()
 
     def _finish_generation(self, mean_step: np.ndarray, h_sigma: int) -> None:
         if not 0.0 < self.sigma < math.inf:  # the generation is not counted
-            raise RunAborted(f"step-size became {self.sigma}", self)
+            raise self._abort(f"step-size became {self.sigma}")
         self.p_c = cov_mod.update_path(self.p_c, mean_step, h_sigma, self.params)
         self._kept_p_c[self._n_kept] = self.p_c  # beside its selected steps
         self._n_kept += 1

@@ -107,7 +107,7 @@ class AskTellMachine(RuleBasedStateMachine):
     """A model of the ask/tell rounds of one optimizer on the sphere, checked after every call.
 
     The model knows which round comes next, the pending points, the values of the accepted
-    tells and the abort, if a tell aborted; after an abort no tell is made.
+    tells and the abort, if a tell aborted; after an abort every ask and tell raises it again.
     """
 
     def __init__(self, controller, n, lam):
@@ -127,10 +127,12 @@ class AskTellMachine(RuleBasedStateMachine):
         # a rejected call leaves the pending points, the random stream and the counters
         opt = self.opt
         before = opt.rng.bit_generator.state, opt.evals, opt.generation
-        with pytest.raises(error, match=match):
+        with pytest.raises(error, match=match) as info:
             call()
         assert opt._pending is self.pending
         assert (opt.rng.bit_generator.state, opt.evals, opt.generation) == before
+        if self.aborted is not None:  # the first abort, again
+            assert type(info.value) is RunAborted and str(info.value) == str(self.aborted)
 
     @rule()
     def ask(self):
@@ -141,10 +143,12 @@ class AskTellMachine(RuleBasedStateMachine):
         assert self.pending.shape == (2 if self.test_round else self.params.lam, self.spec.n)
         self.asked.append(self.pending.copy())
 
-    @precondition(lambda self: self.aborted is None)
     @rule(call=st.sampled_from(("good", "good", "good", "inf", "short", "long", "nan")),
           count=st.sampled_from((1, 1, 1, 8)), position=st.integers(0, 8), positive=st.booleans())
     def tell(self, call, count, position, positive):
+        if self.aborted is not None:  # told anything, good or not
+            self.assert_rejected(lambda: self.opt.tell(np.ones(self.params.lam)), RunAborted)
+            return
         if self.pending is None:
             self.assert_rejected(lambda: self.opt.tell(np.ones(2)), RuntimeError, "without")
             return
@@ -170,7 +174,16 @@ class AskTellMachine(RuleBasedStateMachine):
         self.pending = None
         self.test_round = not self.test_round and self.params.mode != "csa"
 
-    @precondition(lambda self: self.aborted is None)
+    @precondition(lambda self: self.aborted is None and self.pending is not None
+                  and not self.test_round)
+    @rule(now=st.integers(0, 3))
+    def abort(self, now):
+        # a population without a finite value, the abort a run on the sphere reaches; drawn
+        # rarely, so that most runs go on to the refreshes
+        if now == 0:
+            self.tell("inf", 8, 0, True)  # 8 +inf, as many as lam is here at most
+            assert self.aborted is not None
+
     @rule(rounds=st.integers(1, 6))
     def good_rounds(self, rounds):
         # asks and good tells alone, so that runs reach the refreshes at gaps 3 and 5

@@ -1,12 +1,20 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import os
 import pickle
+import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tpcma
 from tpcma import cli
 from tpcma.cli import ConfigError, ExperimentConfig, parse_config, run_experiment
 from tpcma.engine import CONTROLLERS, RunRecord, RunResult
@@ -533,17 +541,46 @@ class TestMain:
             ({"m0": 1 + 2j, "sigma0": "a"},
              ["m0 must be a float or a sequence of floats, got (1+2j)",
               "sigma0 must be positive and finite, got 'a'"]),
+            # a grid that is no sequence was iterated, or compared, as it came
+            ({"dimensions": 3}, ["dimension grid must be a sequence, got 3"]),
+            ({"seeds": None, "lam": 1},
+             ["seed list must be a sequence, got None", "lam must be an integer >= 2, got 1"]),
+            ({"seeds": {0, 1}}, ["seed list must be a sequence, got {0, 1}"]),
+            ({"objectives": "sphere"}, ["objective grid must be a sequence, got 'sphere'"]),
+            ({"controllers": np.array([["tpa"]])},
+             ["controller grid must be a sequence, got array([['tpa']], dtype='<U3')"]),
+            ({"dimensions": np.array([2, 2])},
+             [f"dimension grid entries must be distinct, got {tuple(np.array([2, 2]))}"]),
+            ({"objectives": (np.array(["sphere", "x"]), np.array(["sphere", "x"]))},
+             [f"objective kind must be one of {OBJECTIVE_KINDS}, got "
+              "array(['sphere', 'x'], dtype='<U6')"]),
+            ({"seeds": (1, np.array([0, 1]), 1)},
+             ["seed list entries must be distinct, got (1, array([0, 1]), 1)",
+              "seed must be an integer >= 0, got array([0, 1])"]),
         ],
         ids=["dimension-list", "seed-list", "controller-list", "objective-list",
              "seed-lists-repeated", "seed-bool-repeats-int", "dimension-float-repeats-int",
              "no-dimension-condition", "no-dimension-noise-level", "target-f-none",
-             "tolerance-text", "objective-text", "strategy-text", "start-not-floats"],
+             "tolerance-text", "objective-text", "strategy-text", "start-not-floats",
+             "dimension-int", "seed-none-lambda", "seed-set", "objective-str",
+             "controller-2d-array", "dimension-array-repeated", "objective-array-entries",
+             "seed-array-entry-repeats"],
     )
     def test_each_entry_and_setting_is_judged_with_its_own_problem(self, values, expected):
         # an unhashable entry, an empty grid or a value of the wrong type hides no problem
         with pytest.raises(ConfigError) as info:
             ExperimentConfig(**values)
         assert str(info.value).split("; ") == expected
+
+    @pytest.mark.parametrize("grid, given, kept", [
+        ("dimensions", [2, 3], (2, 3)),
+        ("dimensions", np.array([2, 3]), (2, 3)),
+        ("seeds", range(3), (0, 1, 2)),
+        ("objectives", np.array(["sphere", "rastrigin"]), ("sphere", "rastrigin")),
+    ], ids=["list", "array", "range", "text-array"])
+    def test_each_grid_is_kept_as_a_tuple(self, grid, given, kept):
+        config = ExperimentConfig(**{grid: given})
+        assert type(getattr(config, grid)) is tuple and getattr(config, grid) == kept
 
     def test_a_sequence_m0_is_judged_against_every_dimension(self):
         with pytest.raises(ConfigError) as info:
@@ -581,3 +618,113 @@ class TestMain:
         )
         text = (tmp_path / "sphere_n2_tpa_seed0.csv").read_text()
         assert "# created=" in text
+
+
+# each flag with a target: its text, the RunConfig setting it reaches and the value there, none
+# of which a default cell holds; noise_level reaches only noisy_sphere
+FLAG_TARGETS = [
+    ("objective", "rastrigin", "objective.kind", "rastrigin"),
+    ("n", "3", "objective.n", 3),
+    ("controller", "csa", "controller", "csa"),
+    ("seeds", "5", "seed", 5),
+    ("lambda", "9", "lam", 9),
+    ("beta", "0.25", "beta_bias", 0.25),
+    ("c-alpha", "0.5", "c_alpha", 0.5),
+    ("budget", "123", "criteria.max_evals", 123),
+    ("target-f", "0.001", "criteria.target_f", 0.001),
+    ("tol-fun", "1e-05", "criteria.tol_fun", 1e-05),
+    ("tol-x", "1e-07", "criteria.tol_x", 1e-07),
+    ("sigma0", "0.75", "sigma0", 0.75),
+    ("m0", "-1.5", "m0", -1.5),
+    ("noise-level", "0.4", "objective.noise_level", 0.4),
+    ("condition", "100", "objective.condition", 100.0),
+    ("restarts", "2", "max_restarts", 2),
+]
+
+
+class TestDeclaredSettings:
+    def test_the_declared_targets_are_those_of_the_table(self):
+        declared = {flags[0]: meta["target"] for _, flags, meta in cli._options()
+                    if meta["target"]}
+        assert declared == {flag: path for flag, _, path, _ in FLAG_TARGETS}
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("flag, text, path, value", FLAG_TARGETS,
+                             ids=[row[0] for row in FLAG_TARGETS])
+    def test_each_flag_reaches_its_target(self, flag, text, path, value, source, tmp_path):
+        settings = {"objective": "noisy_sphere"} if flag == "noise-level" else {}
+        settings[flag] = text
+        if source == "flag":
+            argv = [arg for key, given in settings.items() for arg in (f"--{key}", given)]
+        else:
+            (tmp_path / "exp.cfg").write_text("".join(f"{key}={given}\n"
+                                                      for key, given in settings.items()))
+            argv = ["--config", str(tmp_path / "exp.cfg")]
+
+        def reached(config):  # in the grid's first cell
+            cell = cli._Cell(config.objectives[0], config.dimensions[0], config.controllers[0],
+                             config.seeds[0], config)
+            return functools.reduce(getattr, path.split("."), cli._run_config_for(cell))
+
+        assert reached(parse_config(argv)) == value
+        assert reached(parse_config([])) != value
+
+    def test_the_help_lists_every_flag_in_order(self, capsys):
+        with pytest.raises(SystemExit):
+            parse_config(["--help"])
+        options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+        listed = [flag for line in options.splitlines() if line.startswith("  -")
+                  for flag in re.findall(r"--[\w-]+", line.strip().split("  ")[0])]
+        assert listed == [
+            "--help", "--config", "--objective", "--n", "--controller", "--seeds", "--seed",
+            "--lambda", "--beta", "--c-alpha", "--budget", "--target-f", "--tol-fun", "--tol-x",
+            "--sigma0", "--m0", "--noise-level", "--condition", "--restarts", "--out", "--workers",
+            "--no-timestamp"]
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+class TestConsoleScript:
+    @pytest.mark.parametrize(
+        "argv, problems, limited",
+        [
+            (["--sigma0", "nan", "--seeds", "0", "--n", "2"],
+             ["sigma0 must be positive and finite, got nan"], False),
+            (["--seeds", "-1", "--n", "2"], ["seed must be an integer >= 0, got -1"], False),
+            (["--restarts", "-1", "--n", "2"],
+             ["max_restarts must be an integer >= 0, got -1"], False),
+            (["--n", "2,2", "--lambda", "1", "--seeds", "0"],
+             ["dimension grid entries must be distinct, got (2, 2)",
+              "lam must be an integer >= 2, got 1"], False),
+            # the problems were once split back out of the library's message on "; ", which
+            # listed the controller problem cut short at "got 'x"
+            (["--objective", "a; b", "--controller", "x; b", "--n", "2", "--seeds", "0"],
+             [f"objective kind must be one of {OBJECTIVE_KINDS}, got 'a; b'",
+              f"controller must be one of {tuple(CONTROLLERS)}, got 'x; b'"], False),
+            # judging 2**62 once built the n-vector of m0, and numpy's "array is too big" hid
+            # the lam problem
+            (["--n", str(2**62), "--lambda", "1", "--seeds", "0"],
+             [f"n must be at most {MAX_ENTRIES}, got {2**62}",
+              "lam must be an integer >= 2, got 1"], False),
+            # judging lam once built its recombination weights, which ran out of memory under
+            # a 1 GiB address space
+            (["--lambda", "1000000000", "--budget", "-1", "--n", "2", "--seeds", "0"],
+             ["max_evals must be an integer >= 0, got -1"], True),
+        ],
+        ids=["sigma0-nan", "seed-negative", "restarts-negative", "n-repeated-lambda",
+             "separator", "huge-n-lambda", "lambda-billions-in-1GiB"],
+    )
+    def test_a_bad_setting_exits_2_listing_its_problems_before_any_run(
+            self, argv, problems, limited, tmp_path):
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+                   PYTHONPATH=os.pathsep.join([str(Path(tpcma.__file__).parents[1]),
+                                               os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "tpcma.cli", *argv, "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=60,
+                              preexec_fn=limit_address_space if limited else None)
+        assert (done.returncode, done.stderr, done.stdout) == (
+            2, "error: " + "; ".join(problems) + "\n", "")
+        assert not out.exists()

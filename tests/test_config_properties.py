@@ -8,6 +8,7 @@ examples, and this suite, are the same on every run.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,13 +33,27 @@ SCALARS = st.one_of(
     st.none(),
 )
 VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=2), st.just(()))
+ARRAYS = st.lists(st.integers(0, 3), min_size=2, max_size=2).map(np.array)
+ENTRIES = st.lists(st.one_of(VALUES, ARRAYS), max_size=3)
+# a grid is kept as a tuple if it is a tuple, list, range or 1-D array (an entry may be an
+# array too), and is listed if it is no sequence: a scalar, a text, a set or a 2-D array
+GRID_FORMS = st.one_of(
+    ENTRIES.map(tuple),
+    ENTRIES,
+    st.builds(range, st.integers(-1, 3)),
+    st.lists(st.integers(-1, 12), max_size=3).map(np.array),
+    st.lists(st.sampled_from(OBJECTIVE_KINDS + tuple(CONTROLLERS)), max_size=3).map(np.array),
+    st.lists(st.integers(0, 3), min_size=1, max_size=2).map(lambda row: np.array([row])),
+    st.sets(st.integers(0, 3), max_size=2),
+    SCALARS,
+)
 GRIDS = ("objectives", "dimensions", "controllers", "seeds")
 SETTINGS = ("budget", "target_f", "tol_fun", "tol_x", "lam", "beta", "c_alpha", "sigma0",
             "noise_level", "condition", "restarts", "workers")
 # each field is left at its default or drawn; a sequence m0, whose shape reads n,
 # is the one setting that couples two fields, so m0 is drawn as a scalar
 CONFIGS = st.fixed_dictionaries({}, optional={
-    **{name: st.lists(VALUES, max_size=3).map(tuple) for name in GRIDS},
+    **{name: GRID_FORMS for name in GRIDS},
     **{name: VALUES for name in SETTINGS},
     "m0": SCALARS,
 })

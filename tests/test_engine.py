@@ -878,6 +878,48 @@ class TestInvariance:
         np.testing.assert_array_equal(base.C, warped.C)
 
 
+class TestAnAbortIsFinal:
+    """After any abort every ask() and tell() raises RunAborted with its message; each of
+    these three used to leave an optimizer that ran on."""
+
+    @staticmethod
+    def assert_final(opt, message, state):
+        for call in (opt.ask, lambda: opt.tell(np.ones(opt.params.lam)), lambda: opt.tell([1, 0])):
+            with pytest.raises(RunAborted) as info:
+                call()
+            assert str(info.value) == message and info.value.optimizer is opt
+        assert (opt.generation, opt.evals, len(opt.trace)) == state
+
+    def test_after_a_population_without_mu_finite_values(self):
+        opt = CmaEs(default_params(2), np.zeros(2), 1.0, rng=np.random.default_rng(0))
+        opt.ask()
+        message = "6 of 6 evaluations infeasible; selection needs at least 3 finite values"
+        with pytest.raises(RunAborted, match=message):
+            opt.tell([math.inf] * 6)
+        self.assert_final(opt, message, (0, 0, 0))  # a second tell was accepted: evals 0 -> 6
+
+    def test_after_a_point_leaves_the_float_range(self):
+        opt = CmaEs(default_params(1), 1.7e308, 1e308, rng=np.random.default_rng(0))
+        message = "a point to evaluate left the floating-point range"
+        with pytest.raises(RunAborted, match=message):
+            opt.ask()
+        state = opt.rng.bit_generator.state
+        self.assert_final(opt, message, (0, 0, 0))  # the third ask() handed out finite points
+        assert opt.rng.bit_generator.state == state  # no call draws again
+
+    def test_after_the_step_size_reaches_zero(self):
+        params = replace(default_params(2), alpha_change=800.0, c_alpha=1.0)
+        opt = CmaEs(params, np.zeros(2), 1.0, rng=np.random.default_rng(0))
+        opt.ask()
+        opt.tell(list(range(params.lam)))
+        opt.ask()
+        with pytest.raises(RunAborted, match="step-size became 0.0"):
+            opt.tell([1.0, 0.0])  # the upward test point loses
+        # the generation's evaluations and sigma are applied; its count and row are not
+        assert opt.sigma == 0.0
+        self.assert_final(opt, "step-size became 0.0", (0, 8, 0))  # ask() gave 6 points at m
+
+
 class TestRestarts:
     def test_population_doubles_across_restarts(self):
         # stagnation on each segment forces the restart path
@@ -935,6 +977,22 @@ class TestRestarts:
         best = min(range(len(segments)), key=lambda k: segments[k].best_f)  # the earliest on a tie
         assert result.best_f == segments[best].best_f == optimizers[best].best_f
         np.testing.assert_array_equal(result.best_x, optimizers[best].best_x)
+
+    def test_no_segment_starts_once_the_budget_is_spent(self):
+        # the first segment ends at max_evals with the budget spent to the evaluation, so
+        # no restart is made; with ">" for ">=" in run() three segments of 0 evaluations follow
+        config = RunConfig(
+            objective=ObjectiveSpec("rastrigin", 2),
+            controller="csa",
+            seed=0,
+            m0=3.0,
+            sigma0=2.0,
+            criteria=TerminationCriteria(max_evals=102, tol_fun=1e-3),
+            max_restarts=3,
+        )
+        result = run(config)
+        assert [(seg.lam, seg.evals) for seg in result.segments] == [(6, 102)]
+        assert (result.termination, result.evals) == ("max_evals", 102)
 
     def test_budget_is_global_across_segments(self):
         config = RunConfig(
