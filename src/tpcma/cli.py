@@ -120,13 +120,14 @@ class ExperimentConfig:
 
     Each field declares its flag, help text and target, the RunConfig setting it feeds.
     Construction raises ConfigError whose ``problems`` lists every problem,
-    each once.  The grid and worker rules are the CLI's own: each grid is a
+    each once.  The grid and output rules are the CLI's own: each grid is a
     sequence (a tuple, list, range or 1-D array, kept as a tuple), non-empty
-    and without entries that compare equal, and ``workers`` is an integer
-    >= 1.  Every other setting and each grid entry is judged once, by the
-    library object its target belongs to, whose error lists all its problems
-    as ``problems``, so a problem names the target (``max_evals`` for
-    ``budget``); only a sequence ``m0`` is judged against every dimension.
+    and without entries that compare equal; ``out`` is a str or os.PathLike,
+    ``workers`` an integer >= 1 and ``timestamp`` a bool.  Every other
+    setting and each grid entry is judged once, by the library object its
+    target belongs to, whose error lists all its problems as ``problems``, so
+    a problem names the target (``max_evals`` for ``budget``); only a
+    sequence ``m0`` is judged against every dimension.
     """
 
     objectives: tuple[str, ...] = _option(("sphere",), _str_list, "comma list of objectives; "
@@ -162,13 +163,16 @@ class ExperimentConfig:
                                  "objective.noise_level")
     condition: float = _option(1e6, float, "ellipsoid condition number", "objective.condition")
     restarts: int = _option(0, int, "max restarts with doubled population size", "max_restarts")
-    out: str = _option("results", str, "output directory for per-run CSVs and summary.csv")
+    out: str = _option("results", str, "output directory for per-run CSVs and summary.csv",
+                       check=rule("a str or os.PathLike",
+                                  lambda out: isinstance(out, (str, os.PathLike))))
     workers: int = _option(1, int, "parallel worker processes", check=integer(1))
     timestamp: bool = _option(True, _off, "omit the creation-time header line from CSVs",
-                              flags=("no-timestamp",))
+                              flags=("no-timestamp",),
+                              check=rule("a bool", lambda stamp: isinstance(stamp, bool)))
 
     def __post_init__(self):
-        declared = field_problems(ExperimentConfig, self)  # each grid that is no sequence; workers
+        declared = field_problems(ExperimentConfig, self)  # each grid that is no sequence; output
         grids = {}  # by label, each grid as a tuple, or None if it is no sequence
         for name, _, meta in _options():
             if meta.get("rule") is _sequence:

@@ -65,9 +65,7 @@ def evaluate_population(
     order), so batched and one-by-one evaluation consume the stream
     identically.
     """
-    if (xs := np.asarray(xs, dtype=float)).ndim < 2:
-        xs = np.atleast_2d(xs)
-    if xs.ndim != 2:
+    if (xs := np.asarray(xs, dtype=float)).ndim != 2:
         raise ValueError(f"points must be a (k, n) batch, got shape {xs.shape}")
     if xs.shape[1] != spec.n:
         raise ValueError(f"points have dimension {xs.shape[1]}, objective expects {spec.n}")

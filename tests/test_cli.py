@@ -104,14 +104,6 @@ class TestParseConfig:
         assert str(info.value).split("; ") == [
             "objective grid is empty", "dimension must be an integer >= 1, got 0"]
 
-    def test_all_problems_reported_at_once(self):
-        with pytest.raises(ConfigError) as exc_info:
-            parse_config(["--objective", "wat", "--n", "0", "--seeds", "1,1"])
-        message = str(exc_info.value)
-        assert "wat" in message
-        assert "dimension" in message
-        assert "distinct" in message
-
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
@@ -141,12 +133,32 @@ class TestParseConfig:
 
     def test_config_file_unknown_keys_and_bad_values_listed(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("objective=sphere\nbudgett=10\nn=abc\n")
+        cfg.write_text("objective=sphere\nbudgett=10\nn=abc\nbudget 5\nno-timestamp=maybe\n")
         with pytest.raises(ConfigError) as exc_info:
             parse_config(["--config", str(cfg)])
-        message = str(exc_info.value)
-        assert "budgett" in message
-        assert "abc" in message
+        assert exc_info.value.problems == [
+            f"{cfg}:2: unknown key 'budgett'", f"{cfg}:3: bad value 'abc' for 'n'",
+            f"{cfg}:4: expected key=value, got 'budget 5'",
+            f"{cfg}:5: no-timestamp must be true/false"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_config_file_runs_the_grid_its_flags_run(self, tmp_path):
+        # a restart grid, byte for byte
+        settings = {"objective": "rastrigin", "n": "2,10", "controller": "tpa,csa", "seeds": "0",
+                    "budget": "3000", "restarts": "3"}
+        (tmp_path / "exp.cfg").write_text("".join(f"{key}={value}\n"
+                                                  for key, value in settings.items())
+                                          + "no-timestamp=true\n")
+        flags = [arg for key, value in settings.items() for arg in (f"--{key}", value)]
+        assert cli.main([*flags, "--no-timestamp", "--out", str(tmp_path / "flags")]) == 0
+        assert cli.main(["--config", str(tmp_path / "exp.cfg"),
+                         "--out", str(tmp_path / "file")]) == 0
+
+        def written(out):
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        assert len(written(tmp_path / "file")) == 5  # four cells and the summary
+        assert written(tmp_path / "file") == written(tmp_path / "flags")
 
     def test_missing_config_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -413,100 +425,39 @@ class TestMain:
         assert "median_evals" in out
         assert (tmp_path / "summary.csv").exists()
 
-    def test_main_rejects_bad_config(self, capsys):
-        assert cli.main(["--objective", "nope"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "args,messages",
-        [
-            (["--lambda", "1"], ["lam must be an integer >= 2"]),
-            (["--c-alpha", "2"], ["c_alpha must be in"]),
-            (["--beta", "-1"], ["beta_bias must be >= 0"]),
-            (["--tol-x", "-1"], ["tol_x must be >= 0"]),
-            (["--condition", "0"], ["condition must be positive"]),
-            (["--objective", "noisy_sphere", "--noise-level", "-1"], ["noise_level must be >= 0"]),
-            (["--lambda", "1", "--c-alpha", "2"], ["lam must be an integer >= 2", "c_alpha must be in"]),
-            (["--sigma0", "nan"], ["sigma0 must be positive and finite"]),
-            (["--sigma0", "inf"], ["sigma0 must be positive and finite"]),
-            (["--m0", "inf"], ["m0 must be finite"]),
-            (["--beta", "nan"], ["beta_bias must be >= 0 and finite"]),
-            (["--beta", "inf"], ["beta_bias must be >= 0 and finite"]),
-            (["--target-f", "nan"], ["target_f must be finite or -inf"]),
-            (["--tol-fun", "nan"], ["tol_fun must be >= 0 and finite"]),
-            (["--condition", "inf"], ["condition must be positive and finite"]),
-            (["--objective", "noisy_sphere", "--noise-level", "nan"],
-             ["noise_level must be >= 0 and finite"]),
-            (["--budget", "-1"], ["max_evals must be an integer >= 0, got -1"]),
-            (["--budget", "-5", "--tol-x", "-1"],
-             ["max_evals must be an integer >= 0", "tol_x must be >= 0"]),
-            (["--objective", "wat", "--budget", "-1"],
-             ["objective kind must be one of", "max_evals must be an integer >= 0"]),
-            (["--objective", "wat,sphere", "--n", "0"],
-             ["objective kind must be one of", "dimension must be an integer >= 1, got 0"]),
-            (["--controller", "nope"], ["controller must be one of"]),
-            (["--restarts", "-1"], ["max_restarts must be an integer >= 0"]),
-            (["--budget", "-1", "--sigma0", "0"],
-             ["max_evals must be an integer >= 0", "sigma0 must be positive and finite"]),
-            (["--lambda", "1", "--budget", "-1"],
-             ["lam must be an integer >= 2", "max_evals must be an integer >= 0"]),
-            (["--objective", "wat", "--controller", "nope"],
-             ["objective kind must be one of", "controller must be one of"]),
-            (["--controller", "nope", "--beta", "nan", "--lambda", "1"],
-             ["controller must be one of", "beta_bias must be >= 0", "lam must be an integer >= 2"]),
-            (["--objective", "sphere,sphere"], ["objective grid entries must be distinct"]),
-            (["--n", "2,3,2"], ["dimension grid entries must be distinct"]),
-            (["--controller", "tpa,tpa"], ["controller grid entries must be distinct"]),
-            (["--seeds", "-1"], ["seed must be an integer >= 0, got -1"]),
-            (["--seeds", "0,-1,-2", "--lambda", "1"],
-             ["seed must be an integer >= 0, got -1", "seed must be an integer >= 0, got -2",
-              "lam must be an integer >= 2"]),
-        ],
-        ids=["lambda", "c-alpha", "beta", "tol-x", "condition", "noise-level", "lambda-c-alpha",
-             "sigma0-nan", "sigma0-inf", "m0-inf", "beta-nan", "beta-inf", "target-f-nan",
-             "tol-fun-nan", "condition-inf", "noise-level-nan", "budget", "budget-tol-x",
-             "objective-budget", "objective-dimension", "controller", "restarts",
-             "budget-sigma0", "lambda-budget", "objective-controller", "controller-beta-lambda",
-             "objective-repeated", "n-repeated", "controller-repeated", "seed",
-             "seeds-lambda"],
-    )
-    def test_main_rejects_invalid_run_settings_up_front(self, args, messages, tmp_path, capsys):
-        def assert_listed_once(text):
-            # every expected problem is listed, and nothing else
-            problems = text.split("; ")
-            assert len(problems) == len(messages), problems
-            assert all(any(m in problem for problem in problems) for m in messages), problems
-
+    @pytest.mark.parametrize("args, problems", [
+        # each owner's problems once, in the order the judges run: the criteria, each objective,
+        # each dimension, then a RunConfig per controller and seed
+        (["--objective", "wat,sphere", "--n", "0", "--controller", "nope,tpa", "--seeds", "0,-1,-2",
+          "--lambda", "1", "--beta", "nan", "--budget", "-5", "--tol-x", "-1", "--sigma0", "0",
+          "--condition", "inf", "--restarts", "-1"],
+         ["max_evals must be an integer >= 0, got -5", "tol_x must be >= 0 and finite, got -1.0",
+          f"objective kind must be one of {OBJECTIVE_KINDS}, got 'wat'",
+          "condition must be positive and finite, got inf",
+          "dimension must be an integer >= 1, got 0",
+          "sigma0 must be positive and finite, got 0.0",
+          f"controller must be one of {tuple(CONTROLLERS)}, got 'nope'",
+          "max_restarts must be an integer >= 0, got -1", "lam must be an integer >= 2, got 1",
+          "beta_bias must be >= 0 and finite, got nan", "seed must be an integer >= 0, got -1",
+          "seed must be an integer >= 0, got -2"]),
+        # the CLI's own rules come first
+        (["--objective", "sphere,sphere", "--n", "2,3,2", "--controller", "tpa,tpa",
+          "--seeds=-1,-1", "--lambda", "1", "--workers", "0"],
+         ["objective grid entries must be distinct, got ('sphere', 'sphere')",
+          "dimension grid entries must be distinct, got (2, 3, 2)",
+          "controller grid entries must be distinct, got ('tpa', 'tpa')",
+          "seed list entries must be distinct, got (-1, -1)",
+          "workers must be an integer >= 1, got 0",
+          "lam must be an integer >= 2, got 1", "seed must be an integer >= 0, got -1"]),
+    ], ids=["owners", "grids"])
+    def test_main_lists_each_problem_once_and_exits_2_before_any_run(self, args, problems,
+                                                                      tmp_path, capsys):
         with pytest.raises(ConfigError) as info:
             parse_config(args)
-        assert_listed_once(str(info.value))
-        # the case's own flags come last, so they win over these
-        argv = ["--n", "2", "--seeds", "0", "--out", str(tmp_path / "out")] + args
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert_listed_once(err.removeprefix("error: ").rstrip("\n"))
-        assert not (tmp_path / "out").exists()  # no cell ran
-
-    @pytest.mark.parametrize("lam", [None, 1], ids=["alone", "with-lam"])
-    @pytest.mark.parametrize(
-        "grid, values, problem",
-        [
-            ("seeds", (0, 1.5), "seed must be an integer >= 0, got 1.5"),
-            ("seeds", (True,), "seed must be an integer >= 0, got True"),
-            ("dimensions", (2.5,), "dimension must be an integer >= 1, got 2.5"),
-            ("dimensions", (True,), "dimension must be an integer >= 1, got True"),
-            ("dimensions", ("3",), "dimension must be an integer >= 1, got '3'"),
-        ],
-        ids=["seed-fraction", "seed-bool", "dimension-fraction", "dimension-bool",
-             "dimension-str"],
-    )
-    def test_config_is_judged_when_built(self, grid, values, problem, lam):
-        # a bad entry stands in for no RunConfig, so a run-setting problem is listed beside it
-        with pytest.raises(ConfigError) as info:
-            ExperimentConfig(**{grid: values}, lam=lam)
-        expected = [problem] + (["lam must be an integer >= 2, got 1"] if lam else [])
-        assert sorted(str(info.value).split("; ")) == sorted(expected)
+        assert info.value.problems == problems
+        assert cli.main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: " + "; ".join(problems) + "\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "values, expected",
@@ -557,6 +508,15 @@ class TestMain:
             ({"seeds": (1, np.array([0, 1]), 1)},
              ["seed list entries must be distinct, got (1, array([0, 1]), 1)",
               "seed must be an integer >= 0, got array([0, 1])"]),
+            # beside an array, equal entries that are not one object are still repeats
+            ({"seeds": (np.array([0, 1]), 1, 1.0)},
+             ["seed list entries must be distinct, got (array([0, 1]), 1, 1.0)",
+              "seed must be an integer >= 0, got array([0, 1])",
+              "seed must be an integer >= 0, got 1.0"]),
+            # out or timestamp of the wrong type built, and failed only once the grid ran
+            ({"seeds": (), "out": None, "timestamp": "no"},
+             ["seed list is empty", "out must be a str or os.PathLike, got None",
+              "timestamp must be a bool, got 'no'"]),
         ],
         ids=["dimension-list", "seed-list", "controller-list", "objective-list",
              "seed-lists-repeated", "seed-bool-repeats-int", "dimension-float-repeats-int",
@@ -564,7 +524,7 @@ class TestMain:
              "tolerance-text", "objective-text", "strategy-text", "start-not-floats",
              "dimension-int", "seed-none-lambda", "seed-set", "objective-str",
              "controller-2d-array", "dimension-array-repeated", "objective-array-entries",
-             "seed-array-entry-repeats"],
+             "seed-array-entry-repeats", "seed-equal-entries-beside-an-array", "output-types"],
     )
     def test_each_entry_and_setting_is_judged_with_its_own_problem(self, values, expected):
         # an unhashable entry, an empty grid or a value of the wrong type hides no problem
@@ -595,14 +555,6 @@ class TestMain:
         assert capsys.readouterr().err.removeprefix("error: ").rstrip("\n").split("; ") == [
             f"n must be at most {MAX_ENTRIES}, got {2**62}", "lam must be an integer >= 2, got 1"]
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("workers", [2.5, True], ids=["fraction", "bool"])
-    def test_non_integer_workers_rejected_before_any_run(self, workers, tmp_path):
-        out = tmp_path / "out"
-        with pytest.raises(ConfigError, match=f"workers must be an integer >= 1, got {workers!r}"):
-            run_experiment(ExperimentConfig(dimensions=(2,), seeds=(0,), budget=50,
-                                            out=str(out), workers=workers))
-        assert not out.exists()
 
     def test_main_timestamp_header_present_by_default(self, tmp_path):
         cli.main(

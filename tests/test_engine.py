@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import math
 import pickle
-import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 from tpcma import engine, sampler, stepsize
-from tpcma.engine import CONTROLLERS, CmaEs, RunAborted, RunConfig, TerminationCriteria, run
+from tpcma.engine import CmaEs, RunAborted, RunConfig, TerminationCriteria, run
 from tpcma.objectives import ObjectiveSpec, evaluate_population
 from tpcma.params import StrategyParams, default_params
 
@@ -595,51 +594,6 @@ class TestEngineOutput:
         assert np.isfinite(np.array(opt.trace, dtype=float)).all()
 
 
-class TestCriteriaValidation:
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("max_evals", -1),
-            ("max_evals", math.nan),
-            ("max_evals", math.inf),
-            ("max_evals", 2.5),
-            ("max_evals", True),
-            ("target_f", math.nan),
-            ("target_f", math.inf),
-            ("tol_x", -1.0),
-            ("tol_x", math.nan),
-            ("tol_x", math.inf),
-            ("tol_fun", -1.0),
-            ("tol_fun", math.nan),
-            ("tol_fun", math.inf),
-        ],
-    )
-    def test_rejects_bad_field(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            TerminationCriteria(**{field: value})
-
-    @pytest.mark.parametrize(
-        "field, value, bound",
-        [("target_f", None, "finite or -inf"), ("tol_x", "x", ">= 0 and finite"),
-         ("tol_fun", "x", ">= 0 and finite")],
-    )
-    def test_a_non_number_is_listed_beside_the_others(self, field, value, bound):
-        # these used to raise a bare TypeError from the bound's comparison
-        with pytest.raises(ValueError) as info:
-            TerminationCriteria(max_evals=-1, **{field: value})
-        assert str(info.value) == (
-            f"max_evals must be an integer >= 0, got -1; {field} must be {bound}, got {value!r}")
-
-    def test_names_every_bad_field(self):
-        with pytest.raises(ValueError) as info:
-            TerminationCriteria(max_evals=-5, tol_x=-1.0)
-        assert "max_evals" in str(info.value) and "tol_x" in str(info.value)
-
-    def test_fields(self):
-        names = [f.name for f in dataclasses.fields(TerminationCriteria)]
-        assert names == ["max_evals", "target_f", "tol_x", "tol_fun"]
-
-
 class TestTermination:
     def test_zero_budget_stops_immediately(self):
         result = run(sphere_config(4, max_evals=0))
@@ -1054,21 +1008,6 @@ class TestRestarts:
             # one generator for the whole run: each segment draws on where the last stopped
             assert rng is run_rng
 
-    @pytest.mark.parametrize(
-        "value", [-1, 1.5, math.nan, True], ids=["negative", "fraction", "nan", "bool"]
-    )
-    def test_rejects_bad_max_restarts(self, value):
-        with pytest.raises(ValueError, match="max_restarts must be an integer >= 0"):
-            replace(sphere_config(2), max_restarts=value)
-        # judged with the config's other settings: both problems are listed at once
-        with pytest.raises(ValueError) as info:
-            replace(sphere_config(2), seed=-1, max_restarts=value)
-        problems = str(info.value).split("; ")
-        assert problems == [
-            "seed must be an integer >= 0, got -1",
-            f"max_restarts must be an integer >= 0, got {value!r}",
-        ]
-
     def test_restart_adapter_matches_run(self):
         """perfbench/workloads.py drives its restart workload through the
         two-argument form, so it must stay the very run that run() makes."""
@@ -1158,83 +1097,18 @@ class TestRestarts:
 
 
 class TestRunConfig:
-    def test_rejects_unknown_controller(self):
-        with pytest.raises(ValueError):
-            RunConfig(objective=ObjectiveSpec("sphere", 2), controller="simulated_annealing")
-
-    @pytest.mark.parametrize(
-        "m0,sigma0,message",
-        [
-            ([1.0, 2.0, 3.0], 1.0, r"m0 must have shape \(2,\), got \(3,\)"),
-            (math.nan, 1.0, "m0 must be finite"),
-            (0.0, 0.0, "sigma0 must be positive and finite, got 0.0"),
-            (0.0, math.nan, "sigma0 must be positive and finite, got nan"),
-            (0.0, math.inf, "sigma0 must be positive and finite, got inf"),
-        ],
-        ids=["m0-shape", "m0-nan", "sigma0-zero", "sigma0-nan", "sigma0-inf"],
-    )
-    def test_rejects_bad_start(self, m0, sigma0, message):
-        with pytest.raises(ValueError, match=message):
-            RunConfig(objective=ObjectiveSpec("sphere", 2), m0=m0, sigma0=sigma0)
-        with pytest.raises(ValueError, match=message):
-            CmaEs(default_params(2), np.broadcast_to(m0, np.shape(m0) or (2,)), sigma0)
-
-    @pytest.mark.parametrize(
-        "changes, problem",
-        [
-            ({"sigma0": "a"}, "sigma0 must be positive and finite, got 'a'"),
-            ({"m0": 1 + 2j}, "m0 must be a float or a sequence of floats, got (1+2j)"),
-            ({"m0": [1.0, "a"]}, "m0 must be a float or a sequence of floats, got [1.0, 'a']"),
-            ({"controller": ["tpa"]},
-             f"controller must be one of {tuple(CONTROLLERS)}, got ['tpa']"),
-        ],
-        ids=["sigma0-text", "m0-complex", "m0-text", "controller-list"],
-    )
-    def test_a_value_of_the_wrong_type_is_listed_beside_the_others(self, changes, problem):
-        # these used to raise a bare TypeError, or numpy's own ValueError for text
-        with pytest.raises(ValueError) as info:
-            RunConfig(objective=ObjectiveSpec("sphere", 2), lam=1, **changes)
-        assert str(info.value).split("; ") == [problem, "lam must be an integer >= 2, got 1"]
-
-    SEED_PROBLEM = "seed must be an integer >= 0, got -1"
-    LAM_PROBLEM = "lam must be an integer >= 2, got 1"
-
-    @pytest.mark.parametrize(
-        "changes, expected",
-        [
-            ({"objective": "sphere"},
-             ["objective must be an ObjectiveSpec, got 'sphere'", SEED_PROBLEM, LAM_PROBLEM]),
-            ({"criteria": "x"},
-             [SEED_PROBLEM, "criteria must be a TerminationCriteria, got 'x'", LAM_PROBLEM]),
-            ({"criteria": None},
-             [SEED_PROBLEM, "criteria must be a TerminationCriteria, got None", LAM_PROBLEM]),
-        ],
-        ids=["objective-text", "criteria-text", "criteria-none"],
-    )
-    def test_a_wrong_typed_objective_or_criteria_is_listed_beside_the_others(self, changes,
-                                                                              expected):
-        # a text objective raised a bare AttributeError; such criteria built, and run() then
-        # raised AttributeError on max_evals
-        values = {"objective": ObjectiveSpec("sphere", 2), "seed": -1, "lam": 1, **changes}
-        with pytest.raises(ValueError) as info:
-            RunConfig(**values)
-        assert str(info.value).split("; ") == expected
-
-    def test_a_sequence_m0_is_not_judged_against_a_wrong_typed_objective(self):
-        with pytest.raises(ValueError) as info:
-            RunConfig(objective=None, m0=[1.0, 2.0, 3.0])
-        assert str(info.value) == "objective must be an ObjectiveSpec, got None"
-
-    @pytest.mark.parametrize("m0", ["a", 1 + 2j, [1.0, "a"], [[1.0], [2.0, 3.0]], 10**400],
-                             ids=["text", "complex", "text-entry", "ragged", "beyond-float"])
-    def test_the_optimizer_lists_the_m0_problem_the_config_lists(self, m0):
-        # CmaEs used to raise numpy's bare ValueError or TypeError here
-        problem = f"m0 must be a float or a sequence of floats, got {m0!r}"
-        with pytest.raises(ValueError) as config_info:
-            RunConfig(objective=ObjectiveSpec("sphere", 2), m0=m0)
-        with pytest.raises(ValueError) as opt_info:
-            CmaEs(default_params(2), m0, 1.0)
-        assert str(opt_info.value) == str(config_info.value) == problem
+    # the start judge of a config and of an optimizer, in dimension 2
+    @pytest.mark.parametrize("m0, problem", [
+        ([1.0, 2.0, 3.0], "m0 must have shape (2,), got (3,)"), (math.nan, "m0 must be finite"),
+        *[(m0, f"m0 must be a float or a sequence of floats, got {m0!r}")
+          for m0 in ("a", 1 + 2j, [1.0, "a"], [[1.0], [2.0, 3.0]], 10**400)]],
+        ids=["shape", "nan", "text", "complex", "text-entry", "ragged", "beyond-float"])
+    def test_the_config_and_the_optimizer_list_the_same_m0_problem(self, m0, problem):
+        for build in (lambda: RunConfig(ObjectiveSpec("sphere", 2), m0=m0),
+                      lambda: CmaEs(default_params(2), m0, 1.0)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert info.value.problems == [problem]
 
     @pytest.mark.parametrize("controller", ["tpa", "tpa_legacy", "csa"])
     def test_a_float_m0_runs_as_its_n_vector(self, controller):
@@ -1258,30 +1132,6 @@ class TestRunConfig:
         finally:
             tracemalloc.stop()
         assert peak < 2**20  # an n-vector of floats alone takes 7.6 MiB
-
-    def test_names_every_bad_setting_when_built(self):
-        # the strategy settings are judged with no preset when the name is unknown
-        with pytest.raises(ValueError) as info:
-            RunConfig(objective=ObjectiveSpec("sphere", 2), controller="nope", sigma0=0.0,
-                      lam=1, beta_bias=math.nan, c_alpha=2.0)
-        problems = [problem.split()[0] for problem in str(info.value).split("; ")]
-        assert problems == ["sigma0", "controller", "lam", "beta_bias", "c_alpha"]
-
-    @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, True, np.float64(2.0)])
-    def test_rejects_bad_seed(self, seed):
-        # these used to construct, then fail in np.random.default_rng
-        message = re.escape(f"seed must be an integer >= 0, got {seed!r}")
-        with pytest.raises(ValueError, match=message):
-            RunConfig(objective=ObjectiveSpec("sphere", 2), seed=seed)
-
-    def test_accepts_numpy_integer_seed(self):
-        config = sphere_config(2, seed=np.int64(5), max_evals=100)
-        assert run(config).trace == run(sphere_config(2, seed=5, max_evals=100)).trace
-
-    @pytest.mark.parametrize("controller", ["tpa", "csa"])
-    def test_rejects_non_integer_lambda(self, controller):
-        with pytest.raises(ValueError, match="lam must be an integer >= 2, got 6.5"):
-            RunConfig(objective=ObjectiveSpec("sphere", 4), controller=controller, lam=6.5)
 
     def test_controller_aliases(self):
         # a preset holds StrategyParams settings only, the step-size rule among them

@@ -1,14 +1,16 @@
 import math
 import pickle
-import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tpcma.engine import CmaEs, RunConfig, TerminationCriteria
-from tpcma.objectives import ObjectiveSpec
-from tpcma.params import StrategyParams, default_params, raise_problems
+from tpcma.cli import ExperimentConfig
+from tpcma.engine import CONTROLLERS, CmaEs, RunConfig, TerminationCriteria
+from tpcma.objectives import OBJECTIVE_KINDS, ObjectiveSpec
+from tpcma.params import (MAX_ENTRIES, StrategyParams, default_params, integer, is_real,
+                          nonnegative, positive, rule)
 
 SETTINGS = ("n", "lam", "alpha_test", "alpha_change", "beta_bias", "c_alpha", "mode")
 DERIVED = ("mu_prime", "mu", "weights", "mu_w", "c_c", "c_1", "c_mu", "c_sigma", "d_sigma",
@@ -48,49 +50,12 @@ class TestDefaults:
         assert p.weights.tolist() == [1.0]
         assert p.mu_w == 1.0
 
-    def test_rejects_bad_dimension_and_lambda(self):
-        with pytest.raises(ValueError):
-            default_params(0)
-        with pytest.raises(ValueError):
-            default_params(5, lam=1)
-
-    @pytest.mark.parametrize(
-        "n,lam,message",
-        [
-            (2.5, None, "n must be an integer >= 1, got 2.5"),
-            (4.0, None, "n must be an integer >= 1, got 4.0"),
-            (4, 6.5, "lam must be an integer >= 2, got 6.5"),
-            (4, math.nan, "lam must be an integer >= 2, got nan"),
-            (True, None, "n must be an integer >= 1, got True"),
-            (4, True, "lam must be an integer >= 2, got True"),
-        ],
-    )
-    def test_rejects_non_integer_dimension_and_lambda(self, n, lam, message):
-        # these used to construct, then fail with TypeError in ask() or np.full
-        with pytest.raises(ValueError, match=message):
-            default_params(n, lam=lam)
-
-    def test_accepts_numpy_integers(self):
-        p = default_params(np.int64(4), lam=np.int32(6))
-        assert (p.n, p.lam) == (4, 6)
-
     def test_numpy_integers_derive_python_numbers(self):
         # an np.float64 constant would print as "np.float64(...)" in a trace CSV header
         p = default_params(np.int64(10), lam=np.int64(6))
         assert [type(getattr(p, name)) for name in ("n", "lam", "mu")] == [int] * 3
         floats = [name for name in DERIVED if name != "mu" and name not in ARRAYS]
         assert [type(getattr(p, name)) for name in floats] == [float] * len(floats)
-
-    def test_overrides_validated_not_clamped(self):
-        p = replace(default_params(10), beta_bias=0.1, c_alpha=0.5)
-        assert p.beta_bias == 0.1
-        assert p.c_alpha == 0.5
-        with pytest.raises(ValueError, match="c_alpha"):
-            replace(default_params(10), c_alpha=1.5)
-        with pytest.raises(ValueError, match="beta_bias"):
-            replace(default_params(10), beta_bias=-0.1)
-        with pytest.raises(ValueError, match="c_1 is declared with init=False"):
-            replace(default_params(10), c_1=0.9, c_mu=0.9)
 
     def test_only_the_settings_can_be_set(self):
         assert tuple(f.name for f in fields(StrategyParams) if f.init) == SETTINGS
@@ -108,71 +73,6 @@ class TestDefaults:
         assert p.mu == fresh.lam // 2
         for name in SETTINGS + DERIVED:
             np.testing.assert_array_equal(getattr(p, name), getattr(fresh, name), err_msg=name)
-
-    def test_lists_every_bad_setting(self):
-        with pytest.raises(ValueError) as info:
-            StrategyParams(n=0, lam=1, alpha_test=0.0, alpha_change=-1.0, beta_bias=math.nan,
-                           c_alpha=2.0, mode="cma")
-        names = [problem.split()[0] for problem in str(info.value).split("; ")]
-        assert names == ["n", "lam", "alpha_test", "alpha_change", "beta_bias", "c_alpha", "mode"]
-
-    def test_a_bad_mode_is_judged_with_the_other_settings(self):
-        with pytest.raises(ValueError) as info:
-            replace(default_params(2), mode="cma", c_alpha=2.0)
-        assert str(info.value) == (
-            "c_alpha must be in (0, 1], got 2.0; "
-            "mode must be 'tpa', 'tpa_legacy' or 'csa', got 'cma'"
-        )
-
-    @pytest.mark.parametrize("value", ["0.5", None, 0.5j, [0.5]], ids=repr)
-    @pytest.mark.parametrize(
-        "name, bound",
-        [("alpha_test", "positive and finite"), ("alpha_change", ">= 0 and finite"),
-         ("beta_bias", ">= 0 and finite"), ("c_alpha", "in (0, 1]")],
-    )
-    def test_a_non_number_setting_is_listed_beside_the_others(self, name, bound, value):
-        # these used to raise a bare TypeError from the bound's comparison
-        with pytest.raises(ValueError) as info:
-            replace(default_params(2), mode="cma", **{name: value})
-        assert str(info.value) == (f"{name} must be {bound}, got {value!r}; "
-                                   "mode must be 'tpa', 'tpa_legacy' or 'csa', got 'cma'")
-
-    def test_bool_settings_stay_accepted(self):
-        p = replace(default_params(2), alpha_test=True, alpha_change=False, beta_bias=True,
-                    c_alpha=True)
-        assert (p.alpha_test, p.alpha_change, p.beta_bias, p.c_alpha) == (1, 0, 1, 1)
-
-    @pytest.mark.parametrize("mode", ["no", "legacy", "TPA", "", True, None, 1])
-    def test_rejects_every_mode_but_the_three_rules(self, mode):
-        # a truthy flag used to run the legacy geometry; no value is taken for one now
-        with pytest.raises(ValueError, match=f"mode must be .* got {re.escape(repr(mode))}$"):
-            replace(default_params(2), mode=mode)
-
-    def test_an_array_mode_is_listed(self):
-        # comparing it with each rule used to raise numpy's "truth value ... is ambiguous"
-        mode = np.array(["tpa", "csa"])
-        with pytest.raises(ValueError) as info:
-            replace(default_params(2), mode=mode)
-        assert info.value.problems == [f"mode must be 'tpa', 'tpa_legacy' or 'csa', got {mode!r}"]
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [
-            ("beta_bias", math.nan),
-            ("beta_bias", math.inf),
-            ("alpha_test", math.nan),
-            ("alpha_test", math.inf),
-            ("alpha_change", math.nan),
-            ("c_alpha", math.nan),
-            ("d_sigma", math.inf),
-            ("weights", np.full(5, math.nan)),
-        ],
-    )
-    def test_rejects_nonfinite_values(self, field, value):
-        # a setting is checked; a derived field cannot be set at all
-        match = f"{field} is declared with init=False" if field in DERIVED else f"{field} must be"
-        with pytest.raises(ValueError, match=match):
-            replace(default_params(10), **{field: value})
 
 
 class TestDerivedColumns:
@@ -289,40 +189,136 @@ class TestInvariants:
             p.weights[0] = 0.9
 
 
-# one call per settings judge, each breaking two rules
-JUDGES = {
-    "StrategyParams": lambda: StrategyParams(n=0, lam=1),
-    "ObjectiveSpec": lambda: ObjectiveSpec("wat", 0),
-    "TerminationCriteria": lambda: TerminationCriteria(max_evals=-1, tol_x=math.nan),
-    "RunConfig": lambda: RunConfig(ObjectiveSpec("sphere", 2), controller="x", lam=1),
-    "CmaEs": lambda: CmaEs(default_params(2), (1.0,), 0.0),
+# the values every rule maker is run against, by name
+VALUES = {"-1": -1, "0": 0, "1": 1, "2": 2, "0.5": 0.5, "2.5": 2.5, "4.0": 4.0, "nan": math.nan,
+          "inf": math.inf, "-inf": -math.inf, "True": True, "False": False,
+          "np.int64(2)": np.int64(2), "np.float64(2.0)": np.float64(2.0), "10**400": 10**400,
+          "'1'": "1", "None": None, "1j": 1j, "[1]": [1], "array": np.array([1, 2])}
+
+# each rule maker: the bound it reports, the values it keeps and those beyond its "at most 2"
+RULE_MAKERS = {
+    "integer(0)": (integer(0), "an integer >= 0", "0 1 2 np.int64(2) 10**400", ""),
+    "integer(1, most=2)": (integer(1, most=2), "an integer >= 1", "1 2 np.int64(2)", "10**400"),
+    "nonnegative": (nonnegative, ">= 0 and finite",
+                    "0 1 2 0.5 2.5 4.0 True False np.int64(2) np.float64(2.0)", ""),
+    "positive": (positive, "positive and finite",
+                 "1 2 0.5 2.5 4.0 True np.int64(2) np.float64(2.0)", ""),
+    "rule(is_real)": (rule("real", is_real), "real", "-1 0 1 2 0.5 2.5 4.0 nan inf -inf True False "
+                      "np.int64(2) np.float64(2.0)", ""),
 }
 
 
-class TestRaiseProblems:
-    @pytest.mark.parametrize("build", JUDGES.values(), ids=JUDGES)
-    def test_each_judge_raises_its_problems_as_a_list(self, build):
-        with pytest.raises(ValueError) as info:
-            build()
-        assert type(info.value) is ValueError
-        assert len(info.value.problems) == 2
-        assert info.value.problems == str(info.value).split("; ")
+@pytest.mark.parametrize("check, bound, kept, beyond", RULE_MAKERS.values(), ids=RULE_MAKERS)
+def test_each_rule_maker_keeps_only_its_values(check, bound, kept, beyond):
+    expected = {name: None if name in kept.split() else "at most 2" if name in beyond.split()
+                else bound for name in VALUES}
+    assert {name: check(value) for name, value in VALUES.items()} == expected
 
-    def test_a_settings_error_keeps_its_message_and_list_through_pickle(self):
-        # as it crosses a process pool
-        with pytest.raises(ValueError) as info:
-            StrategyParams(n=0, lam=1)
-        copied = pickle.loads(pickle.dumps(info.value))
-        assert type(copied) is ValueError
-        assert str(copied) == str(info.value)
-        assert copied.problems == info.value.problems == [
-            "n must be an integer >= 1, got 0", "lam must be an integer >= 2, got 1"]
 
-    def test_no_problem_raises_nothing(self):
-        assert raise_problems([]) is None
+# each judge built with one setting given, the others valid
+BUILD = {
+    StrategyParams: lambda n=2, lam=None, **given: replace(default_params(n, lam), **given),
+    ObjectiveSpec: lambda kind="sphere", n=2, **given: ObjectiveSpec(kind, n, **given),
+    TerminationCriteria: TerminationCriteria,
+    RunConfig: lambda objective=ObjectiveSpec("sphere", 2), **given: RunConfig(objective, **given),
+    ExperimentConfig: ExperimentConfig,
+}
 
-    def test_a_problem_holding_the_separator_stays_whole(self):
+# each declared bound once, as (judge, field, label, bound, values that break it, values kept);
+# a field whose rule a rule maker made breaks it once here, and on RULE_MAKERS' values there
+DECLARED = [
+    (StrategyParams, "n", "n", "an integer >= 1", (0,), (np.int64(4),)),
+    (StrategyParams, "n", "n", f"at most {MAX_ENTRIES}", (10**400,), ()),
+    (StrategyParams, "lam", "lam", "an integer >= 2", (1,), (np.int32(6),)),
+    (StrategyParams, "lam", "lam", f"at most {MAX_ENTRIES}", (MAX_ENTRIES + 1,), ()),
+    (StrategyParams, "alpha_test", "alpha_test", "positive and finite", (0,), ()),
+    (StrategyParams, "alpha_change", "alpha_change", ">= 0 and finite", (-1,), ()),
+    (StrategyParams, "beta_bias", "beta_bias", ">= 0 and finite", (-0.1,), (0.1,)),
+    (StrategyParams, "c_alpha", "c_alpha", "in (0, 1]", (0, 1.5, 2.0, math.nan, 10**400, "0.5"),
+     (1, 0.5, True)),
+    (StrategyParams, "mode", "mode", "'tpa', 'tpa_legacy' or 'csa'",
+     ("cma", "no", "legacy", "TPA", "", True, None, 1, np.array(["tpa", "csa"])),
+     ("tpa", "tpa_legacy", "csa")),
+    (ObjectiveSpec, "kind", "objective kind", f"one of {OBJECTIVE_KINDS}",
+     ("banana", ["sphere"], np.array(["sphere", "x"])), OBJECTIVE_KINDS),
+    (ObjectiveSpec, "n", "dimension", "an integer >= 1", (0,), (np.int64(2),)),
+    (ObjectiveSpec, "noise_level", "noise_level", ">= 0 and finite", (-1,), ()),
+    (ObjectiveSpec, "condition", "condition", "positive and finite", (0,), ()),
+    (TerminationCriteria, "max_evals", "max_evals", "an integer >= 0", (-1,), ()),
+    (TerminationCriteria, "target_f", "target_f", "finite or -inf",
+     (math.nan, math.inf, None, 10**400), (-math.inf, 0)),
+    (TerminationCriteria, "tol_x", "tol_x", ">= 0 and finite", (-1,), ()),
+    (TerminationCriteria, "tol_fun", "tol_fun", ">= 0 and finite", (-1,), ()),
+    (RunConfig, "objective", "objective", "an ObjectiveSpec", ("sphere", None), ()),
+    (RunConfig, "controller", "controller", f"one of {tuple(CONTROLLERS)}",
+     ("simulated_annealing", ["tpa"]), tuple(CONTROLLERS)),
+    (RunConfig, "seed", "seed", "an integer >= 0", (-1,), (np.int64(5),)),
+    (RunConfig, "sigma0", "sigma0", "positive and finite", (0.0,), ()),
+    (RunConfig, "criteria", "criteria", "a TerminationCriteria", ("x", None), ()),
+    (RunConfig, "max_restarts", "max_restarts", "an integer >= 0", (-1,), ()),
+    (ExperimentConfig, "out", "out", "a str or os.PathLike", (None, 3, b"x"), ("x", Path("x"))),
+    (ExperimentConfig, "workers", "workers", "an integer >= 1", (0,), ()),
+    (ExperimentConfig, "timestamp", "timestamp", "a bool", ("no", None, 1), (False,)),
+]
+
+
+@pytest.mark.parametrize("judge, field, label, bound, broken, kept", DECLARED,
+                         ids=[f"{row[0].__name__}.{row[1]}" + "-most" * ("most" in row[3])
+                              for row in DECLARED])
+def test_each_declared_bound_is_judged_with_its_label(judge, field, label, bound, broken, kept):
+    for value in broken:
         with pytest.raises(ValueError) as info:
-            raise_problems(["kind got 'a; b'", "c"])
-        assert str(info.value) == "kind got 'a; b'; c"
-        assert info.value.problems == ["kind got 'a; b'", "c"]
+            BUILD[judge](**{field: value})
+        assert info.value.problems == [f"{label} must be {bound}, got {value!r}"]
+    for value in kept:  # kept as given, not clamped
+        assert getattr(BUILD[judge](**{field: value}), field) == value
+
+
+# one call per judge breaking each field it judges, and the problems listed, in field order
+JUDGES = {
+    "StrategyParams": (
+        lambda: replace(default_params(2), n=0, lam=1, alpha_test="0.5", alpha_change=-1.0,
+                        beta_bias=math.nan, c_alpha=2.0, mode="cma"),
+        ["n must be an integer >= 1, got 0", "lam must be an integer >= 2, got 1",
+         "alpha_test must be positive and finite, got '0.5'",
+         "alpha_change must be >= 0 and finite, got -1.0",
+         "beta_bias must be >= 0 and finite, got nan", "c_alpha must be in (0, 1], got 2.0",
+         "mode must be 'tpa', 'tpa_legacy' or 'csa', got 'cma'"]),
+    # a problem holding the separator stays whole
+    "ObjectiveSpec": (
+        lambda: ObjectiveSpec("a; b", 0, noise_level="x", condition=math.inf),
+        [f"objective kind must be one of {OBJECTIVE_KINDS}, got 'a; b'",
+         "dimension must be an integer >= 1, got 0", "noise_level must be >= 0 and finite, got 'x'",
+         "condition must be positive and finite, got inf"]),
+    "TerminationCriteria": (
+        lambda: TerminationCriteria(max_evals=-5, target_f=None, tol_x="x", tol_fun=math.nan),
+        ["max_evals must be an integer >= 0, got -5", "target_f must be finite or -inf, got None",
+         "tol_x must be >= 0 and finite, got 'x'", "tol_fun must be >= 0 and finite, got nan"]),
+    # the start first, then its own fields, then the strategy settings, with no preset
+    "RunConfig": (
+        lambda: RunConfig("sphere", "nope", seed=-1, m0=1 + 2j, sigma0="a", lam=6.5,
+                          beta_bias=math.nan, c_alpha=2.0, criteria=None, max_restarts=True),
+        ["m0 must be a float or a sequence of floats, got (1+2j)",
+         "sigma0 must be positive and finite, got 'a'",
+         "objective must be an ObjectiveSpec, got 'sphere'",
+         f"controller must be one of {tuple(CONTROLLERS)}, got 'nope'",
+         "seed must be an integer >= 0, got -1", "criteria must be a TerminationCriteria, got None",
+         "max_restarts must be an integer >= 0, got True", "lam must be an integer >= 2, got 6.5",
+         "beta_bias must be >= 0 and finite, got nan", "c_alpha must be in (0, 1], got 2.0"]),
+    # without an objective's dimension, a sequence m0 has no shape to break
+    "RunConfig-no-dimension": (
+        lambda: RunConfig(None, "csa", m0=[1.0, 2.0, 3.0], lam=1),
+        ["objective must be an ObjectiveSpec, got None", "lam must be an integer >= 2, got 1"]),
+    "CmaEs": (lambda: CmaEs(default_params(2), (1.0,), 0.0),
+              ["m0 must have shape (2,), got (1,)", "sigma0 must be positive and finite, got 0.0"]),
+}
+
+
+@pytest.mark.parametrize("build, problems", JUDGES.values(), ids=JUDGES)
+def test_each_judge_lists_every_problem_in_field_order_through_pickle(build, problems):
+    with pytest.raises(ValueError) as info:
+        build()
+    copied = pickle.loads(pickle.dumps(info.value))  # as it crosses a process pool
+    for error in (info.value, copied):
+        assert type(error) is ValueError
+        assert (str(error), error.problems) == ("; ".join(problems), problems)
