@@ -208,11 +208,11 @@ RULE_MAKERS = {
 }
 
 
-@pytest.mark.parametrize("check, bound, kept, beyond", RULE_MAKERS.values(), ids=RULE_MAKERS)
-def test_each_rule_maker_keeps_only_its_values(check, bound, kept, beyond):
-    expected = {name: None if name in kept.split() else "at most 2" if name in beyond.split()
-                else bound for name in VALUES}
-    assert {name: check(value) for name, value in VALUES.items()} == expected
+@pytest.mark.parametrize("maker, name", [(maker, name) for maker in RULE_MAKERS for name in VALUES])
+def test_each_rule_maker_keeps_only_its_values(maker, name):
+    check, bound, kept, beyond = RULE_MAKERS[maker]
+    expected = None if name in kept.split() else "at most 2" if name in beyond.split() else bound
+    assert check(VALUES[name]) == expected
 
 
 # each judge built with one setting given, the others valid
@@ -262,16 +262,23 @@ DECLARED = [
 ]
 
 
-@pytest.mark.parametrize("judge, field, label, bound, broken, kept", DECLARED,
-                         ids=[f"{row[0].__name__}.{row[1]}" + "-most" * ("most" in row[3])
-                              for row in DECLARED])
-def test_each_declared_bound_is_judged_with_its_label(judge, field, label, bound, broken, kept):
-    for value in broken:
-        with pytest.raises(ValueError) as info:
-            BUILD[judge](**{field: value})
-        assert info.value.problems == [f"{label} must be {bound}, got {value!r}"]
-    for value in kept:  # kept as given, not clamped
-        assert getattr(BUILD[judge](**{field: value}), field) == value
+def declared(kept):
+    # one case per (row, value) of the column of values that break the rule, or that it keeps
+    return [pytest.param(judge, field, label, bound, value, id=f"{judge.__name__}.{field}-" + (
+                repr(value) if len(repr(value)) < 24 else f"{repr(value)[:20]}..."))
+            for judge, field, label, bound, *columns in DECLARED for value in columns[kept]]
+
+
+@pytest.mark.parametrize("judge, field, label, bound, value", declared(False))
+def test_each_declared_bound_is_judged_with_its_label(judge, field, label, bound, value):
+    with pytest.raises(ValueError) as info:
+        BUILD[judge](**{field: value})
+    assert info.value.problems == [f"{label} must be {bound}, got {value!r}"]
+
+
+@pytest.mark.parametrize("judge, field, label, bound, value", declared(True))
+def test_each_declared_field_keeps_a_valid_value_as_given(judge, field, label, bound, value):
+    assert getattr(BUILD[judge](**{field: value}), field) == value  # not clamped
 
 
 # one call per judge breaking each field it judges, and the problems listed, in field order
