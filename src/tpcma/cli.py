@@ -44,7 +44,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .engine import CONTROLLERS, RunConfig, RunRecord, RunResult, TerminationCriteria, run
+from .engine import (CONTROLLERS, RunConfig, RunRecord, RunResult, TerminationCriteria,
+                     _start_problems, run)
 from .objectives import OBJECTIVE_KINDS, ObjectiveSpec
 from .params import StrategyParams, field_problems, integer, raise_problems, rule, setting
 
@@ -127,7 +128,8 @@ class ExperimentConfig:
     setting and each grid entry is judged once, by the library object its
     target belongs to, whose error lists all its problems as ``problems``, so
     a problem names the target (``max_evals`` for ``budget``); only a
-    sequence ``m0`` is judged against every dimension.
+    sequence ``m0`` is judged against every dimension, and without a shape
+    where none is valid.
     """
 
     objectives: tuple[str, ...] = _option(("sphere",), _str_list, "comma list of objectives; "
@@ -190,16 +192,19 @@ class ExperimentConfig:
             except ValueError as exc:
                 problems.extend([problem for problem in exc.problems if problem not in problems])
 
-        # one object per entry, the other axes at the first valid n (or 1), "tpa" and seed 0
+        # one object per entry, the other axes at the first valid n (or 1), "tpa" and seed 0;
+        # with no valid n, m0 is judged without a shape
         criteria = check(lambda: self._criteria) or TerminationCriteria()
         first = next((n for n in self.dimensions
-                      if not field_problems(StrategyParams, SimpleNamespace(n=n))), 1)
+                      if not field_problems(StrategyParams, SimpleNamespace(n=n))), None)
         for kind in self.objectives or ("sphere",):
-            check(lambda: _objective_for(self, kind, first))
+            check(lambda: _objective_for(self, kind, first or 1))
         fed = dict(self._fed[""], controller="tpa", seed=0, criteria=criteria)
         for n in self.dimensions:
             check(lambda: RunConfig(**dict(fed, objective=ObjectiveSpec("sphere", n))))
-        fed["objective"] = ObjectiveSpec("sphere", first)
+        if first is None:
+            check(lambda: raise_problems(_start_problems(fed.pop("m0"), fed["sigma0"], None)))
+        fed["objective"] = ObjectiveSpec("sphere", first or 1)
         for controller in self.controllers or ("tpa",):
             check(lambda: RunConfig(**dict(fed, controller=controller)))
         for seed in self.seeds:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -332,18 +333,28 @@ class TestRunExperiment:
         cli.write_trace_csv(tmp_path / "cell.csv", cell, result, timestamp=False)
         assert [p.name for p in tmp_path.iterdir()] == ["cell.csv"]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_trace_write_is_not_counted_as_solved(self, tmp_path, capsys):
-        config = ExperimentConfig(dimensions=(2,), controllers=("tpa",), seeds=(0,),
-                                  budget=3000, out=str(tmp_path), timestamp=False)
-        cell = cli._Cell("sphere", 2, "tpa", 0, config)
+        argv = ["--n", "2", "--controller", "tpa,csa", "--seeds", "0,1", "--budget", "3000",
+                "--no-timestamp", "--out", str(tmp_path)]
+        config = parse_config(argv)
+        cell, other = (cli._Cell("sphere", 2, "tpa", seed, config) for seed in (0, 1))
         assert cli.run(cli._run_config_for(cell)).termination == "target_f"
-        # a directory where the trace CSV goes fails its write after the run
+        # a directory where one cell's trace CSV goes fails that write after its run
         (tmp_path / f"{cell.name}.csv").mkdir()
-        [row] = run_experiment(config)
-        assert (row["runs"], row["solved"], row["failed"]) == (1, 0, 1)
-        assert row["median_evals"] == 3000  # failures count at budget
+        assert cli.main(argv) == 0
         assert f"run {cell.name} failed: IsADirectoryError" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{cell.name}.csv", "summary.csv"]
+        # the other three CSVs are written, and no temporary file is left
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            *(f"sphere_n2_{c}_seed{s}.csv" for c in ("csa", "tpa") for s in (0, 1)), "summary.csv"]
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = {row["controller"]: row for row in csv.DictReader(fh)}
+        for row in rows.values():
+            assert int(row["solved"]) + int(row["failed"]) <= int(row["runs"]) == 2
+        assert (rows["tpa"]["solved"], rows["tpa"]["failed"]) == ("1", "1")
+        # a failure counts at the budget
+        evals = cli.run(cli._run_config_for(other)).evals
+        assert float(rows["tpa"]["median_evals"]) == (evals + 3000) / 2
 
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "file"
@@ -481,6 +492,11 @@ class TestMain:
              ["dimension grid is empty", "condition must be positive and finite, got nan"]),
             ({"objectives": ("noisy_sphere",), "dimensions": (), "noise_level": -1},
              ["dimension grid is empty", "noise_level must be >= 0 and finite, got -1"]),
+            # with no valid dimension a sequence m0 has no shape to miss; its values are judged
+            ({"dimensions": (0,), "m0": (1.0, 2.0)}, ["dimension must be an integer >= 1, got 0"]),
+            ({"dimensions": (), "m0": (1.0, 2.0)}, ["dimension grid is empty"]),
+            ({"dimensions": (0,), "m0": (1.0, math.nan)},
+             ["dimension must be an integer >= 1, got 0", "m0 must be finite"]),
             ({"target_f": None}, ["target_f must be finite or -inf, got None"]),
             ({"tol_fun": "x", "tol_x": "x"},
              ["tol_x must be >= 0 and finite, got 'x'", "tol_fun must be >= 0 and finite, got 'x'"]),
@@ -520,7 +536,8 @@ class TestMain:
         ],
         ids=["dimension-list", "seed-list", "controller-list", "objective-list",
              "seed-lists-repeated", "seed-bool-repeats-int", "dimension-float-repeats-int",
-             "no-dimension-condition", "no-dimension-noise-level", "target-f-none",
+             "no-dimension-condition", "no-dimension-noise-level", "invalid-dimension-m0-pair",
+             "no-dimension-m0-pair", "invalid-dimension-m0-nan", "target-f-none",
              "tolerance-text", "objective-text", "strategy-text", "start-not-floats",
              "dimension-int", "seed-none-lambda", "seed-set", "objective-str",
              "controller-2d-array", "dimension-array-repeated", "objective-array-entries",

@@ -43,6 +43,19 @@ class TestDefaults:
         assert p.c_alpha == 0.3
         assert p.mode == "tpa"
 
+    @pytest.mark.parametrize("n, lam", [(10, 10), (2, 24)], ids=["term-zero", "term-positive"])
+    def test_csa_constants(self, n, lam):
+        # c_sigma = (mu_w + 2) / (n + mu_w + 3), and the damping d_sigma = 1 + 2 max(0, sqrt(
+        # (mu_w - 1) / (n + 1)) - 1) + c_sigma of Hansen's tutorial (arXiv:1604.00772), whose
+        # max(0, ...) term is positive only where mu_w > n + 2
+        mu_w = 1.0 / sum(w * w for w in weights_oracle(lam / 2, lam // 2))
+        term = math.sqrt((mu_w - 1) / (n + 1)) - 1
+        assert (term > 0) == (n == 2)
+        c_sigma = (mu_w + 2) / (n + mu_w + 3)
+        p = StrategyParams(n=n, lam=lam, mode="csa")
+        assert p.c_sigma == pytest.approx(c_sigma, rel=1e-14)
+        assert p.d_sigma == pytest.approx(1 + 2 * max(0, term) + c_sigma, rel=1e-14)
+
     def test_single_parent_degenerate(self):
         p = default_params(1, lam=2)
         assert p.mu_prime == 1.0
