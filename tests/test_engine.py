@@ -57,6 +57,34 @@ class TestStepAccounting:
 
 
 class TestAskTellProtocol:
+    @pytest.mark.parametrize(
+        "fitness,message",
+        [
+            ([1.0, 2.0], r"shape \(6,\), got \(2,\)"),
+            ([1.0] * 7, r"shape \(6,\), got \(7,\)"),
+            ([], r"shape \(6,\), got \(0,\)"),
+            (1.0, r"shape \(6,\), got \(\)"),
+            # the right number of values in the wrong shape
+            (np.zeros((6, 1)), r"shape \(6,\), got \(6, 1\)"),
+            (np.zeros((1, 6)), r"shape \(6,\), got \(1, 6\)"),
+        ],
+        ids=["too-few", "too-many", "empty", "scalar", "column", "row"],
+    )
+    def test_wrong_fitness_count_rejected(self, fitness, message):
+        opt = CmaEs(default_params(2), np.zeros(2), 1.0, rng=np.random.default_rng(0))
+        opt.ask()
+        with pytest.raises(ValueError, match=message):
+            opt.tell(fitness)
+
+    def test_too_many_infeasible_aborts_with_the_optimizer(self):
+        params = default_params(2)  # lam 6, mu 3
+        opt = CmaEs(params, np.zeros(2), 1.0, rng=np.random.default_rng(0))
+        opt.ask()
+        with pytest.raises(RunAborted) as exc_info:
+            opt.tell([math.inf] * 4 + [1.0, 2.0])
+        assert exc_info.value.optimizer is opt
+        assert opt.generation == opt.evals == 0
+
     def test_aborted_run_carries_its_optimizer(self, monkeypatch):
         # from the fourth batch on every evaluation fails: the third
         # generation's population has no finite value to select
@@ -77,6 +105,115 @@ class TestAskTellProtocol:
         assert opt.evals == opt.trace[-1].evals == 16
         assert opt.best_f == opt.trace[-1].best_f == evaluate_population(spec, opt.best_x[None])[0]
         assert opt.C.shape == (2, 2) and np.isfinite(opt.C).all()
+
+    @pytest.mark.parametrize("controller", ["tpa_legacy", "csa"])
+    def test_aborted_run_survives_a_pickle_round_trip(self, controller):
+        # as a RunAborted crosses a process pool
+        config = replace(sphere_config(3), controller=controller)
+        opt = CmaEs(config.build_params(), config.m0, config.sigma0,
+                    rng=np.random.default_rng(0))
+        while opt.generation < 3:
+            opt.tell(evaluate_population(config.objective, opt.ask()))
+        opt.ask()
+        with pytest.raises(RunAborted, match="7 of 7 evaluations infeasible") as exc_info:
+            opt.tell([math.inf] * opt.params.lam)
+        copied = pickle.loads(pickle.dumps(exc_info.value))
+        assert type(copied) is RunAborted
+        assert str(copied) == str(exc_info.value)
+        assert copied.optimizer is not opt
+        assert copied.optimizer.params.mode == opt.params.mode == controller
+        assert copied.optimizer.generation == opt.generation == 3
+        assert copied.optimizer.m.tobytes() == opt.m.tobytes()
+
+    def test_minus_infinite_fitness_is_not_infeasible(self):
+        params = default_params(4)  # lam 8, mu 4
+        opt = CmaEs(params, np.zeros(4), 1.0, rng=np.random.default_rng(0))
+        opt.ask()
+        opt.tell([-math.inf] * params.lam)
+        assert opt.best_f == -math.inf
+        assert opt.evals == params.lam
+
+    def test_rejected_test_point_tell_changes_nothing(self):
+        # n=3: lam = 7, so one generation costs 9 evaluations
+        spec = ObjectiveSpec("sphere", 3)
+        opt = CmaEs(default_params(3), np.zeros(3), 1.0, rng=np.random.default_rng(4))
+        opt.tell(evaluate_population(spec, opt.ask()))
+        points = opt.ask()
+        with pytest.raises(ValueError, match="NaN"):
+            opt.tell([math.nan, 1.0])
+        assert opt.evals == 7
+        with pytest.raises(RuntimeError):
+            opt.ask()  # the ask is still pending
+        opt.tell(evaluate_population(spec, points))
+        assert opt.generation == 1
+        assert opt.evals == 9
+
+    @pytest.mark.parametrize(
+        "bad", [[1.0] * 6, [1.0] * 6 + [math.nan]], ids=["wrong_length", "nan"]
+    )
+    def test_rejected_population_tell_keeps_the_sample(self, bad):
+        # a rejected tell must not discard the population: resampling would
+        # consume random state and silently fork the seeded trajectory
+        spec = ObjectiveSpec("sphere", 3)
+        opt, ref = (
+            CmaEs(default_params(3), np.zeros(3), 1.0, rng=np.random.default_rng(4))
+            for _ in range(2)
+        )
+        X = opt.ask()
+        np.testing.assert_array_equal(X, ref.ask())
+        with pytest.raises(ValueError):
+            opt.tell(bad)
+        assert opt.evals == 0
+        f = evaluate_population(spec, X)
+        opt.tell(f)
+        ref.tell(f)
+        np.testing.assert_array_equal(opt.ask(), ref.ask())
+        assert opt.evals == ref.evals == 7
+
+    @pytest.mark.parametrize("mode", ["tpa", "tpa_legacy", "csa"])
+    @pytest.mark.parametrize("infeasible", [2, 5], ids=["selectable", "too-many-inf"])
+    @pytest.mark.parametrize("where", [0, 3, 6], ids=["first", "middle", "last"])
+    def test_nan_beside_infinities_is_rejected_in_the_population_round(
+        self, mode, infeasible, where
+    ):
+        # NaN is judged on the ranked order, where it ranks after +inf, and
+        # before the +inf count: 5 of 7 infeasible alone would abort the run
+        spec = ObjectiveSpec("sphere", 3)  # lam 7, mu 3
+        opt = CmaEs(replace(default_params(3), mode=mode), np.zeros(3), 1.0,
+                    rng=np.random.default_rng(4))
+        X = opt.ask()
+        others = [-math.inf] + [math.inf] * infeasible + [1.0, 2.0, 0.5][: 5 - infeasible]
+        bad = others[:where] + [math.nan] + others[where:]
+        with pytest.raises(ValueError, match="^NaN fitness; map failed evaluations to"):
+            opt.tell(bad)
+        assert (opt.evals, opt.generation, opt.best_f) == (0, 0, math.inf)
+        with pytest.raises(RuntimeError, match="twice"):
+            opt.ask()  # the ask is still pending
+        opt.tell(evaluate_population(spec, X))
+        assert opt.evals == 7
+
+    @pytest.mark.parametrize("mode", ["tpa", "tpa_legacy"])
+    @pytest.mark.parametrize(
+        "bad",
+        [[math.nan, math.inf], [math.inf, math.nan], [math.nan, -math.inf],
+         [-math.inf, math.nan], [math.nan, math.nan]],
+        ids=["first+inf", "last+inf", "first-inf", "last-inf", "both"],
+    )
+    def test_nan_beside_infinities_is_rejected_in_the_test_point_round(self, mode, bad):
+        spec = ObjectiveSpec("sphere", 3)  # lam 7
+        opt = CmaEs(replace(default_params(3), mode=mode), np.zeros(3), 1.0,
+                    rng=np.random.default_rng(4))
+        opt.tell(evaluate_population(spec, opt.ask()))
+        points = opt.ask()
+        before = (opt.sigma, opt.alpha_s, opt.best_f, opt.m.tobytes(), opt.p_c.tobytes())
+        with pytest.raises(ValueError, match="^NaN fitness; map failed evaluations to"):
+            opt.tell(bad)
+        assert (opt.evals, opt.generation) == (7, 0)
+        assert (opt.sigma, opt.alpha_s, opt.best_f, opt.m.tobytes(), opt.p_c.tobytes()) == before
+        with pytest.raises(RuntimeError, match="twice"):
+            opt.ask()  # the ask is still pending
+        opt.tell(evaluate_population(spec, points))
+        assert (opt.evals, opt.generation) == (9, 1)
 
     @pytest.mark.parametrize("mode", ["tpa", "csa"])
     @pytest.mark.parametrize("n", [2, 3, 10])  # (lam, mu): (6, 3), (7, 3), (10, 5)
@@ -233,10 +370,42 @@ class TestDeferredCovariance:
         return CmaEs(config.build_params(), np.full(n, 3.0), 2.0, rng=np.random.default_rng(n))
 
     @staticmethod
-    def _advance(opt, generations):
+    def _advance(opt, generations, read_C=False):
         spec, end = ObjectiveSpec("ellipsoid", opt.params.n), opt.generation + generations
         while opt.generation < end:
             opt.tell(evaluate_population(spec, opt.ask()))
+            if read_C:
+                _ = opt.C  # formed from the kept generations
+
+    @pytest.mark.parametrize("controller", ["tpa", "csa"])
+    def test_reading_C_leaves_the_trajectory_bit_identical(self, controller):
+        # n=400, lam 21: folds at generations 19 and 38, and reads between them
+        read, unread = self._optimizer(400, controller), self._optimizer(400, controller)
+        self._advance(read, 40, read_C=True)
+        self._advance(unread, 40)
+        assert np.array(read.trace).tobytes() == np.array(unread.trace).tobytes()
+        assert read.C.tobytes() == unread.C.tobytes()
+        assert read.m.tobytes() == unread.m.tobytes()
+
+    @pytest.mark.parametrize("n", [10, 100])  # a fold every generation, every 5th
+    def test_C_is_read_only(self, n):
+        opt = self._optimizer(n, "tpa")
+        for generations in (0, 1, 1):  # at generation 0, 1 and 2
+            self._advance(opt, generations)
+            with pytest.raises(ValueError, match="read-only"):
+                opt.C[0, 0] = 5.0
+
+    @pytest.mark.parametrize("n", [10, 100])
+    @pytest.mark.parametrize("controller", ["tpa", "csa"])
+    def test_tol_x_reads_the_diagonal_of_the_kept_generations(self, controller, n):
+        opt = self._optimizer(n, controller)
+        for _ in range(7):  # at n=100: 1 to 4 generations kept, none at 5, then 1 and 2 again
+            self._advance(opt, 1)
+            threshold = opt.sigma * math.sqrt(np.max(np.diag(opt.C)))
+            opt.criteria = TerminationCriteria(tol_x=threshold * (1.0 + 1e-12))
+            assert opt.should_stop() == "tol_x"
+            opt.criteria = TerminationCriteria(tol_x=threshold * (1.0 - 1e-12))
+            assert opt.should_stop() is None
 
     @pytest.mark.parametrize("n", [10, 400])  # a fold every generation, every 19th
     def test_a_non_finite_C_aborts_at_the_next_fold(self, monkeypatch, n):
@@ -647,8 +816,7 @@ class TestInvariance:
 
 class TestAnAbortIsFinal:
     """After any abort every ask() and tell() raises RunAborted with its message; each of
-    these two, like the population abort of ``AskTellMachine``, used to leave an optimizer
-    that ran on."""
+    these three used to leave an optimizer that ran on."""
 
     @staticmethod
     def assert_final(opt, message, state):
@@ -657,6 +825,14 @@ class TestAnAbortIsFinal:
                 call()
             assert str(info.value) == message and info.value.optimizer is opt
         assert (opt.generation, opt.evals, len(opt.trace)) == state
+
+    def test_after_a_population_without_mu_finite_values(self):
+        opt = CmaEs(default_params(2), np.zeros(2), 1.0, rng=np.random.default_rng(0))
+        opt.ask()
+        message = "6 of 6 evaluations infeasible; selection needs at least 3 finite values"
+        with pytest.raises(RunAborted, match=message):
+            opt.tell([math.inf] * 6)
+        self.assert_final(opt, message, (0, 0, 0))  # a second tell was accepted: evals 0 -> 6
 
     def test_after_a_point_leaves_the_float_range(self):
         opt = CmaEs(default_params(1), 1.7e308, 1e308, rng=np.random.default_rng(0))
